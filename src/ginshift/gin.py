@@ -369,7 +369,7 @@ _ELEMENTARY_CACHE: dict = {}
 
 
 def _cached_elementary(a: int, b: int, n: int, field) -> CoordinateChange:
-    key = (a, b, n, id(field))
+    key = (a, b, n, field)  # fields are frozen dataclasses: equal by value
     phi = _ELEMENTARY_CACHE.get(key)
     if phi is None:
         phi = CoordinateChange.elementary(a, b, n, field)
@@ -428,16 +428,3 @@ def trans_witnesses(ideal: MonomialIdeal, budget: int = 200,
         raise CertificationError(
             f"shift budget {budget} exhausted with no stable result")
     return found
-
-
-def distinct_degree2_witnesses(ideal: MonomialIdeal, budget: int = 200,
-                               cap: int | None = None, field=GFP,
-                               stop_at: int | None = None) -> list[frozenset]:
-    """Distinct degree-2 components among shift witnesses (a |Trans(J,2)|
-    probe); ``stop_at`` ends the search early once that many are found."""
-    comps: set[frozenset] = set()
-    for stable, _seq in _shift_bfs(ideal, budget, cap, LEX, field):
-        comps.add(frozenset(stable.degree_component(2)))
-        if stop_at is not None and len(comps) >= stop_at:
-            break
-    return sorted(comps, key=lambda c: sorted(map(str, c)))

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import PrimeField, RationalField
+from .fields import PrimeField
 from .monomials import Monomial
 from .orders import TermOrder
 
@@ -128,12 +128,6 @@ class Subspace:
         return [self.columns[j] for j in piv]
 
 
-def row_reduce(space: Subspace) -> tuple[int, list[Monomial]]:
-    """(rank, pivot columns as monomials) of a subspace; pure and deterministic."""
-    _, piv = space.reduce()
-    return len(piv), [space.columns[j] for j in piv]
-
-
 def initial_space(order: TermOrder, space: Subspace) -> set[Monomial]:
     """Leading monomials of a subspace: exactly the pivot columns."""
     if space.order is not None and space.order != order:
@@ -159,7 +153,3 @@ def pivots_of_vectors(vectors, order: TermOrder, field, ring: str, n: int,
         return set()
     sp = Subspace.from_vectors(vectors, order, field, ring, n, degree)
     return set(sp.pivot_monomials)
-
-
-def is_rational(field) -> bool:
-    return isinstance(field, RationalField)

@@ -21,8 +21,7 @@ from .complexes import (SimplicialComplex, combinatorial_ideal, cone,
                         flag_complex, shifted_complex)
 from .fields import GFP, QQ, InvalidInputError, PrimeField
 from .gin import (CertificationError, DualityViolationError, complement_dual,
-                  elementary_shift_space, gin_multi, gins_agree_adaptive,
-                  gin_space, trans_witnesses)
+                  gin_multi, gins_agree_adaptive, gin_space, trans_witnesses)
 from .graphs import (SEMI_BIPARTITE, Graph, base_form, condition_v,
                      condition_vi)
 from .ideals import MonomialIdeal
@@ -85,7 +84,10 @@ def _pair_family_stable(pairs: frozenset) -> bool:
 def pair_shift(pairs: frozenset, a: int, b: int) -> frozenset:
     """Combinatorial rule for in(phi_{a,b}(span)) on a degree-2 pair family:
     replace b by a in each pair unless the replacement is already present.
-    Agrees with the algebraic elementary shift for every term order."""
+    Agrees with the algebraic elementary shift for term orders in which
+    S - b + a > S whenever a < b: lex, revlex and decreasing-weight orders.
+    It does not for inverse orders, where the shift keeps the original
+    pair (under inv:lex, {2,3} stays put for (a, b) = (1, 3))."""
     out = set()
     for s in pairs:
         if b in s and a not in s:

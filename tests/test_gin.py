@@ -4,7 +4,8 @@ from ginshift.fields import GFP, QQ, PrimeField
 from ginshift.gin import (CertificationError, DualityViolationError,
                           combinatorial_shift, complement_dual, gin,
                           gin_adaptive, gin_multi, gin_multi_adaptive,
-                          gin_space, gins_agree_adaptive, trans_witnesses)
+                          gin_space, gins_agree_adaptive, trans_witnesses,
+                          _cached_elementary)
 from ginshift.ideals import MonomialIdeal
 from ginshift.monomials import (EXT, POLY, all_monomials, ext_monomial,
                                 poly_monomial)
@@ -35,6 +36,15 @@ def test_shift_is_order_independent_here():
     for pair in [(1, 3), (2, 4)]:
         assert combinatorial_shift(LEX, REI, [pair]) == \
             combinatorial_shift(REVLEX, REI, [pair])
+
+
+def test_elementary_cache_is_keyed_on_the_field_value():
+    over2 = _cached_elementary(2, 4, 5, PrimeField(2))
+    over5 = _cached_elementary(2, 4, 5, PrimeField(5))
+    assert over2.field == PrimeField(2)
+    assert over5.field == PrimeField(5)
+    # an equal but distinct field instance shares the cached change
+    assert _cached_elementary(2, 4, 5, PrimeField(5)) is over5
 
 
 def test_trans_witnesses_find_both():

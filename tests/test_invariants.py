@@ -1,13 +1,17 @@
+import time
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from itertools import combinations
 from math import comb
 
 from ginshift.changes import CoordinateChange, SizeLimitError
-from ginshift.fields import GFP, InvalidInputError
+from ginshift.fields import GFP, QQ, InvalidInputError
 from ginshift.graphs import (Graph, complete_bipartite, cycle_graph,
                              disjoint_cliques, path_graph)
 from ginshift.ideals import MonomialIdeal
+from ginshift import invariants
 from ginshift.invariants import (SQUAREFREE, STABLE_POLY, BettiTable, alpha,
                                  alpha_monomial, betti_stable,
                                  bipartite_profile, closed_form_profiles,
@@ -17,6 +21,7 @@ from ginshift.invariants import (SQUAREFREE, STABLE_POLY, BettiTable, alpha,
                                  regularity_from_gin, resolution_oracle,
                                  shifted_graph_edges, two_cliques_profile,
                                  two_cliques_profile_from_h)
+from ginshift.linalg import rref_exact
 from ginshift.monomials import (EXT, POLY, all_monomials, ext_monomial,
                                 poly_monomial, squarefree_poly)
 from ginshift.orders import LEX, REVLEX
@@ -80,6 +85,118 @@ def test_resolution_oracle_caps_generators():
         POLY, 14, [squarefree_poly((i, 14), 14) for i in range(1, 14)])
     with pytest.raises(SizeLimitError):
         resolution_oracle(too_big)
+
+
+def _taylor_oracle(ideal):
+    """Reference: beta_{i,i+j} from whole Taylor-complex strands, every
+    subset's lcm computed from scratch."""
+    gens = ideal.generators
+
+    def lcm(subset):
+        return tuple(max(gens[t].exponents[v] for t in subset)
+                     for v in range(ideal.n))
+
+    def rank(basis):
+        targets, rows = {}, []
+        for s in basis:
+            row = {}
+            for pos in range(len(s)):
+                face = s[:pos] + s[pos + 1:]
+                if face and lcm(face) == lcm(s):
+                    row[targets.setdefault(face, len(targets))] = \
+                        Fraction(-1) ** pos
+            rows.append(row)
+        if not targets:
+            return 0
+        dense = [[row.get(c, Fraction(0)) for c in range(len(targets))]
+                 for row in rows]
+        return len(rref_exact(dense, QQ)[1])
+
+    by_mdeg = {}
+    for size in range(1, len(gens) + 1):
+        for s in combinations(range(len(gens)), size):
+            by_mdeg.setdefault(lcm(s), {}).setdefault(size - 1, []).append(s)
+    out = {}
+    for mdeg, layers in by_mdeg.items():
+        for i, basis in layers.items():
+            h = len(basis) - rank(basis) - rank(layers.get(i + 1, []))
+            if h:
+                key = (i, sum(mdeg) - i)
+                out[key] = out.get(key, 0) + h
+    return out
+
+
+def _random_ideals(seed, count):
+    """Random monomial ideals: n <= 5 variables, r <= 7 generators,
+    exponents <= 2."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        n = int(rng.integers(1, 6))
+        exps = [tuple(int(e) for e in rng.integers(0, 3, n))
+                for _ in range(int(rng.integers(1, 8)))]
+        gens = [poly_monomial(e) for e in exps if any(e)]
+        if gens:
+            out.append(MonomialIdeal.make(POLY, n, gens))
+    return out
+
+
+def _nonzero(betti):
+    return {i: h for i, h in betti.items() if h}
+
+
+def _random_dense_edge_ideals(seed, count):
+    """Edge ideals with 6 edges on 4 vertices or 7 on 5: the lcm x1...xn is
+    shared by more generator subsets than 2^n, so the oracle takes it (and
+    others) from the Koszul complex."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        n = int(rng.integers(4, 6))
+        edges = list(combinations(range(1, n + 1), 2))
+        pick = rng.choice(len(edges), n + 2, replace=False)
+        out.append(MonomialIdeal.make(
+            POLY, n, [squarefree_poly(edges[k], n) for k in pick]))
+    return out
+
+
+def test_resolution_oracle_matches_taylor_reference_on_random_ideals():
+    for ideal in _random_ideals(2024, 400) + _random_dense_edge_ideals(5, 40):
+        assert resolution_oracle(ideal).as_dict() == _taylor_oracle(ideal)
+
+
+def test_taylor_strand_and_koszul_complex_agree_per_multidegree():
+    for ideal in _random_ideals(7, 400):
+        exps = [g.exponents for g in ideal.generators]
+        strands = {}
+        for size in range(1, len(exps) + 1):
+            for s in combinations(range(len(exps)), size):
+                b = tuple(map(max, *(exps[t] for t in s))) if size > 1 \
+                    else exps[s[0]]
+                strands.setdefault(b, []).append(sum(1 << t for t in s))
+        for b, strand in strands.items():
+            assert _nonzero(invariants._taylor_betti(strand)) == \
+                _nonzero(invariants._koszul_betti(exps, b)), (ideal, b)
+
+
+def test_resolution_oracle_chain_and_star_are_fast():
+    # (x1...x13, x14): one Taylor cell at the top lcm, 2^14 Koszul cells
+    chain = MonomialIdeal.make(POLY, 14, [squarefree_poly(range(1, 14), 14),
+                                          squarefree_poly((14,), 14)])
+    # x14 (x1, ..., x12): the Taylor resolution is minimal
+    star = MonomialIdeal.make(
+        POLY, 14, [squarefree_poly((i, 14), 14) for i in range(1, 13)])
+    expected = [{(0, 13): 1, (0, 1): 1, (1, 13): 1},
+                {(i, 2): comb(12, i + 1) for i in range(12)}]
+    for ideal, table in zip((chain, star), expected):
+        start = time.process_time()
+        got = resolution_oracle(ideal).as_dict()
+        assert time.process_time() - start < 1.0
+        assert got == table
+
+
+def test_resolution_oracle_of_zero_ideal_is_empty():
+    assert resolution_oracle(MonomialIdeal.make(POLY, 3, [])).entries == ()
 
 
 # -- the alpha map ------------------------------------------------------

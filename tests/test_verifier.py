@@ -7,7 +7,7 @@ from ginshift.fields import GFP, InvalidInputError
 from ginshift.gin import elementary_shift_space
 from ginshift.graphs import Graph, complete_bipartite, cycle_graph, path_graph
 from ginshift.monomials import EXT, ext_monomial
-from ginshift.orders import LEX, REVLEX
+from ginshift.orders import LEX, REVLEX, parse_order
 from ginshift.verifier import (KNOWN_CLASS_COUNTS, SweepReport,
                                _pair_family_stable, degree2_trans_witnesses,
                                enumerate_graphs, pair_shift, property_suite,
@@ -84,6 +84,16 @@ def test_pair_shift_matches_algebraic_elementary_shift():
             algebraic = elementary_shift_space(order, monos, EXT, n, 2, a, b)
             assert frozenset(u.support for u in algebraic) == \
                 pair_shift(fam, a, b)
+
+
+def test_pair_shift_differs_from_inverse_order_shift():
+    # the pair rule assumes S - b + a > S for a < b, which inverse orders
+    # reverse: under inv:lex the algebraic shift keeps {2,3}
+    inv_lex = parse_order("inv:lex", 3)
+    algebraic = elementary_shift_space(inv_lex, [ext_monomial((2, 3), 3)],
+                                       EXT, 3, 2, 1, 3)
+    assert algebraic == frozenset({ext_monomial((2, 3), 3)})
+    assert pair_shift(frozenset({(2, 3)}), 1, 3) == frozenset({(1, 2)})
 
 
 def test_degree2_witnesses_graph_a():
