@@ -8,26 +8,21 @@ up to the cap; anything less is reported as a certification failure.
 
 from __future__ import annotations
 
-import functools
 from collections import deque
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
-from .changes import CoordinateChange
+from .changes import CoordinateChange, SizeLimitError
 from .fields import GFP, InvalidInputError
 from .ideals import MonomialIdeal, is_strongly_stable
 from .linalg import pivots_of_vectors
-from .monomials import EXT, POLY, Monomial, all_monomials
+from .monomials import EXT, Monomial, all_monomials
 from .orders import LEX, Inverse, TermOrder
 
 
 class CertificationError(RuntimeError):
     """Trials disagreed or the candidate failed stability / Hilbert checks."""
-
-    def __init__(self, message, results=None):
-        super().__init__(message)
-        self.results = results
 
 
 class DualityViolationError(RuntimeError):
@@ -49,16 +44,7 @@ class GinCertificate:
         return all(self.agreement) and self.strongly_stable and self.hilbert_match
 
     def to_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "trials": self.trials,
-            "seed": self.seed,
-            "agreement": self.agreement,
-            "strongly_stable": self.strongly_stable,
-            "hilbert_match": self.hilbert_match,
-            "escalated": self.escalated,
-            "accepted": self.accepted,
-        }
+        return {**asdict(self), "accepted": self.accepted}
 
 
 def _trial_rngs(seed: int, trials: int, salt: int = 0):
@@ -72,34 +58,102 @@ def default_degree_cap(ideal: MonomialIdeal) -> int:
     return ideal.max_generator_degree + 1
 
 
-def transformed_components(order: TermOrder, phi: CoordinateChange,
-                           ideal: MonomialIdeal, cap: int) -> dict[int, frozenset]:
-    """in_order(phi(I))_d for every d <= cap; exact because I is graded."""
-    if ideal.ring == EXT:
-        cap = min(cap, ideal.n)
-    comps: dict[int, frozenset] = {}
-    for d in range(cap + 1):
-        comp = ideal.degree_component(d)
-        vectors = [phi.apply(u) for u in comp]
-        comps[d] = frozenset(
-            pivots_of_vectors(vectors, order, phi.field, ideal.ring, ideal.n, d))
-    return comps
+class _Trials:
+    """The coordinate changes phi of one (seed, trials, salt) applied to a
+    graded span V, whose degree-d part ``source(d)`` spans.
+
+    Images are computed once per degree and serve every order. A component
+    in_order(phi(V))_d is certified when every phi gives the same one and it
+    has |V_d| monomials; for a single invertible phi both always hold.
+    """
+
+    def __init__(self, ring: str, n: int, source, phis, seed=None, salt=0):
+        self.ring, self.n, self.source = ring, n, source
+        self.phis, self.seed, self.salt = phis, seed, salt
+        self._images: dict[int, list[list[dict]]] = {}
+        self._components: dict[tuple, frozenset] = {}
+
+    @classmethod
+    def draw(cls, ring, n, source, trials, seed, field, salt=0,
+             upper_triangular=False) -> "_Trials":
+        change = (CoordinateChange.random_upper_triangular if upper_triangular
+                  else CoordinateChange.random_dense)
+        return cls(ring, n, source, [change(n, field, rng) for rng
+                                     in _trial_rngs(seed, trials, salt)],
+                   seed, salt)
+
+    def top(self, cap: int) -> int:
+        """The highest degree up to ``cap`` that can be non-zero."""
+        return min(cap, self.n) if self.ring == EXT else cap
+
+    def component(self, order: TermOrder, d: int) -> frozenset:
+        if (order, d) not in self._components:
+            if d not in self._images:
+                basis = list(self.source(d))
+                self._images[d] = [[phi.apply(u) for u in basis]
+                                   for phi in self.phis]
+            images = self._images[d]
+            results = [frozenset(pivots_of_vectors(
+                vectors, order, phi.field, self.ring, self.n, d))
+                for phi, vectors in zip(self.phis, images)]
+            if any(r != results[0] for r in results) \
+                    or len(results[0]) != len(images[0]):
+                raise CertificationError(
+                    f"trials disagreed or missed the Hilbert function in "
+                    f"degree {d} under {order}")
+            self._components[order, d] = results[0]
+        return self._components[order, d]
+
+    def initial_ideal(self, order: TermOrder, cap: int,
+                      stable: bool = True) -> MonomialIdeal:
+        """in_order(phi(V)), exact up to ``cap``; with ``stable`` it must be
+        strongly stable."""
+        g = MonomialIdeal.from_components(self.ring, self.n, {
+            d: set(self.component(order, d)) for d in range(self.top(cap) + 1)})
+        if stable and not is_strongly_stable(g)[0]:
+            raise CertificationError(f"unstable gin candidate under {order}")
+        return g
+
+    def adaptive(self, order: TermOrder, cap: int, max_cap: int, twin=None):
+        """(gin, cap), the cap grown from ``cap`` until the gin is complete:
+        no degree lies above the cap, or all generators lie below it (the
+        regularity bound). A gin needing a cap past ``max_cap`` raises
+        instead of truncating. With a ``twin`` order, (None, d) at the first
+        degree d where the two gins differ."""
+        while True:
+            for d in range(self.top(cap) + 1) if twin else ():
+                if self.component(order, d) != self.component(twin, d):
+                    # a difference counts once both are certified up to d
+                    self.initial_ideal(order, d), self.initial_ideal(twin, d)
+                    return None, d
+            g = self.initial_ideal(order, cap)
+            deg = g.max_generator_degree
+            if deg < cap or self.top(cap + 1) == self.top(cap):
+                return g, self.top(cap)
+            if deg >= max_cap:
+                raise SizeLimitError(f"gin needs a degree cap above {max_cap}")
+            cap = deg + 1
+
+    def certificate(self, order: TermOrder) -> GinCertificate:
+        k = len(self.phis)
+        return GinCertificate(str(order), k, self.seed, [True] * k, True, True,
+                              escalated=bool(self.salt))
 
 
-def ideal_from_components(ring: str, n: int, comps: dict[int, frozenset]) -> MonomialIdeal:
-    return MonomialIdeal.from_components(ring, n, {d: set(s) for d, s in comps.items()})
-
-
-def truncated_initial_ideal(order: TermOrder, phi: CoordinateChange,
-                            ideal: MonomialIdeal, cap: int) -> MonomialIdeal:
-    """One layer of the Trans composition: in_order(phi(I)), exact up to cap."""
-    return ideal_from_components(ideal.ring, ideal.n,
-                                 transformed_components(order, phi, ideal, cap))
-
-
-def _stability_flavor(ring: str) -> bool:
-    # exterior monomials are squarefree by construction; the plain rule applies
-    return False
+def _certified(run, ideal: MonomialIdeal, trials: int, seed: int, field):
+    """(run(t), t) for the trials t of (seed, trials); after a certification
+    failure once more on 2 * trials fresh changes (salt 1), whose failure
+    raises."""
+    if trials < 2:
+        raise InvalidInputError("gin requires at least 2 trials")
+    for salt in (0, 1):
+        t = _Trials.draw(ideal.ring, ideal.n, ideal.degree_component,
+                         trials * (1 + salt), seed, field, salt)
+        try:
+            return run(t), t
+        except CertificationError:
+            if salt:
+                raise
 
 
 def gin(order: TermOrder, ideal: MonomialIdeal, cap: int | None = None,
@@ -111,46 +165,22 @@ def gin(order: TermOrder, ideal: MonomialIdeal, cap: int | None = None,
     unanimous agreement, strong stability, and Hilbert preservation.  On
     failure the trial count is doubled once before giving up.
     """
-    if trials < 2:
-        raise InvalidInputError("gin requires at least 2 trials")
-    if cap is None:
-        cap = default_degree_cap(ideal)
-    results, cert = _gin_components(order, ideal, cap, trials, seed, field)
-    if cert.accepted:
-        return ideal_from_components(ideal.ring, ideal.n, results[0]), cert
-    results, cert = _gin_components(order, ideal, cap, 2 * trials, seed, field, salt=1)
-    cert.escalated = True
-    if cert.accepted:
-        return ideal_from_components(ideal.ring, ideal.n, results[0]), cert
-    raise CertificationError(
-        f"gin certification failed for {ideal} under {order}", results)
-
-
-def _gin_components(order, ideal, cap, trials, seed, field, salt=0):
-    cert = GinCertificate(order=str(order), trials=trials, seed=seed)
-    results = []
-    for rng in _trial_rngs(seed, trials, salt):
-        phi = CoordinateChange.random_dense(ideal.n, field, rng)
-        results.append(transformed_components(order, phi, ideal, cap))
-    cert.agreement = [r == results[0] for r in results]
-    candidate = ideal_from_components(ideal.ring, ideal.n, results[0])
-    cert.strongly_stable = is_strongly_stable(candidate)[0]
-    cert.hilbert_match = all(
-        len(results[0][d]) == len(ideal.degree_component(d)) for d in results[0])
-    return results, cert
+    cap = default_degree_cap(ideal) if cap is None else cap
+    g, t = _certified(lambda t: t.initial_ideal(order, cap), ideal, trials,
+                      seed, field)
+    return g, t.certificate(order)
 
 
 def gin_adaptive(order: TermOrder, ideal: MonomialIdeal, trials: int = 3,
                  seed: int = 0, field=GFP, max_cap: int = 12,
                  ) -> tuple[MonomialIdeal, GinCertificate, int]:
-    """Polynomial-ring gin with the cap grown until it clears the top
-    generator degree of the certified candidate (regularity bound)."""
-    cap = default_degree_cap(ideal)
-    while True:
-        g, cert = gin(order, ideal, cap, trials, seed, field)
-        if g.max_generator_degree < cap or cap >= max_cap:
-            return g, cert, cap
-        cap = g.max_generator_degree + 1
+    """Gin with the cap grown until it clears the top generator degree of
+    the certified candidate (regularity bound); returns (gin, certificate,
+    cap). A gin that needs a cap above ``max_cap`` raises SizeLimitError."""
+    (g, cap), t = _certified(
+        lambda t: t.adaptive(order, default_degree_cap(ideal), max_cap),
+        ideal, trials, seed, field)
+    return g, t.certificate(order), cap
 
 
 def gin_multi(orders, ideal: MonomialIdeal, cap: int | None = None,
@@ -158,94 +188,21 @@ def gin_multi(orders, ideal: MonomialIdeal, cap: int | None = None,
     """Certified gins under several orders at once, sharing the transformed
     image vectors across orders (the coordinate change is order-independent,
     so one application per trial serves every order)."""
-    if cap is None:
-        cap = default_degree_cap(ideal)
-    if ideal.ring == EXT:
-        cap = min(cap, ideal.n)
-    degrees = range(cap + 1)
-    trial_images = []
-    for rng in _trial_rngs(seed, trials):
-        phi = CoordinateChange.random_dense(ideal.n, field, rng)
-        trial_images.append({d: [phi.apply(u) for u in ideal.degree_component(d)]
-                             for d in degrees})
-    out = []
-    for order in orders:
-        results = []
-        for images in trial_images:
-            comps = {d: frozenset(pivots_of_vectors(
-                images[d], order, field, ideal.ring, ideal.n, d))
-                for d in degrees}
-            results.append(comps)
-        candidate = ideal_from_components(ideal.ring, ideal.n, results[0])
-        agree = all(r == results[0] for r in results)
-        stable = is_strongly_stable(candidate)[0]
-        hilbert = all(len(results[0][d]) == len(ideal.degree_component(d))
-                      for d in degrees)
-        if not (agree and stable and hilbert):
-            raise CertificationError(
-                f"shared-trial gin failed under {order} for {ideal}",
-                results)
-        out.append(candidate)
-    return out
+    cap = default_degree_cap(ideal) if cap is None else cap
+    return _certified(lambda t: [t.initial_ideal(order, cap)
+                                 for order in orders],
+                      ideal, trials, seed, field)[0]
 
 
 def gin_multi_adaptive(orders, ideal: MonomialIdeal, trials: int = 3,
                        seed: int = 0, field=GFP, max_cap: int = 12,
                        ) -> list[tuple[MonomialIdeal, int]]:
-    """Adaptive-cap gins under several orders with shared trial matrices.
-
-    The coordinate changes live across cap growth, so image vectors computed
-    for low degrees are reused when the cap rises; each order's result is
-    certified like ``gin`` (agreement, stability, Hilbert).  Returns
-    (gin, cap) per order.
-    """
-    for salt in (0, 1):
-        n_trials = trials if salt == 0 else 2 * trials
-        phis = [CoordinateChange.random_dense(ideal.n, field, rng)
-                for rng in _trial_rngs(seed, n_trials, salt)]
-        try:
-            return [_adaptive_one(order, ideal, phis, max_cap)
-                    for order in orders]
-        except CertificationError:
-            if salt == 1:
-                raise
-    raise AssertionError("unreachable")
-
-
-@functools.lru_cache(maxsize=4096)
-def _component(ideal: MonomialIdeal, d: int) -> tuple:
-    return tuple(ideal.degree_component(d))
-
-
-def _adaptive_one(order, ideal, phis, max_cap):
+    """Adaptive-cap gins under several orders with shared trial matrices;
+    returns (gin, cap) per order, each as ``gin_adaptive`` would."""
     cap = default_degree_cap(ideal)
-    results: list[dict[int, frozenset]] = [{} for _ in phis]
-    while True:
-        for phi, comps in zip(phis, results):
-            for d in range(cap + 1):
-                if d not in comps:
-                    vectors = [phi.apply(u) for u in _component(ideal, d)]
-                    comps[d] = frozenset(pivots_of_vectors(
-                        vectors, order, phi.field, ideal.ring, ideal.n, d))
-        candidate = ideal_from_components(ideal.ring, ideal.n, results[0])
-        agree = all(r == results[0] for r in results)
-        stable = is_strongly_stable(candidate)[0]
-        hilbert = all(len(results[0][d]) == len(_component(ideal, d))
-                      for d in results[0])
-        if not (agree and stable and hilbert):
-            raise CertificationError(
-                f"adaptive gin failed under {order} for {ideal}", results)
-        if candidate.max_generator_degree < cap or cap >= max_cap:
-            return candidate, cap
-        cap = candidate.max_generator_degree + 1
-
-
-def _stable_component(monomials) -> bool:
-    """Within-degree Borel closure: every index-lowering exchange of every
-    member stays inside the set."""
-    s = set(monomials)
-    from .ideals import _smaller_exchanges
-    return all(v in s for u in s for v in _smaller_exchanges(u))
+    return _certified(lambda t: [t.adaptive(order, cap, max_cap)
+                                 for order in orders],
+                      ideal, trials, seed, field)[0]
 
 
 def gins_agree_adaptive(order_a: TermOrder, order_b: TermOrder,
@@ -258,51 +215,10 @@ def gins_agree_adaptive(order_a: TermOrder, order_b: TermOrder,
     degree components of in(phi(I)) are exact independently of any cap, so a
     certified low-degree mismatch already settles inequality.
     """
-    for salt in (0, 1):
-        n_trials = trials if salt == 0 else 2 * trials
-        phis = [CoordinateChange.random_dense(ideal.n, field, rng)
-                for rng in _trial_rngs(seed, n_trials, salt)]
-        try:
-            return _agree_adaptive(order_a, order_b, ideal, phis, max_cap)
-        except CertificationError:
-            if salt == 1:
-                raise
-    raise AssertionError("unreachable")
-
-
-def _agree_adaptive(order_a, order_b, ideal, phis, max_cap):
-    cap = default_degree_cap(ideal)
-    if ideal.ring == EXT:
-        max_cap = min(max_cap, ideal.n)
-        cap = min(cap, ideal.n)
-    per_order: dict = {order_a: [dict() for _ in phis],
-                       order_b: [dict() for _ in phis]}
-    done = 0
-    while True:
-        for d in range(done, cap + 1):
-            comp = _component(ideal, d)
-            for order, results in per_order.items():
-                for phi, comps in zip(phis, results):
-                    vectors = [phi.apply(u) for u in comp]
-                    comps[d] = frozenset(pivots_of_vectors(
-                        vectors, order, phi.field, ideal.ring, ideal.n, d))
-                if any(r[d] != results[0][d] for r in results):
-                    raise CertificationError(
-                        f"trials disagreed in degree {d} under {order}")
-                if len(results[0][d]) != len(comp):
-                    raise CertificationError(
-                        f"Hilbert mismatch in degree {d} under {order}")
-                if not _stable_component(results[0][d]):
-                    raise CertificationError(
-                        f"unstable degree-{d} component under {order}")
-            if per_order[order_a][0][d] != per_order[order_b][0][d]:
-                return False
-        done = cap + 1
-        candidate = ideal_from_components(ideal.ring, ideal.n,
-                                          per_order[order_a][0])
-        if candidate.max_generator_degree < cap or cap >= max_cap:
-            return True
-        cap = min(max_cap, candidate.max_generator_degree + 1)
+    g, _cap = _certified(lambda t: t.adaptive(
+        order_a, default_degree_cap(ideal), max_cap, twin=order_b),
+        ideal, trials, seed, field)[0]
+    return g is not None
 
 
 # -- monomial-spanned subspaces (single degree) -------------------------
@@ -311,22 +227,18 @@ def _agree_adaptive(order_a, order_b, ideal, phis, max_cap):
 def gin_space(order: TermOrder, monomials, ring: str, n: int, degree: int,
               trials: int = 3, seed: int = 0, field=GFP,
               upper_triangular: bool = False) -> set[Monomial]:
-    """Certified gin of the span of a monomial set, within one degree."""
+    """Certified gin of the span of a monomial set, within one degree.
+
+    No escalation: the characteristic-2 duality check relies on the first
+    disagreement raising. No stability check either: gins under an
+    ``Inverse`` order are not strongly stable in the standard sense.
+    """
     monomials = set(monomials)
     if not monomials:
         return set()
-    results = []
-    for rng in _trial_rngs(seed, trials):
-        if upper_triangular:
-            phi = CoordinateChange.random_upper_triangular(n, field, rng)
-        else:
-            phi = CoordinateChange.random_dense(n, field, rng)
-        vectors = [phi.apply(u) for u in monomials]
-        results.append(frozenset(pivots_of_vectors(vectors, order, field, ring, n, degree)))
-    if any(r != results[0] for r in results) or len(results[0]) != len(monomials):
-        raise CertificationError(f"subspace gin trials disagreed (n={n}, d={degree})",
-                                 results)
-    return set(results[0])
+    t = _Trials.draw(ring, n, lambda d: monomials, trials, seed, field,
+                     upper_triangular=upper_triangular)
+    return set(t.component(order, degree))
 
 
 def complement_dual(order: TermOrder, monomials, ring: str, n: int,
@@ -361,29 +273,17 @@ def combinatorial_shift(order: TermOrder, ideal: MonomialIdeal,
     current = ideal
     for a, b in pairs:
         phi = CoordinateChange.elementary(a, b, ideal.n, field)
-        current = truncated_initial_ideal(order, phi, current, cap)
+        current = _Trials(current.ring, current.n, current.degree_component,
+                          [phi]).initial_ideal(order, cap, stable=False)
     return current
-
-
-_ELEMENTARY_CACHE: dict = {}
-
-
-def _cached_elementary(a: int, b: int, n: int, field) -> CoordinateChange:
-    key = (a, b, n, field)  # fields are frozen dataclasses: equal by value
-    phi = _ELEMENTARY_CACHE.get(key)
-    if phi is None:
-        phi = CoordinateChange.elementary(a, b, n, field)
-        _ELEMENTARY_CACHE[key] = phi
-    return phi
 
 
 def elementary_shift_space(order: TermOrder, monomials, ring: str, n: int,
                            degree: int, a: int, b: int,
                            field=GFP) -> frozenset:
     """in_order(phi_{a,b}(span of the monomials)) within a single degree."""
-    phi = _cached_elementary(a, b, n, field)
-    vectors = [phi.apply(u) for u in monomials]
-    return frozenset(pivots_of_vectors(vectors, order, field, ring, n, degree))
+    phi = CoordinateChange.elementary(a, b, n, field)
+    return _Trials(ring, n, lambda d: monomials, [phi]).component(order, degree)
 
 
 def _shift_bfs(ideal: MonomialIdeal, budget: int, cap: int | None,

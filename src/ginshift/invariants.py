@@ -136,6 +136,12 @@ def resolution_oracle(ideal: MonomialIdeal) -> BettiTable:
     faces, where beta_{i,b} = dim H~_{i-1}(K^b(I)) (Miller-Sturmfels,
     Combinatorial Commutative Algebra, Thm 1.34).  So the cost is the subset
     pass plus min(|strand_b|, 2^|supp b|) cells per b.
+
+    Worst case known: the ideal generated by the n products x_{[n] - i}, at
+    b = x1...xn, where both complexes have 2^n cells.  On a 2-core x86
+    machine (Python 3.11) it took 0.35 s of CPU time at n = 8, 6.6 s at
+    n = 10 and 47 s at n = 11, so the generator cap must not be raised on
+    the strength of faster inputs such as the stars x_{r+1} (x1, ..., x_r).
     """
     gens = ideal.generators
     if ideal.ring != POLY:

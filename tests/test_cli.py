@@ -162,3 +162,40 @@ def test_table_format(rei_file, capsys):
     code, out = run(capsys, ["gin", rei_file, "--format", "table"])
     assert code == EXIT_PASS
     assert "generators:" in out
+
+
+def test_truncated_adaptive_gin_exits_with_size_limit(edges_file, capsys,
+                                                      monkeypatch):
+    import functools
+
+    from ginshift import cli
+    # the lex gin of (x1x2, x3x4) has a generator in degree 4 and needs cap 5
+    monkeypatch.setattr(cli, "gin_adaptive",
+                        functools.partial(cli.gin_adaptive, max_cap=4))
+    code, out = run(capsys, ["gin", edges_file, "--order", "lex"])
+    assert code == EXIT_SIZE_LIMIT
+    assert out == ""
+
+
+@pytest.fixture
+def unstable_file(tmp_path):
+    path = tmp_path / "unstable.ideal"
+    path.write_text("ring=poly n=3\nx1^2\nx1*x2^2\nx2*x3\nx3^2\n")
+    return str(path)
+
+
+def test_betti_oracle_on_an_ideal_that_is_not_strongly_stable(unstable_file,
+                                                              capsys):
+    code, out = run(capsys, ["betti", unstable_file, "--oracle"])
+    assert code == EXIT_PASS
+    doc = json.loads(out)
+    assert "betti" not in doc and "oracle_matches" not in doc
+    assert doc["oracle"]["entries"] == [[0, 2, 3], [0, 3, 1], [1, 2, 1],
+                                        [1, 3, 4], [2, 3, 2]]
+
+
+def test_betti_closed_form_refuses_an_ideal_that_is_not_strongly_stable(
+        unstable_file, capsys):
+    code, out = run(capsys, ["betti", unstable_file])
+    assert code == EXIT_INVALID_INPUT
+    assert out == ""

@@ -1,11 +1,12 @@
 import pytest
 
+from ginshift.changes import SizeLimitError
 from ginshift.fields import GFP, QQ, PrimeField
 from ginshift.gin import (CertificationError, DualityViolationError,
                           combinatorial_shift, complement_dual, gin,
                           gin_adaptive, gin_multi, gin_multi_adaptive,
-                          gin_space, gins_agree_adaptive, trans_witnesses,
-                          _cached_elementary)
+                          elementary_shift_space, gin_space,
+                          gins_agree_adaptive, trans_witnesses)
 from ginshift.ideals import MonomialIdeal
 from ginshift.monomials import (EXT, POLY, all_monomials, ext_monomial,
                                 poly_monomial)
@@ -38,13 +39,15 @@ def test_shift_is_order_independent_here():
             combinatorial_shift(REVLEX, REI, [pair])
 
 
-def test_elementary_cache_is_keyed_on_the_field_value():
-    over2 = _cached_elementary(2, 4, 5, PrimeField(2))
-    over5 = _cached_elementary(2, 4, 5, PrimeField(5))
-    assert over2.field == PrimeField(2)
-    assert over5.field == PrimeField(5)
-    # an equal but distinct field instance shares the cached change
-    assert _cached_elementary(2, 4, 5, PrimeField(5)) is over5
+def test_elementary_shift_space_follows_the_field():
+    # phi_{1,2}(x2^2) = x1^2 + 2 x1 x2 + x2^2: the middle term vanishes
+    # over GF(2), so the initial space of span(x1^2, x2^2) depends on p
+    w = [poly_monomial((2, 0)), poly_monomial((0, 2))]
+    over5 = {poly_monomial((2, 0)), poly_monomial((1, 1))}
+    over2 = set(w)
+    for p, want in ((5, over5), (2, over2), (5, over5)):
+        assert elementary_shift_space(LEX, w, POLY, 2, 2, 1, 2,
+                                      field=PrimeField(p)) == want
 
 
 def test_trans_witnesses_find_both():
@@ -195,3 +198,70 @@ def test_gins_agree_adaptive_confirms_agreement():
     stable = MonomialIdeal.make(EXT, 4, [ext_monomial([1, 2], 4),
                                          ext_monomial([1, 3], 4)])
     assert gins_agree_adaptive(LEX, REVLEX, stable, seed=0)
+
+
+# -- the shared engine: escalation, exterior clamp, size limit ----------
+
+
+def test_gin_escalates_once_and_is_accepted():
+    g, cert = gin(REVLEX, REI, seed=1, field=PrimeField(31))
+    assert cert.escalated and cert.accepted
+    assert cert.trials == 6
+    assert g == E([[1, 2], [1, 3], [2, 3]], 4)
+
+
+def test_gin_multi_escalates_like_gin():
+    field = PrimeField(31)
+    single, cert = gin(REVLEX, REI, seed=1, field=field)
+    assert cert.escalated
+    assert gin_multi([REVLEX], REI, seed=1, field=field) == [single]
+    # under lex the doubled trials disagree too, so both entry points raise
+    with pytest.raises(CertificationError):
+        gin(LEX, REI, seed=1, field=field)
+    with pytest.raises(CertificationError):
+        gin_multi([LEX, REVLEX], REI, seed=1, field=field)
+
+
+def test_every_certified_ideal_gin_needs_two_trials():
+    from ginshift.fields import InvalidInputError
+    for call in (lambda: gin_multi([LEX], REI, trials=1),
+                 lambda: gin_multi_adaptive([LEX], REI, trials=1),
+                 lambda: gins_agree_adaptive(LEX, REVLEX, REI, trials=1)):
+        with pytest.raises(InvalidInputError):
+            call()
+
+
+def test_adaptive_exterior_gin_stops_at_n():
+    top = E([[1, 2, 3]], 3)
+    g, cert, cap = gin_adaptive(LEX, top, seed=0)
+    assert (g, cap) == (top, 3) and cert.accepted
+    assert gin_multi_adaptive([LEX], top, seed=0) == [(top, 3)]
+
+
+TWO_EDGES = MonomialIdeal.make(POLY, 4, [poly_monomial((1, 1, 0, 0)),
+                                         poly_monomial((0, 0, 1, 1))])
+
+
+def test_adaptive_gin_past_max_cap_is_a_size_limit():
+    # the lex gin is (x1^2, x1x2, x1x3^2, x2^4) and needs cap 5
+    for max_cap in (3, 4):
+        with pytest.raises(SizeLimitError):
+            gin_adaptive(LEX, TWO_EDGES, seed=0, max_cap=max_cap)
+        with pytest.raises(SizeLimitError):
+            gin_multi_adaptive([LEX], TWO_EDGES, seed=0, max_cap=max_cap)
+    g, _, cap = gin_adaptive(LEX, TWO_EDGES, seed=0, max_cap=5)
+    assert cap == 5 and g.max_generator_degree == 4
+
+
+def test_gins_agree_adaptive_past_max_cap_is_a_size_limit():
+    # in two variables lex and revlex agree; the gin of (x1^3, x2^3) is
+    # (x1^3, x1^2 x2, x1 x2^3, x2^5) and needs cap 6
+    cubes = MonomialIdeal.make(POLY, 2, [poly_monomial((3, 0)),
+                                         poly_monomial((0, 3))])
+    assert gins_agree_adaptive(LEX, REVLEX, cubes, seed=0, max_cap=6)
+    with pytest.raises(SizeLimitError):
+        gins_agree_adaptive(LEX, REVLEX, cubes, seed=0, max_cap=5)
+    g, _, cap = gin_adaptive(REVLEX, cubes, seed=0)
+    assert cap == 6 and g == MonomialIdeal.make(POLY, 2, [
+        poly_monomial((3, 0)), poly_monomial((2, 1)), poly_monomial((1, 3)),
+        poly_monomial((0, 5))])
