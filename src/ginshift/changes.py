@@ -2,8 +2,11 @@
 
 The exterior action sends e_S to the vector of d x d minors det(phi[T, S])
 over target supports T; the polynomial action expands the product of linear
-forms.  Minors are computed by Laplace expansion memoized per matrix, which
-is the cost center of every gin computation.
+forms.  Minors are computed by Laplace expansion memoized per matrix, and
+polynomial images are memoized per monomial.  The gin engine applies a
+change once to each monomial of a degree component and assembles the images
+into one matrix that serves every term order, so the action costs the same
+however many orders are certified.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .fields import InvalidInputError
 from .linalg import vector_rank
-from .monomials import (EXT, ExtMonomial, Monomial, PolyMonomial, ext_monomial)
+from .monomials import EXT, ExtMonomial, Monomial, PolyMonomial, basis_table
 
 #: beyond this the C(n,d)^2 minor table is no longer a desk-scale object
 MAX_EXT_VARIABLES = 12
@@ -137,15 +140,13 @@ class CoordinateChange:
             raise InvalidInputError(f"degree {m.degree} exceeds n={n}")
         if n > MAX_EXT_VARIABLES:
             raise SizeLimitError(f"exterior action refused for n={n} > {MAX_EXT_VARIABLES}")
-        from itertools import combinations
-
         f = self.field
         out = {}
         src = m.support
-        for tgt in combinations(range(1, n + 1), m.degree):
-            c = self.minor(tgt, src)
+        for tgt in basis_table(EXT, n, m.degree):
+            c = self.minor(tgt.support, src)
             if c != f.zero:
-                out[ext_monomial(tgt, n)] = c
+                out[tgt] = c
         return out
 
     def _apply_poly(self, m: PolyMonomial) -> dict:

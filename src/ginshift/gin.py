@@ -16,8 +16,8 @@ import numpy as np
 from .changes import CoordinateChange, SizeLimitError
 from .fields import GFP, InvalidInputError
 from .ideals import MonomialIdeal, is_strongly_stable
-from .linalg import pivots_of_vectors
-from .monomials import EXT, Monomial, all_monomials
+from .linalg import Subspace
+from .monomials import EXT, Monomial, all_monomials, basis_table
 from .orders import LEX, Inverse, TermOrder
 
 
@@ -62,16 +62,22 @@ class _Trials:
     """The coordinate changes phi of one (seed, trials, salt) applied to a
     graded span V, whose degree-d part ``source(d)`` spans.
 
-    Images are computed once per degree and serve every order. A component
+    A degree component lives against the basis table of its degree: each
+    (phi, d) has one image matrix, assembled once and shared by every order,
+    and an order enters only as its ranking of the table. Orders that rank
+    the table alike share one result, and orders whose initial spaces agree
+    share one elimination (``Subspace.leading_columns``). A component
     in_order(phi(V))_d is certified when every phi gives the same one and it
-    has |V_d| monomials; for a single invertible phi both always hold.
+    has |V_d| monomials; for a single invertible phi both always hold. When
+    V_d is 0 or all of R_d, so is every phi(V_d), and no image is needed.
     """
 
     def __init__(self, ring: str, n: int, source, phis, seed=None, salt=0):
         self.ring, self.n, self.source = ring, n, source
         self.phis, self.seed, self.salt = phis, seed, salt
-        self._images: dict[int, list[list[dict]]] = {}
-        self._components: dict[tuple, frozenset] = {}
+        self._sources: dict[int, list] = {}
+        self._spaces: dict[int, list[Subspace]] = {}
+        self._pivots: dict[tuple, frozenset] = {}
 
     @classmethod
     def draw(cls, ring, n, source, trials, seed, field, salt=0,
@@ -87,22 +93,29 @@ class _Trials:
         return min(cap, self.n) if self.ring == EXT else cap
 
     def component(self, order: TermOrder, d: int) -> frozenset:
-        if (order, d) not in self._components:
-            if d not in self._images:
-                basis = list(self.source(d))
-                self._images[d] = [[phi.apply(u) for u in basis]
-                                   for phi in self.phis]
-            images = self._images[d]
-            results = [frozenset(pivots_of_vectors(
-                vectors, order, phi.field, self.ring, self.n, d))
-                for phi, vectors in zip(self.phis, images)]
+        if d not in self._sources:
+            self._sources[d] = list(self.source(d))
+        sources = self._sources[d]
+        basis = basis_table(self.ring, self.n, d)
+        if not 0 < len(sources) < len(basis):
+            return frozenset(basis) if sources else frozenset()
+        ranking = order.ranking(self.ring, self.n, d)
+        if (ranking, d) not in self._pivots:
+            if d not in self._spaces:
+                self._spaces[d] = [Subspace.from_vectors(
+                    [phi.apply(u) for u in sources], None, phi.field,
+                    self.ring, self.n, d, columns=basis)
+                    for phi in self.phis]
+            results = [frozenset(basis[j] for j in
+                                 space.leading_columns(ranking))
+                       for space in self._spaces[d]]
             if any(r != results[0] for r in results) \
-                    or len(results[0]) != len(images[0]):
+                    or len(results[0]) != len(sources):
                 raise CertificationError(
                     f"trials disagreed or missed the Hilbert function in "
                     f"degree {d} under {order}")
-            self._components[order, d] = results[0]
-        return self._components[order, d]
+            self._pivots[ranking, d] = results[0]
+        return self._pivots[ranking, d]
 
     def initial_ideal(self, order: TermOrder, cap: int,
                       stable: bool = True) -> MonomialIdeal:
@@ -224,6 +237,16 @@ def gins_agree_adaptive(order_a: TermOrder, order_b: TermOrder,
 # -- monomial-spanned subspaces (single degree) -------------------------
 
 
+def _of_degree(monomials, ring: str, n: int, degree: int) -> set:
+    """The monomials as a set, all of them in degree ``degree`` of the ring."""
+    monomials = set(monomials)
+    if any(u.ring != ring or u.n != n or u.degree != degree
+           for u in monomials):
+        raise InvalidInputError(
+            f"monomials are not of degree {degree} in ({ring}, n={n})")
+    return monomials
+
+
 def gin_space(order: TermOrder, monomials, ring: str, n: int, degree: int,
               trials: int = 3, seed: int = 0, field=GFP,
               upper_triangular: bool = False) -> set[Monomial]:
@@ -233,7 +256,7 @@ def gin_space(order: TermOrder, monomials, ring: str, n: int, degree: int,
     disagreement raising. No stability check either: gins under an
     ``Inverse`` order are not strongly stable in the standard sense.
     """
-    monomials = set(monomials)
+    monomials = _of_degree(monomials, ring, n, degree)
     if not monomials:
         return set()
     t = _Trials.draw(ring, n, lambda d: monomials, trials, seed, field,
@@ -283,6 +306,7 @@ def elementary_shift_space(order: TermOrder, monomials, ring: str, n: int,
                            field=GFP) -> frozenset:
     """in_order(phi_{a,b}(span of the monomials)) within a single degree."""
     phi = CoordinateChange.elementary(a, b, n, field)
+    monomials = _of_degree(monomials, ring, n, degree)
     return _Trials(ring, n, lambda d: monomials, [phi]).component(order, degree)
 
 

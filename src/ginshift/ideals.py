@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import combinations
+from operator import add
 
 from .fields import InvalidInputError
 from .monomials import (EXT, POLY, ExtMonomial, Monomial, PolyMonomial,
-                        all_monomials, ext_monomial, parse_monomial)
+                        basis_table, ext_monomial, parse_monomial)
 from .orders import LEX
 
 
@@ -64,10 +66,25 @@ class MonomialIdeal:
         return any(g.divides(m) for g in self.generators)
 
     def degree_component(self, d: int) -> set[Monomial]:
-        """All degree-d monomials divisible by some generator."""
+        """All degree-d monomials divisible by some generator, enumerated as
+        generator multiples: S u T for T outside S in the exterior ring, g * m
+        in the polynomial ring."""
         if d < 0 or (self.ring == EXT and d > self.n):
             raise InvalidInputError(f"degree {d} out of range")
-        return {u for u in all_monomials(self.ring, self.n, d) if self.contains(u)}
+        n, out = self.n, set()
+        for g in self.generators:
+            k = d - g.degree
+            if k < 0:
+                continue
+            if self.ring == EXT:
+                rest = [i for i in range(1, n + 1) if i not in g.support]
+                out.update(ext_monomial(g.support + t, n)
+                           for t in combinations(rest, k))
+            else:
+                out.update(PolyMonomial(tuple(map(add, g.exponents,
+                                                  m.exponents)))
+                           for m in basis_table(POLY, n, k))
+        return out
 
     def hilbert(self, max_degree: int) -> list[int]:
         return [len(self.degree_component(d)) for d in range(max_degree + 1)]

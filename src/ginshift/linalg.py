@@ -1,8 +1,13 @@
-"""Deterministic reduced row echelon form over exact fields, and graded
-subspaces presented by coefficient rows against an ordered monomial basis.
+"""Deterministic reduced row echelon form over exact fields, and subspaces
+of one degree component presented by coefficient rows against an ordered
+monomial basis.
 
 Pivot columns only depend on the row space and the column order, so every
-initial-space computation downstream is reproducible bit for bit.
+initial-space computation downstream is reproducible bit for bit. Over a
+prime field the rows of a ``Subspace`` are one int64 array, over other fields
+lists of field elements. A term order enters as a ranking of the columns
+(``Subspace.leading_columns``), and rankings under which a kept echelon
+basis still fits share its elimination.
 """
 
 from __future__ import annotations
@@ -66,38 +71,40 @@ def rref_exact(rows: list[list], field) -> tuple[list[list], list[int]]:
     return a[: len(pivots)], pivots
 
 
-def rref(rows: list[list], field) -> tuple[list[list], list[int]]:
-    if isinstance(field, PrimeField) and rows:
-        mat = np.array(rows, dtype=np.int64)
-        red, piv = rref_prime(mat, field.p)
+def rref(rows, field) -> tuple[list[list], list[int]]:
+    """RREF as lists; over a prime field ``rows`` may be an int64 array."""
+    if isinstance(field, PrimeField) and len(rows):
+        red, piv = rref_prime(np.asarray(rows, dtype=np.int64), field.p)
         return red.tolist(), piv
     return rref_exact(rows, field)
 
 
-@dataclass
+@dataclass(eq=False)
 class Subspace:
     """A subspace of the degree-d component, stored against an ordered basis.
 
-    ``columns`` is the monomial basis in descending order of the attached
-    term order; ``rows`` are coefficient rows of spanning elements.
+    ``columns`` is the monomial basis in a fixed order; ``rows`` are
+    coefficient rows of spanning elements, an int64 array over a prime field
+    and lists otherwise (so subspaces compare by identity). A term order
+    enters only as a ranking of the columns.
     """
 
     ring: str
     n: int
     degree: int
     columns: list[Monomial]
-    rows: list[list]
+    rows: object
     field: object
-    order: TermOrder | None = None
-    _reduced: tuple | None = dc_field(default=None, repr=False)
+    _echelons: list = dc_field(default_factory=list, repr=False)
 
     @classmethod
-    def from_vectors(cls, vectors, order: TermOrder, field, ring: str, n: int,
-                     degree: int, columns=None) -> "Subspace":
+    def from_vectors(cls, vectors, order: TermOrder | None, field, ring: str,
+                     n: int, degree: int, columns=None) -> "Subspace":
         """Build from dict-vectors (monomial -> coefficient).
 
-        Columns default to the union of supports; all-zero columns can never
-        be pivots, so this loses nothing and keeps matrices small.
+        Columns default to the union of supports sorted by ``order``; all-zero
+        columns can never be pivots, so this loses nothing and keeps matrices
+        small. Given ``columns`` are taken as they are.
         """
         if columns is None:
             seen = set()
@@ -111,30 +118,50 @@ class Subspace:
             for m, c in v.items():
                 row[index[m]] = c
             rows.append(row)
-        return cls(ring, n, degree, list(columns), rows, field, order)
+        if isinstance(field, PrimeField):
+            rows = np.array(rows, dtype=np.int64).reshape(len(rows),
+                                                          len(columns))
+        return cls(ring, n, degree, list(columns), rows, field)
 
-    def reduce(self):
-        if self._reduced is None:
-            self._reduced = rref(self.rows, self.field)
-        return self._reduced
+    def leading_columns(self, ranking) -> list[int]:
+        """Positions of the leading columns of the span when the columns are
+        taken in the order ``ranking`` (a permutation of their positions):
+        the pivots of ``rows[:, ranking]``, mapped back, in ranking order.
 
-    @property
-    def rank(self) -> int:
-        return len(self.reduce()[1])
-
-    @property
-    def pivot_monomials(self) -> list[Monomial]:
-        _, piv = self.reduce()
-        return [self.columns[j] for j in piv]
+        The reduced basis with the identity on a given column set is
+        unique, so an echelon basis kept from an earlier ranking whose rows
+        each still lead at their own pivot is the answer again, and no
+        elimination is needed.
+        """
+        ranking = np.asarray(ranking, dtype=np.intp)
+        last = len(ranking)
+        pos = np.empty_like(ranking)
+        pos[ranking] = np.arange(last)
+        for piv, support in self._echelons:
+            lead = np.where(support, pos, last).min(axis=1, initial=last)
+            if np.array_equal(lead, pos[piv]):
+                return piv[np.argsort(lead)].tolist()
+        if isinstance(self.rows, np.ndarray):
+            red, piv = rref_prime(self.rows[:, ranking], self.field.p)
+            ranked_support = red != 0
+        else:
+            red, piv = rref_exact([[row[j] for j in ranking]
+                                   for row in self.rows], self.field)
+            ranked_support = np.array(
+                [[x != self.field.zero for x in row] for row in red],
+                dtype=bool).reshape(len(piv), len(ranking))
+        support = np.empty_like(ranked_support)
+        support[:, ranking] = ranked_support
+        self._echelons.append((ranking[piv], support))
+        return ranking[piv].tolist()
 
 
 def initial_space(order: TermOrder, space: Subspace) -> set[Monomial]:
-    """Leading monomials of a subspace: exactly the pivot columns."""
-    if space.order is not None and space.order != order:
-        space = Subspace.from_vectors(
-            [dict(zip(space.columns, r)) for r in space.rows],
-            order, space.field, space.ring, space.n, space.degree)
-    return set(space.pivot_monomials)
+    """Leading monomials of a subspace: exactly the pivot columns once the
+    columns are ranked by ``order``."""
+    index = {m: j for j, m in enumerate(space.columns)}
+    ranking = [index[m] for m in order.sort_descending(space.columns)]
+    return {space.columns[j] for j in space.leading_columns(ranking)}
 
 
 def vector_rank(vectors: list[list], field) -> int:
@@ -143,13 +170,3 @@ def vector_rank(vectors: list[list], field) -> int:
         return 0
     _, piv = rref(vectors, field)
     return len(piv)
-
-
-def pivots_of_vectors(vectors, order: TermOrder, field, ring: str, n: int,
-                      degree: int) -> set[Monomial]:
-    """Initial monomials of dict-vectors under ``order``; empty set for no rows."""
-    vectors = [v for v in vectors if v]
-    if not vectors:
-        return set()
-    sp = Subspace.from_vectors(vectors, order, field, ring, n, degree)
-    return set(sp.pivot_monomials)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -149,6 +150,13 @@ def all_monomials(ring: str, n: int, d: int) -> list:
         return []
     rec([], d, 0)
     return out
+
+
+@lru_cache(maxsize=256)
+def basis_table(ring: str, n: int, d: int) -> tuple:
+    """The degree-d monomials in ``all_monomials`` order: the one basis, shared
+    and immutable, against which every degree-d component is stored."""
+    return tuple(all_monomials(ring, n, d))
 
 
 def count_monomials(ring: str, n: int, d: int) -> int:

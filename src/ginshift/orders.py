@@ -8,9 +8,10 @@ flips the within-degree comparison only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .fields import InvalidInputError
-from .monomials import EXT, ExtMonomial, Monomial, PolyMonomial
+from .monomials import EXT, ExtMonomial, Monomial, PolyMonomial, basis_table
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -64,6 +65,13 @@ class TermOrder:
         import functools
 
         return sorted(monomials, key=functools.cmp_to_key(self.compare), reverse=True)
+
+    def ranking(self, ring: str, n: int, d: int) -> tuple[int, ...]:
+        """Positions in ``basis_table(ring, n, d)`` in descending order.
+
+        Sorted once per (order, ring, n, d) by ``sort_descending``, so
+        ``compare`` stays the specification."""
+        return _ranking(self, ring, n, d)
 
     def max(self, monomials):
         best = None
@@ -125,6 +133,14 @@ class Inverse(TermOrder):
 
     def __str__(self):
         return f"inv:{self.inner}"
+
+
+#: sweeps draw fresh weight orders per class, so old rankings are dropped
+@lru_cache(maxsize=256)
+def _ranking(order: TermOrder, ring: str, n: int, d: int) -> tuple[int, ...]:
+    basis = basis_table(ring, n, d)
+    index = {m: j for j, m in enumerate(basis)}
+    return tuple(index[m] for m in order.sort_descending(basis))
 
 
 LEX = Lex()

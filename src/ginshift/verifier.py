@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import time
+from collections import deque
 from dataclasses import dataclass, field as dc_field
 from math import comb
 
@@ -115,9 +116,9 @@ def degree2_trans_witnesses(g: Graph, stop_at: int = 2, budget: int = 200000,
 
     def bfs(start: frozenset, found: set[frozenset], spent: list[int]):
         seen = {start}
-        queue = [start]
+        queue = deque([start])
         while queue and spent[0] < budget:
-            state = queue.pop(0)
+            state = queue.popleft()
             if _pair_family_stable(state):
                 found.add(state)
                 if len(found) >= stop_at:

@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from ginshift.changes import SizeLimitError
@@ -117,6 +119,17 @@ def test_gin_requires_two_trials():
         gin(LEX, REI, trials=1)
 
 
+def test_single_degree_gins_refuse_monomials_of_another_degree():
+    # a full span of the wrong degree must not pass for a full component
+    from ginshift.fields import InvalidInputError
+    w = set(all_monomials(EXT, 3, 3))
+    for call in (lambda: gin_space(LEX, w, EXT, 3, 2),
+                 lambda: gin_space(LEX, w, EXT, 4, 3),
+                 lambda: elementary_shift_space(LEX, w, EXT, 3, 1, 1, 2)):
+        with pytest.raises(InvalidInputError):
+            call()
+
+
 def _degree3_example():
     n = 6
     cubics = [[1, 2, 3], [1, 2, 4], [1, 2, 5], [1, 2, 6],
@@ -190,6 +203,19 @@ def test_gins_agree_adaptive_detects_disagreement():
     ideal = MonomialIdeal.make(POLY, 4, [poly_monomial((1, 1, 0, 0)),
                                          poly_monomial((0, 0, 1, 1))])
     assert not gins_agree_adaptive(LEX, REVLEX, ideal, seed=0)
+
+
+def test_gins_agree_adaptive_checks_stability_at_the_first_difference(
+        monkeypatch):
+    # lex and revlex part in degree 3, inside the first cap: the answer
+    # "differ" still needs both candidates certified, stability included
+    gin_module = importlib.import_module("ginshift.gin")
+    ideal = MonomialIdeal.make(POLY, 4, [poly_monomial((1, 1, 0, 0)),
+                                         poly_monomial((0, 0, 1, 1))])
+    monkeypatch.setattr(gin_module, "is_strongly_stable",
+                        lambda ideal: (False, None))
+    with pytest.raises(CertificationError):
+        gins_agree_adaptive(LEX, REVLEX, ideal, seed=0)
 
 
 def test_gins_agree_adaptive_confirms_agreement():

@@ -107,3 +107,29 @@ def test_serialization_round_trip():
         read_ideal("")
     with pytest.raises(InvalidInputError):
         read_ideal("ring=clifford n=3\n")
+
+
+@st.composite
+def _ideals(draw):
+    ring = draw(st.sampled_from([EXT, POLY]))
+    n = draw(st.integers(1, 6))
+    if ring == EXT:
+        gen = st.sets(st.integers(1, n), max_size=n).map(
+            lambda s: ext_monomial(s, n))
+    else:
+        gen = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(
+            poly_monomial)
+    return MonomialIdeal.make(ring, n, draw(st.lists(gen, max_size=6)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(_ideals(), st.integers(0, 6))
+def test_degree_component_matches_the_divisibility_scan(ideal, d):
+    # generator multiples against testing every monomial for membership
+    if ideal.ring == EXT and d > ideal.n:
+        with pytest.raises(InvalidInputError):
+            ideal.degree_component(d)
+        return
+    scan = {u for u in all_monomials(ideal.ring, ideal.n, d)
+            if ideal.contains(u)}
+    assert ideal.degree_component(d) == scan

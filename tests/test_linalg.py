@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ginshift.fields import GFP, QQ, PrimeField
-from ginshift.linalg import (Subspace, initial_space, pivots_of_vectors,
-                             rref, rref_exact, rref_prime, vector_rank)
+from ginshift.linalg import (Subspace, initial_space, rref, rref_exact,
+                             rref_prime, vector_rank)
 from ginshift.monomials import EXT, all_monomials, ext_monomial
 from ginshift.orders import LEX, REVLEX
 
@@ -70,12 +70,14 @@ def test_initial_space_order_sensitive():
     assert initial_space(REVLEX, sp_lex) == {e([2, 3])}
 
 
-def test_pivots_of_vectors_drops_zero_rows():
-    assert pivots_of_vectors([{}, {}], LEX, GFP, EXT, 3, 2) == set()
+def test_initial_space_of_zero_rows_is_empty():
+    sp = Subspace.from_vectors([{}, {}], LEX, GFP, EXT, 3, 2)
+    assert initial_space(LEX, sp) == initial_space(REVLEX, sp) == set()
 
 
 def test_full_component_span():
     n, d = 5, 2
     ms = all_monomials(EXT, n, d)
     vecs = [{m: 1} for m in ms]
-    assert pivots_of_vectors(vecs, REVLEX, GFP, EXT, n, d) == set(ms)
+    sp = Subspace.from_vectors(vecs, LEX, GFP, EXT, n, d)
+    assert initial_space(REVLEX, sp) == set(ms)
