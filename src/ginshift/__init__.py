@@ -9,8 +9,8 @@ from .orders import LEX, REVLEX, Inverse, WeightOrder, TermOrder, parse_order
 from .ideals import MonomialIdeal, is_strongly_stable, stable_closure
 from .changes import CoordinateChange
 from .gin import (gin, gin_adaptive, gin_space, combinatorial_shift,
-                  trans_witnesses, complement_dual, CertificationError,
-                  DualityViolationError)
+                  trans_search, trans_witnesses, complement_dual,
+                  CertificationError, DualityViolationError)
 from .graphs import (Graph, GRAPH_A, GRAPH_B, GRAPH_C, condition_v,
                      condition_vi, base_form, contains_induced, is_chordal,
                      is_near_cone, complete_graph, complete_bipartite,

@@ -17,12 +17,12 @@ from pathlib import Path
 
 from .changes import SizeLimitError
 from .complexes import read_complex, shifted_complex, write_complex
-from .fields import GFP, InvalidInputError, PrimeField, parse_field
+from .fields import InvalidInputError, PrimeField, parse_field
 from .gin import (CertificationError, DualityViolationError,
-                  combinatorial_shift, gin, gin_adaptive, trans_witnesses)
+                  combinatorial_shift, gin, gin_adaptive, trans_search)
 from .graphs import base_form, condition_v, condition_vi, is_chordal, read_graph
-from .ideals import read_ideal, write_ideal
-from .invariants import (BettiTable, SQUAREFREE, STABLE_POLY, betti_stable,
+from .ideals import read_ideal
+from .invariants import (SQUAREFREE, STABLE_POLY, betti_stable,
                          closed_form_profiles, index_profile,
                          resolution_oracle, two_cliques_profile_from_h)
 from .monomials import EXT, POLY
@@ -158,14 +158,15 @@ def run(args) -> int:
     if args.command == "witnesses":
         ideal = read_ideal(Path(args.ideal_file).read_text())
         order = parse_order(args.order, ideal.n)
-        found = trans_witnesses(ideal, budget=args.budget,
-                                cap=args.degree_cap, order=order, field=field)
+        found, complete = trans_search(ideal, budget=args.budget,
+                                       cap=args.degree_cap, order=order,
+                                       field=field)
         witnesses = sorted(
             ({"generators": [str(u) for u in w.generators],
               "sequence": list(map(list, seq))} for w, seq in found.items()),
             key=lambda d: d["generators"])
         _emit({"witnesses": witnesses, "budget": args.budget,
-               "seed": args.seed}, args)
+               "complete": complete, "seed": args.seed}, args)
         return EXIT_PASS
 
     if args.command == "classify":

@@ -12,7 +12,7 @@ from .fields import GFP, InvalidInputError
 from .gin import gin
 from .graphs import Graph
 from .ideals import MonomialIdeal, is_strongly_stable
-from .monomials import EXT, POLY, all_monomials, ext_monomial, squarefree_poly
+from .monomials import EXT, POLY, ext_monomial, squarefree_poly
 from .orders import TermOrder
 
 

@@ -10,15 +10,17 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import asdict, dataclass, field as dc_field
+from functools import lru_cache, reduce
+from operator import or_
 
 import numpy as np
 
-from .changes import CoordinateChange, SizeLimitError
+from .changes import MAX_EXT_VARIABLES, CoordinateChange, SizeLimitError
 from .fields import GFP, InvalidInputError
 from .ideals import MonomialIdeal, is_strongly_stable
 from .linalg import Subspace
-from .monomials import EXT, Monomial, all_monomials, basis_table
-from .orders import LEX, Inverse, TermOrder
+from .monomials import EXT, ExtMonomial, Monomial, all_monomials, basis_table
+from .orders import LEX, Inverse, Lex, RevLex, TermOrder, WeightOrder
 
 
 class CertificationError(RuntimeError):
@@ -288,15 +290,108 @@ def complement_dual(order: TermOrder, monomials, ring: str, n: int,
 # -- combinatorial shifting and Trans ----------------------------------
 
 
+@lru_cache(maxsize=None)
+def _shift_mask(n: int, a: int, b: int) -> tuple[int, int]:
+    """(X, delta) of the shift (a, b) on [n]: X has bit S for every support
+    S with b in S and a not in S, and S - delta is S - b + a."""
+    if not 1 <= a < b <= n:
+        raise InvalidInputError(f"elementary pair ({a},{b}) invalid for n={n}")
+    if n > MAX_EXT_VARIABLES:
+        raise SizeLimitError(
+            f"exterior shifting refused for n={n} > {MAX_EXT_VARIABLES}")
+    bit_a, bit_b = 1 << (a - 1), 1 << (b - 1)
+    mask = sum(1 << s for s in range(1 << n) if s & bit_b and not s & bit_a)
+    return mask, bit_b - bit_a
+
+
+def pair_shift(family: int, a: int, b: int, n: int) -> int:
+    """Kalai's shifting operator (a, b) on a family of exterior monomials of
+    [n], in any mix of degrees: each e_S with b in S and a not in S becomes
+    e_{S-b+a}, unless that is in the family already.
+
+    The family is one int: bit S is set when e_S is in it, S being the
+    support bitmask sum of 2^(i-1) over i in S. With the mask X and offset
+    delta of ``_shift_mask``, the step is a few int operations in every
+    degree at once.
+
+    The result is in_order(phi_{a,b}(span of the family)) exactly when the
+    order ranks S - b + a above S for every such S. For lex, revlex and
+    weight orders that comparison has the sign of e_a against e_b, so the
+    scope is those orders ranking e1 > ... > en (``_kalai_scope``). Other
+    orders take the algebraic route; under inv:lex, for one, S ranks above
+    S - b + a and e{2,3} stays put for (a, b) = (1, 3).
+    """
+    mask, delta = _shift_mask(n, a, b)
+    moving = family & mask
+    moving &= ~(((moving >> delta) & family) << delta)
+    return (family & ~moving) | (moving >> delta)
+
+
+def is_stable_family(family: int, n: int) -> bool:
+    """Whether a family in the encoding of ``pair_shift`` is strongly
+    stable: every shift (a, b) leaves it fixed, that is
+    ((F & X) >> delta) & ~F == 0. Adjacent pairs (a, a + 1) suffice, since
+    S - b + a is reached from S by moving indices down one step at a time
+    into indices outside S."""
+    for a in range(1, n):
+        mask, delta = _shift_mask(n, a, a + 1)
+        if ((family & mask) >> delta) & ~family:
+            return False
+    return True
+
+
+def _kalai_scope(ring: str, n: int, order: TermOrder) -> bool:
+    """Whether ``pair_shift`` is the elementary shift of (ring, n) under the
+    order: an exterior ring, and a lex, revlex or weight order that ranks
+    e1 > ... > en."""
+    return (ring == EXT and isinstance(order, (Lex, RevLex, WeightOrder))
+            and order.ranking(EXT, n, 1) == tuple(range(n)))
+
+
+def family_of(supports) -> int:
+    """The ``pair_shift`` family of the given supports (index tuples)."""
+    return reduce(or_, (1 << sum(1 << (i - 1) for i in s) for s in supports), 0)
+
+
+def family_supports(family: int, n: int) -> list[tuple[int, ...]]:
+    """The supports in a ``pair_shift`` family of [n], in bitmask order."""
+    return [tuple(i + 1 for i in range(n) if s >> i & 1)
+            for s in range(1 << n) if family >> s & 1]
+
+
+def _family(ideal: MonomialIdeal, top: int) -> int:
+    """The exterior monomials of the ideal up to degree ``top``."""
+    return family_of(u.support for d in range(top + 1)
+                     for u in ideal.degree_component(d))
+
+
+def _ideal_of(family: int, n: int, top: int) -> MonomialIdeal:
+    """The exterior ideal whose components up to degree ``top`` the family
+    lists."""
+    components: dict[int, set] = {d: set() for d in range(top + 1)}
+    for s in family_supports(family, n):
+        components[len(s)].add(ExtMonomial(s, n))
+    return MonomialIdeal.from_components(EXT, n, components)
+
+
 def combinatorial_shift(order: TermOrder, ideal: MonomialIdeal,
                         pairs, cap: int | None = None, field=GFP) -> MonomialIdeal:
-    """Left fold of elementary initial-ideal steps over the pair sequence."""
+    """Left fold of elementary initial-ideal steps over the pair sequence:
+    ``pair_shift`` within its scope, the algebraic elementary shift over
+    ``field`` outside it."""
     if cap is None:
         cap = default_degree_cap(ideal)
+    pairs, n = list(pairs), ideal.n
+    if pairs and _kalai_scope(ideal.ring, n, order):
+        top = min(cap, n)
+        family = _family(ideal, top)
+        for a, b in pairs:
+            family = pair_shift(family, a, b, n)
+        return _ideal_of(family, n, top)
     current = ideal
     for a, b in pairs:
-        phi = CoordinateChange.elementary(a, b, ideal.n, field)
-        current = _Trials(current.ring, current.n, current.degree_component,
+        phi = CoordinateChange.elementary(a, b, n, field)
+        current = _Trials(current.ring, n, current.degree_component,
                           [phi]).initial_ideal(order, cap, stable=False)
     return current
 
@@ -310,45 +405,78 @@ def elementary_shift_space(order: TermOrder, monomials, ring: str, n: int,
     return _Trials(ring, n, lambda d: monomials, [phi]).component(order, degree)
 
 
-def _shift_bfs(ideal: MonomialIdeal, budget: int, cap: int | None,
-               order: TermOrder, field):
-    """Yield (stable ideal, first shift sequence reaching it) breadth-first.
+def trans_search(ideal: MonomialIdeal, budget: int = 200,
+                 cap: int | None = None, order: TermOrder = LEX, field=GFP,
+                 ) -> tuple[dict[MonomialIdeal, tuple], bool]:
+    """Breadth-first search for the strongly stable ideals reachable by
+    elementary shift sequences: (each one found with the first sequence
+    reaching it, whether the search drained its queue).
 
     Sequences are explored by length, then lexicographically by pair;
-    ``budget`` bounds the number of shift applications.  Non-stable nodes keep
-    expanding; stable nodes are terminal.
+    ``budget`` bounds the number of shift applications, and a search it cuts
+    with states left to expand is not complete. Stable nodes are terminal.
+    Within the scope of ``pair_shift`` the states are its bitset families,
+    outside it ideals shifted by ``combinatorial_shift``.
     """
+    if is_strongly_stable(ideal)[0]:
+        return {ideal: ()}, True
     if cap is None:
         cap = default_degree_cap(ideal)
     n = ideal.n
+    if _kalai_scope(ideal.ring, n, order):
+        top = min(cap, n)
+        start = _family(ideal, top)
+        # an ideal with generators above the cap differs from its truncation
+        seen = {start} if ideal.max_generator_degree <= top else set()
+
+        def shift(state, a, b):
+            return pair_shift(state, a, b, n)
+
+        def stable(state):
+            return is_stable_family(state, n)
+
+        def ideal_of(state):
+            return _ideal_of(state, n, top)
+    else:
+        start, seen = ideal, {ideal}
+
+        def shift(state, a, b):
+            return combinatorial_shift(order, state, [(a, b)], cap, field)
+
+        def stable(state):
+            return is_strongly_stable(state)[0]
+
+        def ideal_of(state):
+            return state
+
     pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
-    seen = {ideal}
-    queue: deque[tuple[MonomialIdeal, tuple]] = deque([(ideal, ())])
-    spent = 0
-    while queue:
-        current, seq = queue.popleft()
-        if is_strongly_stable(current)[0]:
-            yield current, seq
+    found: dict[MonomialIdeal, tuple] = {}
+    queue = deque([(start, ())])
+    spent, complete = 0, True
+    while queue and complete:
+        state, seq = queue.popleft()
+        if seq and stable(state):  # the start is not stable
+            found.setdefault(ideal_of(state), seq)
             continue
         for pair in pairs:
             if spent >= budget:
-                return
+                complete = False
+                break
             spent += 1
-            nxt = combinatorial_shift(order, current, [pair], cap, field)
+            nxt = shift(state, *pair)
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append((nxt, seq + (pair,)))
+    if not found:
+        raise CertificationError(
+            f"shift budget {budget} exhausted with no stable result")
+    return found, complete
 
 
 def trans_witnesses(ideal: MonomialIdeal, budget: int = 200,
                     cap: int | None = None, order: TermOrder = LEX, field=GFP,
                     ) -> dict[MonomialIdeal, tuple]:
     """All strongly stable ideals reachable by elementary shift sequences
-    within the budget, each with the first sequence reaching it."""
-    found: dict[MonomialIdeal, tuple] = {}
-    for stable, seq in _shift_bfs(ideal, budget, cap, order, field):
-        found.setdefault(stable, seq)
-    if not found:
-        raise CertificationError(
-            f"shift budget {budget} exhausted with no stable result")
-    return found
+    within the budget, each with the first sequence reaching it
+    (``trans_search`` without its completeness flag)."""
+    return trans_search(ideal, budget, cap, order, field)[0]

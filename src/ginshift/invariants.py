@@ -8,19 +8,18 @@ profiles with their independent summation-based derivation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
 from .changes import CoordinateChange, SizeLimitError
-from .complexes import SimplicialComplex, shifted_complex, combinatorial_ideal
+from .complexes import SimplicialComplex, shifted_complex
 from .fields import GFP, QQ, InvalidInputError
 from .gin import gin_adaptive, gin
 from .graphs import Graph
 from .ideals import MonomialIdeal, is_strongly_stable
 from .linalg import rref_exact
-from .monomials import (EXT, POLY, ExtMonomial, Monomial, PolyMonomial,
-                        squarefree_poly)
+from .monomials import EXT, POLY, Monomial, PolyMonomial, squarefree_poly
 from .orders import LEX, REVLEX, TermOrder
 
 

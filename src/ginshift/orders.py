@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .fields import InvalidInputError
-from .monomials import EXT, ExtMonomial, Monomial, PolyMonomial, basis_table
+from .monomials import ExtMonomial, Monomial, basis_table
 
 LESS, EQUAL, GREATER = -1, 0, 1
 

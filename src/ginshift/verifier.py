@@ -13,7 +13,6 @@ import json
 import time
 from collections import deque
 from dataclasses import dataclass, field as dc_field
-from math import comb
 
 import numpy as np
 
@@ -22,11 +21,12 @@ from .complexes import (SimplicialComplex, combinatorial_ideal, cone,
                         flag_complex, shifted_complex)
 from .fields import GFP, QQ, InvalidInputError, PrimeField
 from .gin import (CertificationError, DualityViolationError, complement_dual,
-                  gin_multi, gins_agree_adaptive, gin_space, trans_witnesses)
+                  family_of, family_supports, gin_multi, gins_agree_adaptive,
+                  gin_space, is_stable_family, pair_shift, trans_witnesses)
 from .graphs import (SEMI_BIPARTITE, Graph, base_form, condition_v,
                      condition_vi)
 from .ideals import MonomialIdeal
-from .invariants import (hyperplane_rank_oracle, index_profile, m_count)
+from .invariants import hyperplane_rank_oracle, m_count
 from .monomials import EXT, POLY, all_monomials, ext_monomial, poly_monomial
 from .orders import LEX, REVLEX, WeightOrder
 
@@ -69,57 +69,28 @@ def enumerate_graphs(n: int) -> list[Graph]:
     return out
 
 
-def _pair_family_stable(pairs: frozenset) -> bool:
-    """Exchange closure of a set of index pairs (degree-2 supports):
-    replacing either index by a smaller one stays in the family."""
-    for i, j in pairs:
-        for t in range(1, j):
-            if t != i and tuple(sorted((i, t))) not in pairs:
-                return False
-        for t in range(1, i):
-            if (t, j) not in pairs:
-                return False
-    return True
-
-
-def pair_shift(pairs: frozenset, a: int, b: int) -> frozenset:
-    """Combinatorial rule for in(phi_{a,b}(span)) on a degree-2 pair family:
-    replace b by a in each pair unless the replacement is already present.
-    Agrees with the algebraic elementary shift for term orders in which
-    S - b + a > S whenever a < b: lex, revlex and decreasing-weight orders.
-    It does not for inverse orders, where the shift keeps the original
-    pair (under inv:lex, {2,3} stays put for (a, b) = (1, 3))."""
-    out = set()
-    for s in pairs:
-        if b in s and a not in s:
-            t = tuple(sorted((set(s) - {b}) | {a}))
-            out.add(t if t not in pairs else s)
-        else:
-            out.add(s)
-    return frozenset(out)
-
-
-def degree2_trans_witnesses(g: Graph, stop_at: int = 2, budget: int = 200000,
-                            field=GFP) -> set[frozenset]:
+def degree2_trans_witnesses(g: Graph, stop_at: int = 2,
+                            budget: int = 200000) -> set[frozenset]:
     """Distinct stable degree-2 components of transformed strongly stable
     ideals of the graph ideal J_G (whose generators beyond degree 2 are all
-    of degree 3, so everything happens in degree 2).
+    of degree 3, so everything happens in degree 2), each a set of index
+    pairs.
 
-    Moves are elementary shifts via ``pair_shift``; vertex relabelings
-    (permutation coordinate changes, which fix monomial ideals as initial
-    ideals) provide alternative starting points when a single component does
-    not settle the question.
+    Moves are elementary shifts via ``pair_shift`` on the bitset family of
+    the non-edges; vertex relabelings (permutation coordinate changes, which
+    fix monomial ideals as initial ideals) provide alternative starting
+    points when a single component does not settle the question.
     """
     n = g.n
-    nonedges = frozenset(tuple(sorted(e)) for e in g.complement().edges)
+    nonedges = g.complement().edges
     shift_pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
 
-    def bfs(start: frozenset, found: set[frozenset], spent: list[int]):
+    def bfs(start: int, found: set[int], spent: list[int]):
         seen = {start}
         queue = deque([start])
         while queue and spent[0] < budget:
             state = queue.popleft()
-            if _pair_family_stable(state):
+            if is_stable_family(state, n):
                 found.add(state)
                 if len(found) >= stop_at:
                     return
@@ -128,23 +99,23 @@ def degree2_trans_witnesses(g: Graph, stop_at: int = 2, budget: int = 200000,
                 if spent[0] >= budget:
                     return
                 spent[0] += 1
-                nxt = pair_shift(state, a, b)
+                nxt = pair_shift(state, a, b, n)
                 if nxt not in seen:
                     seen.add(nxt)
                     queue.append(nxt)
 
-    found: set[frozenset] = set()
+    found: set[int] = set()
     spent = [0]
-    bfs(nonedges, found, spent)
+    start = family_of(nonedges)
+    bfs(start, found, spent)
     if len(found) < stop_at:
         for perm in itertools.permutations(range(1, n + 1)):
-            relabeled = frozenset(
-                tuple(sorted((perm[i - 1], perm[j - 1]))) for i, j in nonedges)
-            if relabeled != nonedges:
+            relabeled = family_of((perm[i - 1], perm[j - 1]) for i, j in nonedges)
+            if relabeled != start:
                 bfs(relabeled, found, spent)
             if len(found) >= stop_at or spent[0] >= budget:
                 break
-    return found
+    return {frozenset(family_supports(f, n)) for f in found}
 
 
 @dataclass
@@ -217,8 +188,7 @@ def sweep_theorem1(n_max: int = 6, seed: int = 0, weight_samples: int = 20,
                 d_kind = "order-independence"
             else:
                 comps = degree2_trans_witnesses(g, stop_at=2,
-                                                budget=shift_budget,
-                                                field=field)
+                                                budget=shift_budget)
                 d = len(comps) >= 2
                 d_kind = "shift-discrepancy"
             record = {"n": n, "edges": sorted(map(list, g.edges)),

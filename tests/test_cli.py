@@ -70,6 +70,24 @@ def test_witnesses(rei_file, capsys):
     assert ("e{1,2}", "e{1,3}", "e{1,4}", "e{2,3,4}") in gens
 
 
+def test_witnesses_drained_search_is_complete(rei_file, capsys):
+    code, out = run(capsys, ["witnesses", rei_file, "--budget", "12"])
+    assert code == EXIT_PASS
+    doc = json.loads(out)
+    assert doc["complete"] is True
+    assert len(doc["witnesses"]) == 2
+
+
+def test_witnesses_cut_search_says_so(rei_file, capsys):
+    # six shifts reach one stable ideal; the second state is left unexpanded
+    code, out = run(capsys, ["witnesses", rei_file, "--budget", "6"])
+    assert code == EXIT_PASS
+    doc = json.loads(out)
+    assert doc["complete"] is False
+    assert [w["generators"] for w in doc["witnesses"]] == [
+        ["e{1,2}", "e{1,3}", "e{1,4}", "e{2,3,4}"]]
+
+
 def test_classify(graph_file, capsys):
     code, out = run(capsys, ["classify", graph_file])
     assert code == EXIT_PASS

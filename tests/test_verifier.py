@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from ginshift.fields import GFP, InvalidInputError
-from ginshift.gin import elementary_shift_space
+from ginshift.gin import (elementary_shift_space, family_of, is_stable_family,
+                          pair_shift)
 from ginshift.graphs import Graph, complete_bipartite, cycle_graph, path_graph
 from ginshift.monomials import EXT, ext_monomial
 from ginshift.orders import LEX, REVLEX, parse_order
 from ginshift.verifier import (KNOWN_CLASS_COUNTS, SweepReport,
-                               _pair_family_stable, degree2_trans_witnesses,
-                               enumerate_graphs, pair_shift, property_suite,
-                               sweep_theorem1, sweep_theorem2)
+                               degree2_trans_witnesses, enumerate_graphs,
+                               property_suite, sweep_theorem1, sweep_theorem2)
 
 
 def test_enumeration_counts():
@@ -37,12 +37,12 @@ def test_enumeration_is_canonical_and_deterministic():
 
 
 def test_pair_family_stability():
-    assert _pair_family_stable(frozenset({(1, 2), (1, 3), (2, 3)}))
-    assert _pair_family_stable(frozenset({(1, 2)}))
-    assert not _pair_family_stable(frozenset({(2, 3)}))
+    assert is_stable_family(family_of({(1, 2), (1, 3), (2, 3)}), 3)
+    assert is_stable_family(family_of({(1, 2)}), 3)
+    assert not is_stable_family(family_of({(2, 3)}), 3)
     # replacing the smaller index must also stay inside
-    assert not _pair_family_stable(frozenset({(1, 2), (2, 3)}))
-    assert _pair_family_stable(frozenset())
+    assert not is_stable_family(family_of({(1, 2), (2, 3)}), 3)
+    assert is_stable_family(family_of(()), 3)
 
 
 def test_pair_family_stability_matches_ideal_oracle():
@@ -56,16 +56,17 @@ def test_pair_family_stability_matches_ideal_oracle():
         if not fam:
             continue
         ideal = MonomialIdeal.make(EXT, n, [ext_monomial(p, n) for p in fam])
-        assert _pair_family_stable(fam) == is_strongly_stable(ideal)[0]
+        assert is_stable_family(family_of(fam), n) == \
+            is_strongly_stable(ideal)[0]
 
 
 def test_pair_shift_examples():
-    fam = frozenset({(1, 2), (1, 3), (3, 4)})
-    assert pair_shift(fam, 1, 3) == frozenset({(1, 2), (1, 3), (1, 4)})
-    assert pair_shift(fam, 2, 4) == frozenset({(1, 2), (1, 3), (2, 3)})
+    fam = family_of({(1, 2), (1, 3), (3, 4)})
+    assert pair_shift(fam, 1, 3, 4) == family_of({(1, 2), (1, 3), (1, 4)})
+    assert pair_shift(fam, 2, 4, 4) == family_of({(1, 2), (1, 3), (2, 3)})
     # blocked replacement keeps the original pair
-    fam2 = frozenset({(1, 3), (2, 3)})
-    assert pair_shift(fam2, 1, 2) == fam2
+    fam2 = family_of({(1, 3), (2, 3)})
+    assert pair_shift(fam2, 1, 2, 3) == fam2
 
 
 def test_pair_shift_matches_algebraic_elementary_shift():
@@ -82,8 +83,8 @@ def test_pair_shift_matches_algebraic_elementary_shift():
         monos = [ext_monomial(p, n) for p in fam]
         for order in (LEX, REVLEX):
             algebraic = elementary_shift_space(order, monos, EXT, n, 2, a, b)
-            assert frozenset(u.support for u in algebraic) == \
-                pair_shift(fam, a, b)
+            assert family_of(u.support for u in algebraic) == \
+                pair_shift(family_of(fam), a, b, n)
 
 
 def test_pair_shift_differs_from_inverse_order_shift():
@@ -93,7 +94,7 @@ def test_pair_shift_differs_from_inverse_order_shift():
     algebraic = elementary_shift_space(inv_lex, [ext_monomial((2, 3), 3)],
                                        EXT, 3, 2, 1, 3)
     assert algebraic == frozenset({ext_monomial((2, 3), 3)})
-    assert pair_shift(frozenset({(2, 3)}), 1, 3) == frozenset({(1, 2)})
+    assert pair_shift(family_of({(2, 3)}), 1, 3, 3) == family_of({(1, 2)})
 
 
 def test_degree2_witnesses_graph_a():
@@ -102,7 +103,7 @@ def test_degree2_witnesses_graph_a():
     comps = degree2_trans_witnesses(g, stop_at=2, budget=5000)
     assert len(comps) >= 2
     for comp in comps:
-        assert _pair_family_stable(comp)
+        assert is_stable_family(family_of(comp), 4)
 
 
 def test_degree2_witnesses_unique_for_bipartite():
