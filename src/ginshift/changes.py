@@ -2,23 +2,49 @@
 
 The exterior action sends e_S to the vector of d x d minors det(phi[T, S])
 over target supports T; the polynomial action expands the product of linear
-forms.  Minors are computed by Laplace expansion memoized per matrix, and
-polynomial images are memoized per monomial.  The gin engine applies a
-change once to each monomial of a degree component and assembles the images
-into one matrix that serves every term order, so the action costs the same
-however many orders are certified.
+forms.  Minors are computed by Laplace expansion memoized per matrix.  A
+polynomial image is a coefficient row against ``basis_table(POLY, n, d)``:
+with x_i the largest variable of m, row(m) = sum_k phi[k][i] * row(m / x_i)
+scattered through the cached multiplication table of ``mult_table(n, d)``,
+and rows are memoized per monomial so shared prefixes are expanded once.
+Over a prime field below 2**31 a row is one int64 array, over other fields
+a list of field elements.  The gin engine applies a change once to each
+monomial of a degree component and assembles the images into one matrix
+that serves every term order, so the action costs the same however many
+orders are certified.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
-from .fields import InvalidInputError
+import numpy as np
+
+from .fields import InvalidInputError, PrimeField
 from .linalg import vector_rank
-from .monomials import EXT, ExtMonomial, Monomial, PolyMonomial, basis_table
+from .monomials import (EXT, POLY, ExtMonomial, Monomial, PolyMonomial,
+                        basis_table)
 
 #: beyond this the C(n,d)^2 minor table is no longer a desk-scale object
 MAX_EXT_VARIABLES = 12
+
+
+@lru_cache(maxsize=256)
+def mult_table(n: int, d: int) -> np.ndarray:
+    """T[j, k] = position in ``basis_table(POLY, n, d)`` of the product
+    basis_table(POLY, n, d - 1)[j] * x_{k+1}; read-only, d >= 1."""
+    index = {m.exponents: j for j, m in enumerate(basis_table(POLY, n, d))}
+    prev = basis_table(POLY, n, d - 1)
+    table = np.empty((len(prev), n), dtype=np.intp)
+    for j, m in enumerate(prev):
+        e = list(m.exponents)
+        for k in range(n):
+            e[k] += 1
+            table[j, k] = index[tuple(e)]
+            e[k] -= 1
+    table.flags.writeable = False
+    return table
 
 
 class SingularMatrixError(ValueError):
@@ -150,28 +176,47 @@ class CoordinateChange:
         return out
 
     def _apply_poly(self, m: PolyMonomial) -> dict:
-        cached = self._poly_cache.get(m)
-        if cached is not None:
-            return dict(cached)
+        if m.n != self.n:
+            raise InvalidInputError(
+                f"monomial in {m.n} variables, coordinate change in {self.n}")
+        row = self._poly_row(m.exponents)
+        values = row.tolist() if isinstance(row, np.ndarray) else row
+        zero = self.field.zero
+        return {u: c for u, c in zip(basis_table(POLY, self.n, m.degree),
+                                     values) if c != zero}
+
+    def _poly_row(self, e: tuple[int, ...]):
+        """Coefficient row of the image of x^e against the basis table of
+        its degree; cached, never mutated."""
+        row = self._poly_cache.get(e)
+        if row is not None:
+            return row
         f = self.field
-        n = self.n
-        if m.degree == 0:
-            acc = {m: f.one}
+        # int64 holds a sum of min(n, d) products reduced below p < 2**31
+        native = isinstance(f, PrimeField) and f.p < 2 ** 31
+        d = sum(e)
+        if d == 0:
+            row = np.ones(1, dtype=np.int64) if native else [f.one]
         else:
             # peel the largest variable so prefixes are shared via the cache
-            i = m.max_index()
-            prev = self._apply_poly(m.div_var(i))
-            acc: dict = {}
-            for mono, coeff in prev.items():
-                for k in range(n):
-                    a = self.matrix[k][i - 1]
+            i = max(k for k, x in enumerate(e) if x)
+            prev = self._poly_row(e[:i] + (e[i] - 1,) + e[i + 1:])
+            table = mult_table(self.n, d)
+            size = len(basis_table(POLY, self.n, d))
+            column = [self.matrix[k][i] for k in range(self.n)]
+            if native:
+                row = np.zeros(size, dtype=np.int64)
+                np.add.at(row, table, np.outer(prev, column) % f.p)
+                row %= f.p
+            else:
+                row = [f.zero] * size
+                terms = [(j, c) for j, c in enumerate(prev) if c != f.zero]
+                for k, a in enumerate(column):
                     if a == f.zero:
                         continue
-                    m2 = mono.times_var(k + 1)
-                    v = f.add(acc.get(m2, f.zero), f.mul(coeff, a))
-                    if v == f.zero:
-                        acc.pop(m2, None)
-                    else:
-                        acc[m2] = v
-        self._poly_cache[m] = acc
-        return dict(acc)
+                    targets = table[:, k].tolist()
+                    for j, c in terms:
+                        t = targets[j]
+                        row[t] = f.add(row[t], f.mul(c, a))
+        self._poly_cache[e] = row
+        return row

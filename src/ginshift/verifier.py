@@ -13,10 +13,11 @@ import json
 import time
 from collections import deque
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 import numpy as np
 
-from .changes import CoordinateChange
+from .changes import CoordinateChange, SizeLimitError
 from .complexes import (SimplicialComplex, combinatorial_ideal, cone,
                         flag_complex, shifted_complex)
 from .fields import GFP, QQ, InvalidInputError, PrimeField
@@ -40,33 +41,54 @@ def enumerate_graphs(n: int) -> list[Graph]:
     """One representative per isomorphism class on n labeled vertices,
     in deterministic (ascending edge-bitmask) order.
 
-    Canonical form = minimum edge bitmask over all vertex permutations,
-    computed for all 2^C(n,2) graphs at once with numpy.
+    Canonical form = minimum edge bitmask over all vertex permutations, bit
+    b standing for the b-th pair of ``itertools.combinations(range(n), 2)``.
     """
     if not 1 <= n <= MAX_ENUMERATION_N:
         raise InvalidInputError(f"enumeration supports 1 <= n <= {MAX_ENUMERATION_N}")
     pairs = list(itertools.combinations(range(n), 2))
+    out = [Graph.make(n, [(pairs[b][0] + 1, pairs[b][1] + 1)
+                          for b in range(len(pairs)) if (mask >> b) & 1])
+           for mask in _canonical_masks(n)]
+    if len(out) != KNOWN_CLASS_COUNTS[n]:
+        raise RuntimeError(f"enumeration self-test failed at n={n}: "
+                           f"{len(out)} classes, expected {KNOWN_CLASS_COUNTS[n]}")
+    return out
+
+
+@lru_cache(maxsize=None)
+def _canonical_masks(n: int) -> tuple[int, ...]:
+    """The canonical edge bitmasks on n vertices, ascending.
+
+    One-vertex extension: every graph on n vertices is, after relabeling
+    its first n - 1 vertices, a canonical graph on n - 1 vertices plus
+    vertex n with some neighbour set. So the candidates are those, and the
+    classes are the distinct canonical minima of the candidates, each
+    permutation applied to all candidates at once with numpy.
+    """
+    if n == 1:
+        return (0,)
+    pairs = list(itertools.combinations(range(n), 2))
     bit_of = {p: i for i, p in enumerate(pairs)}
-    nbits = len(pairs)
-    masks = np.arange(1 << nbits, dtype=np.int64)
+    # lift the (n-1)-vertex masks to this bit numbering, then add vertex n
+    smaller = np.array(_canonical_masks(n - 1), dtype=np.int64)
+    lifted = np.zeros_like(smaller)
+    for b, p in enumerate(itertools.combinations(range(n - 1), 2)):
+        lifted |= ((smaller >> b) & 1) << bit_of[p]
+    subsets = np.arange(1 << (n - 1), dtype=np.int64)
+    nbrs = np.zeros_like(subsets)
+    for i in range(n - 1):
+        nbrs |= ((subsets >> i) & 1) << bit_of[i, n - 1]
+    masks = (lifted[:, None] | nbrs[None, :]).ravel()
+    bits = [(masks >> b) & 1 for b in range(len(pairs))]
     canon = masks.copy()
     for perm in itertools.permutations(range(n)):
         permuted = np.zeros_like(masks)
         for b, (i, j) in enumerate(pairs):
             pi, pj = perm[i], perm[j]
-            tb = bit_of[(pi, pj) if pi < pj else (pj, pi)]
-            permuted |= ((masks >> b) & 1) << tb
+            permuted |= bits[b] << bit_of[(pi, pj) if pi < pj else (pj, pi)]
         np.minimum(canon, permuted, out=canon)
-    reps = np.flatnonzero(canon == masks)
-    out = []
-    for mask in reps:
-        edges = [(pairs[b][0] + 1, pairs[b][1] + 1)
-                 for b in range(nbits) if (int(mask) >> b) & 1]
-        out.append(Graph.make(n, edges))
-    if len(out) != KNOWN_CLASS_COUNTS[n]:
-        raise RuntimeError(f"enumeration self-test failed at n={n}: "
-                           f"{len(out)} classes, expected {KNOWN_CLASS_COUNTS[n]}")
-    return out
+    return tuple(np.unique(canon).tolist())
 
 
 def degree2_trans_witnesses(g: Graph, stop_at: int = 2,
@@ -77,44 +99,35 @@ def degree2_trans_witnesses(g: Graph, stop_at: int = 2,
     pairs.
 
     Moves are elementary shifts via ``pair_shift`` on the bitset family of
-    the non-edges; vertex relabelings (permutation coordinate changes, which
-    fix monomial ideals as initial ideals) provide alternative starting
-    points when a single component does not settle the question.
+    the non-edges, searched breadth first until ``stop_at`` stable families
+    are found or every reachable family is seen. A search that needs more
+    than ``budget`` shift steps raises ``SizeLimitError`` rather than
+    return a short set.
     """
     n = g.n
-    nonedges = g.complement().edges
     shift_pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
-
-    def bfs(start: int, found: set[int], spent: list[int]):
-        seen = {start}
-        queue = deque([start])
-        while queue and spent[0] < budget:
-            state = queue.popleft()
-            if is_stable_family(state, n):
-                found.add(state)
-                if len(found) >= stop_at:
-                    return
-                continue
-            for a, b in shift_pairs:
-                if spent[0] >= budget:
-                    return
-                spent[0] += 1
-                nxt = pair_shift(state, a, b, n)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-
+    start = family_of(g.complement().edges)
+    seen = {start}
+    queue = deque([start])
     found: set[int] = set()
-    spent = [0]
-    start = family_of(nonedges)
-    bfs(start, found, spent)
-    if len(found) < stop_at:
-        for perm in itertools.permutations(range(1, n + 1)):
-            relabeled = family_of((perm[i - 1], perm[j - 1]) for i, j in nonedges)
-            if relabeled != start:
-                bfs(relabeled, found, spent)
-            if len(found) >= stop_at or spent[0] >= budget:
+    spent = 0
+    while queue:
+        state = queue.popleft()
+        if is_stable_family(state, n):
+            found.add(state)
+            if len(found) >= stop_at:
                 break
+            continue
+        for a, b in shift_pairs:
+            if spent >= budget:
+                raise SizeLimitError(
+                    f"witness search cut at {budget} shift steps with "
+                    f"{len(found)} of {stop_at} stable components found")
+            spent += 1
+            nxt = pair_shift(state, a, b, n)
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
     return {frozenset(family_supports(f, n)) for f in found}
 
 

@@ -3,9 +3,9 @@ import pytest
 from fractions import Fraction
 
 from ginshift.changes import (MAX_EXT_VARIABLES, CoordinateChange,
-                              SingularMatrixError, SizeLimitError)
+                              SingularMatrixError, SizeLimitError, mult_table)
 from ginshift.fields import GFP, QQ, InvalidInputError, PrimeField
-from ginshift.monomials import ext_monomial, poly_monomial
+from ginshift.monomials import POLY, basis_table, ext_monomial, poly_monomial
 
 
 def test_singular_matrix_rejected():
@@ -95,3 +95,88 @@ def test_poly_action_preserves_degree_and_is_cached():
     img = phi.apply(m)
     assert all(u.degree == 3 for u in img)
     assert phi.apply(m) == img
+
+
+# -- the polynomial action on the multiplication table ------------------
+
+
+def _old_apply_poly(phi, m, cache):
+    """The per-term expansion the table kernel replaced: the image of m is
+    the image of m / x_i times phi(x_i), x_i the largest variable of m."""
+    if m in cache:
+        return dict(cache[m])
+    f = phi.field
+    if m.degree == 0:
+        acc = {m: f.one}
+    else:
+        i = m.max_index()
+        acc = {}
+        for mono, coeff in _old_apply_poly(phi, m.div_var(i), cache).items():
+            for k in range(phi.n):
+                a = phi.matrix[k][i - 1]
+                if a == f.zero:
+                    continue
+                m2 = mono.times_var(k + 1)
+                v = f.add(acc.get(m2, f.zero), f.mul(coeff, a))
+                if v == f.zero:
+                    acc.pop(m2, None)
+                else:
+                    acc[m2] = v
+    cache[m] = acc
+    return dict(acc)
+
+
+#: GF(p) at the default prime, two small primes, a prime past 2**31 (whose
+#: products overflow int64, so it takes the list rows) and Q
+ACTION_FIELDS = [GFP, PrimeField(2), PrimeField(7), PrimeField(2147483659), QQ]
+
+
+def _changes(n, field, rng):
+    out = [CoordinateChange.identity(n, field),
+           CoordinateChange.permutation(tuple(rng.permutation(n) + 1), field),
+           CoordinateChange.random_dense(n, field, rng),
+           CoordinateChange.random_upper_triangular(n, field, rng)]
+    if n >= 2:
+        a = int(rng.integers(1, n))
+        out.append(CoordinateChange.elementary(a, int(rng.integers(a + 1, n + 1)),
+                                               n, field))
+    return out
+
+
+@pytest.mark.parametrize("field", ACTION_FIELDS, ids=str)
+def test_poly_action_matches_per_term_expansion(field):
+    rng = np.random.default_rng(17)
+    for n in range(1, 7):
+        for phi in _changes(n, field, rng):
+            cache = {}
+            for d in range(6):
+                for m in basis_table(POLY, n, d):
+                    assert phi.apply(m) == _old_apply_poly(phi, m, cache), \
+                        (phi.kind, n, m)
+
+
+def test_poly_action_returns_a_fresh_dict():
+    phi = CoordinateChange.random_dense(3, GFP, np.random.default_rng(2))
+    m = poly_monomial((0, 2, 1))
+    img = phi.apply(m)
+    expected = dict(img)
+    img.clear()
+    img[m] = 5
+    assert phi.apply(m) == expected
+
+
+def test_poly_action_rejects_wrong_variable_count():
+    phi = CoordinateChange.identity(3, GFP)
+    with pytest.raises(InvalidInputError):
+        phi.apply(poly_monomial((1, 1)))
+
+
+def test_mult_table_entries_are_products():
+    for n in range(1, 6):
+        for d in range(1, 5):
+            table = mult_table(n, d)
+            prev, basis = basis_table(POLY, n, d - 1), basis_table(POLY, n, d)
+            assert table.shape == (len(prev), n)
+            for j, m in enumerate(prev):
+                for k in range(n):
+                    assert basis[table[j, k]] == m.times_var(k + 1)

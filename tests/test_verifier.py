@@ -1,8 +1,10 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
 
+from ginshift.changes import SizeLimitError
 from ginshift.fields import GFP, InvalidInputError
 from ginshift.gin import (elementary_shift_space, family_of, is_stable_family,
                           pair_shift)
@@ -21,6 +23,47 @@ def test_enumeration_counts():
         enumerate_graphs(0)
     with pytest.raises(InvalidInputError):
         enumerate_graphs(8)
+
+
+def _canonical_forms(masks, n):
+    """Minimum edge bitmask over all vertex permutations, bit b standing for
+    the b-th pair of combinations(range(n), 2): the brute-force enumerator
+    that one-vertex extension replaced, applied to the given masks."""
+    pairs = list(itertools.combinations(range(n), 2))
+    bit_of = {p: i for i, p in enumerate(pairs)}
+    masks = np.asarray(masks, dtype=np.int64)
+    canon = masks.copy()
+    for perm in itertools.permutations(range(n)):
+        permuted = np.zeros_like(masks)
+        for b, (i, j) in enumerate(pairs):
+            pi, pj = perm[i], perm[j]
+            tb = bit_of[(pi, pj) if pi < pj else (pj, pi)]
+            permuted |= ((masks >> b) & 1) << tb
+        np.minimum(canon, permuted, out=canon)
+    return canon
+
+
+def _mask(g):
+    pairs = list(itertools.combinations(range(1, g.n + 1), 2))
+    return sum(1 << b for b, p in enumerate(pairs) if p in g.edges)
+
+
+def test_enumeration_matches_brute_force():
+    for n in range(1, 7):
+        masks = np.arange(1 << (n * (n - 1) // 2), dtype=np.int64)
+        brute = np.flatnonzero(_canonical_forms(masks, n) == masks).tolist()
+        assert [_mask(g) for g in enumerate_graphs(n)] == brute
+
+
+def test_enumeration_at_seven_matches_the_graph_atlas():
+    nx = pytest.importorskip("networkx")
+    atlas = [g for g in nx.graph_atlas_g() if g.number_of_nodes() == 7]
+    pairs = list(itertools.combinations(range(7), 2))
+    masks = [sum(1 << b for b, (i, j) in enumerate(pairs) if g.has_edge(i, j))
+             for g in atlas]
+    reps = [_mask(g) for g in enumerate_graphs(7)]
+    assert len(reps) == len(atlas) == KNOWN_CLASS_COUNTS[7]
+    assert reps == sorted(set(_canonical_forms(masks, 7).tolist()))
 
 
 def test_enumeration_is_canonical_and_deterministic():
@@ -110,6 +153,18 @@ def test_degree2_witnesses_unique_for_bipartite():
     g = complete_bipartite(2, 2)
     comps = degree2_trans_witnesses(g, stop_at=2, budget=5000)
     assert len(comps) == 1
+
+
+def test_degree2_witness_search_says_when_it_is_cut():
+    # the one n = 7 class whose search needs more than the default budget
+    g = Graph.make(7, [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (2, 3),
+                       (2, 4), (2, 5), (3, 4), (3, 6), (4, 7), (5, 6)])
+    with pytest.raises(SizeLimitError):
+        degree2_trans_witnesses(g, stop_at=2)
+    comps = degree2_trans_witnesses(g, stop_at=2, budget=300_000)
+    assert len(comps) == 2
+    for comp in comps:
+        assert is_stable_family(family_of(comp), 7)
 
 
 def test_sweep_theorem1_small():
