@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import InvalidInputError, PrimeField
+from .fields import InvalidInputError, fits_int64
 from .linalg import vector_rank
 from .monomials import (EXT, POLY, ExtMonomial, Monomial, PolyMonomial,
                         basis_table)
@@ -193,7 +193,7 @@ class CoordinateChange:
             return row
         f = self.field
         # int64 holds a sum of min(n, d) products reduced below p < 2**31
-        native = isinstance(f, PrimeField) and f.p < 2 ** 31
+        native = fits_int64(f)
         d = sum(e)
         if d == 0:
             row = np.ones(1, dtype=np.int64) if native else [f.one]

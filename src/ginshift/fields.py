@@ -121,6 +121,14 @@ QQ = RationalField()
 GFP = PrimeField()
 
 
+def fits_int64(field) -> bool:
+    """Whether the field's arithmetic may run on int64 arrays: a prime
+    field with p < 2**31, so that a product of two reduced elements, or a
+    sum of a few such products, fits. Every other field, larger primes
+    included, runs on lists of python ints or ``Fraction``s."""
+    return isinstance(field, PrimeField) and field.p < 2 ** 31
+
+
 def parse_field(spec: str):
     """Parse a field mode string: "prime:<p>", "prime", or "rational"."""
     if spec == "rational":

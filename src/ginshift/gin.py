@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import asdict, dataclass, field as dc_field
-from functools import lru_cache, reduce
-from operator import or_
 
 import numpy as np
 
-from .changes import MAX_EXT_VARIABLES, CoordinateChange, SizeLimitError
+from .changes import CoordinateChange, SizeLimitError
+from .families import (family_of, family_supports, is_stable_family,
+                       minimal_family, pair_shift)
 from .fields import GFP, InvalidInputError
 from .ideals import MonomialIdeal, is_strongly_stable
 from .linalg import Subspace
@@ -290,56 +290,6 @@ def complement_dual(order: TermOrder, monomials, ring: str, n: int,
 # -- combinatorial shifting and Trans ----------------------------------
 
 
-@lru_cache(maxsize=None)
-def _shift_mask(n: int, a: int, b: int) -> tuple[int, int]:
-    """(X, delta) of the shift (a, b) on [n]: X has bit S for every support
-    S with b in S and a not in S, and S - delta is S - b + a."""
-    if not 1 <= a < b <= n:
-        raise InvalidInputError(f"elementary pair ({a},{b}) invalid for n={n}")
-    if n > MAX_EXT_VARIABLES:
-        raise SizeLimitError(
-            f"exterior shifting refused for n={n} > {MAX_EXT_VARIABLES}")
-    bit_a, bit_b = 1 << (a - 1), 1 << (b - 1)
-    mask = sum(1 << s for s in range(1 << n) if s & bit_b and not s & bit_a)
-    return mask, bit_b - bit_a
-
-
-def pair_shift(family: int, a: int, b: int, n: int) -> int:
-    """Kalai's shifting operator (a, b) on a family of exterior monomials of
-    [n], in any mix of degrees: each e_S with b in S and a not in S becomes
-    e_{S-b+a}, unless that is in the family already.
-
-    The family is one int: bit S is set when e_S is in it, S being the
-    support bitmask sum of 2^(i-1) over i in S. With the mask X and offset
-    delta of ``_shift_mask``, the step is a few int operations in every
-    degree at once.
-
-    The result is in_order(phi_{a,b}(span of the family)) exactly when the
-    order ranks S - b + a above S for every such S. For lex, revlex and
-    weight orders that comparison has the sign of e_a against e_b, so the
-    scope is those orders ranking e1 > ... > en (``_kalai_scope``). Other
-    orders take the algebraic route; under inv:lex, for one, S ranks above
-    S - b + a and e{2,3} stays put for (a, b) = (1, 3).
-    """
-    mask, delta = _shift_mask(n, a, b)
-    moving = family & mask
-    moving &= ~(((moving >> delta) & family) << delta)
-    return (family & ~moving) | (moving >> delta)
-
-
-def is_stable_family(family: int, n: int) -> bool:
-    """Whether a family in the encoding of ``pair_shift`` is strongly
-    stable: every shift (a, b) leaves it fixed, that is
-    ((F & X) >> delta) & ~F == 0. Adjacent pairs (a, a + 1) suffice, since
-    S - b + a is reached from S by moving indices down one step at a time
-    into indices outside S."""
-    for a in range(1, n):
-        mask, delta = _shift_mask(n, a, a + 1)
-        if ((family & mask) >> delta) & ~family:
-            return False
-    return True
-
-
 def _kalai_scope(ring: str, n: int, order: TermOrder) -> bool:
     """Whether ``pair_shift`` is the elementary shift of (ring, n) under the
     order: an exterior ring, and a lex, revlex or weight order that ranks
@@ -348,30 +298,18 @@ def _kalai_scope(ring: str, n: int, order: TermOrder) -> bool:
             and order.ranking(EXT, n, 1) == tuple(range(n)))
 
 
-def family_of(supports) -> int:
-    """The ``pair_shift`` family of the given supports (index tuples)."""
-    return reduce(or_, (1 << sum(1 << (i - 1) for i in s) for s in supports), 0)
-
-
-def family_supports(family: int, n: int) -> list[tuple[int, ...]]:
-    """The supports in a ``pair_shift`` family of [n], in bitmask order."""
-    return [tuple(i + 1 for i in range(n) if s >> i & 1)
-            for s in range(1 << n) if family >> s & 1]
-
-
 def _family(ideal: MonomialIdeal, top: int) -> int:
     """The exterior monomials of the ideal up to degree ``top``."""
     return family_of(u.support for d in range(top + 1)
                      for u in ideal.degree_component(d))
 
 
-def _ideal_of(family: int, n: int, top: int) -> MonomialIdeal:
-    """The exterior ideal whose components up to degree ``top`` the family
-    lists."""
-    components: dict[int, set] = {d: set() for d in range(top + 1)}
-    for s in family_supports(family, n):
-        components[len(s)].add(ExtMonomial(s, n))
-    return MonomialIdeal.from_components(EXT, n, components)
+def _ideal_of(family: int, n: int) -> MonomialIdeal:
+    """The exterior ideal generated by a family: by its minimal supports.
+    A family listing an ideal's components up to some degree gives that
+    ideal's truncation."""
+    return MonomialIdeal.make(EXT, n, [
+        ExtMonomial(s, n) for s in family_supports(minimal_family(family, n), n)])
 
 
 def combinatorial_shift(order: TermOrder, ideal: MonomialIdeal,
@@ -387,7 +325,7 @@ def combinatorial_shift(order: TermOrder, ideal: MonomialIdeal,
         family = _family(ideal, top)
         for a, b in pairs:
             family = pair_shift(family, a, b, n)
-        return _ideal_of(family, n, top)
+        return _ideal_of(family, n)
     current = ideal
     for a, b in pairs:
         phi = CoordinateChange.elementary(a, b, n, field)
@@ -436,7 +374,7 @@ def trans_search(ideal: MonomialIdeal, budget: int = 200,
             return is_stable_family(state, n)
 
         def ideal_of(state):
-            return _ideal_of(state, n, top)
+            return _ideal_of(state, n)
     else:
         start, seen = ideal, {ideal}
 

@@ -6,7 +6,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from functools import cached_property
+from itertools import combinations
 
 from .fields import InvalidInputError
 
@@ -31,14 +32,28 @@ class Graph:
                 raise InvalidInputError(f"edge ({i},{j}) out of range 1..{n}")
         return cls(n, es)
 
+    @cached_property
+    def adjacency(self) -> tuple[int, ...]:
+        """Adjacency bitmasks, 1-based: bit j - 1 of ``adjacency[i]`` is set
+        when ij is an edge; ``adjacency[0]`` is 0."""
+        adj = [0] * (self.n + 1)
+        for i, j in self.edges:
+            adj[i] |= 1 << (j - 1)
+            adj[j] |= 1 << (i - 1)
+        return tuple(adj)
+
+    def _mask(self, v: int) -> int:
+        return self.adjacency[v] if 1 <= v <= self.n else 0
+
     def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.edges
+        return 1 <= j <= self.n and bool(self._mask(i) >> (j - 1) & 1)
 
     def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
+        return self._mask(v).bit_count()
 
     def neighbors(self, v: int) -> set[int]:
-        return {j for e in self.edges if v in e for j in e if j != v}
+        mask = self._mask(v)
+        return {j for j in range(1, self.n + 1) if mask >> (j - 1) & 1}
 
     def isolated_vertices(self) -> set[int]:
         return {v for v in range(1, self.n + 1) if self.degree(v) == 0}
@@ -124,18 +139,36 @@ GRAPH_C = Graph.make(6, [(1, 2), (3, 4), (5, 6)])
 
 def contains_induced(g: Graph, h: Graph):
     """(found, embedding): does some injection map h edge-exactly onto an
-    induced subgraph of g?  Brute force; |h| <= 6 in every use here."""
+    induced subgraph of g?
+
+    Backtracking on adjacency bitmasks: vertex a of h takes the images in
+    ascending order, and an image v fits when its neighbours among the
+    images of 1..a-1 are exactly the images of a's neighbours there. So
+    the first embedding found is the first in ``permutations`` order."""
     if h.n > g.n:
         return False, None
-    hverts = list(range(1, h.n + 1))
-    for img in permutations(range(1, g.n + 1), h.n):
-        ok = True
-        for a, b in combinations(hverts, 2):
-            if h.has_edge(a, b) != g.has_edge(img[a - 1], img[b - 1]):
-                ok = False
-                break
-        if ok:
-            return True, dict(zip(hverts, img))
+    gadj, hadj, k = g.adjacency, h.adjacency, h.n
+    img: list[int] = []
+
+    def extend(used: int) -> bool:
+        a = len(img) + 1
+        if a > k:
+            return True
+        want = 0
+        for b, v in enumerate(img):
+            if hadj[a] >> b & 1:
+                want |= 1 << (v - 1)
+        for v in range(1, g.n + 1):
+            bit = 1 << (v - 1)
+            if not used & bit and gadj[v] & used == want:
+                img.append(v)
+                if extend(used | bit):
+                    return True
+                img.pop()
+        return False
+
+    if extend(0):
+        return True, dict(zip(range(1, k + 1), img))
     return False, None
 
 

@@ -7,11 +7,14 @@ serialize identically.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
-from operator import add
+from operator import add, attrgetter, or_
 
+from .changes import MAX_EXT_VARIABLES
+from .families import (family_of, is_stable_family, minimal_family,
+                       support_mask, up_closure)
 from .fields import InvalidInputError
 from .monomials import (EXT, POLY, ExtMonomial, Monomial, PolyMonomial,
                         basis_table, ext_monomial, parse_monomial)
@@ -19,17 +22,27 @@ from .orders import LEX
 
 
 def _canonical_sort(gens) -> tuple:
-    key = functools.cmp_to_key(lambda u, v: -LEX.compare(u, v))
-    return tuple(sorted(gens, key=lambda g: (g.degree, key(g))))
+    """By degree, then lex-descending within a degree."""
+    return tuple(sorted(sorted(gens, key=LEX.key, reverse=True),
+                        key=attrgetter("degree")))
 
 
 def minimalize(gens) -> tuple:
-    """Drop generators divisible by another generator."""
-    by_deg = sorted(set(gens), key=lambda g: g.degree)
+    """Drop generators divisible by another generator; exterior monomials
+    are compared as support bitmasks, h dividing m when h & m == h."""
+    by_deg = sorted(set(gens), key=attrgetter("degree"))
     minimal: list = []
-    for g in by_deg:
-        if not any(h.divides(g) for h in minimal):
-            minimal.append(g)
+    if all(isinstance(g, ExtMonomial) for g in by_deg):
+        masks: list[int] = []
+        for g in by_deg:
+            m = support_mask(g.support)
+            if not any(h & m == h for h in masks):
+                masks.append(m)
+                minimal.append(g)
+    else:
+        for g in by_deg:
+            if not any(h.divides(g) for h in minimal):
+                minimal.append(g)
     return _canonical_sort(minimal)
 
 
@@ -49,14 +62,18 @@ class MonomialIdeal:
 
     @classmethod
     def from_components(cls, ring: str, n: int, components: dict[int, set]) -> "MonomialIdeal":
-        """Recover minimal generators from exact degree components (dense up to
-        the largest listed degree)."""
-        gens: list = []
-        for d in sorted(components):
-            for u in sorted(components[d]):
-                if not any(g.divides(u) for g in gens):
-                    gens.append(u)
-        return cls.make(ring, n, gens)
+        """Recover minimal generators from degree components: the monomials
+        listed with no proper divisor listed. Exterior components on up to
+        ``MAX_EXT_VARIABLES`` variables are read off their subset-bitset
+        family, whose minimal supports are a few int operations."""
+        monomials = [u for d in components for u in components[d]]
+        if ring == EXT and n <= MAX_EXT_VARIABLES:
+            masks = [support_mask(u.support) for u in monomials]
+            minimal = minimal_family(
+                reduce(or_, (1 << m for m in masks), 0), n)
+            monomials = [u for u, m in zip(monomials, masks)
+                         if minimal >> m & 1]
+        return cls.make(ring, n, monomials)
 
     @property
     def max_generator_degree(self) -> int:
@@ -125,7 +142,20 @@ def is_strongly_stable(ideal: MonomialIdeal, squarefree: bool = False):
 
     ``squarefree=True`` applies the squarefree exchange rule to polynomial
     ideals (images of exterior ideals); exterior ideals are always squarefree.
+    An exterior ideal on up to ``MAX_EXT_VARIABLES`` variables is checked
+    as the upward closure of its generator family by ``is_stable_family``;
+    the generator scan then only names the witness of a failure.
     """
+    n = ideal.n
+    if ideal.ring == EXT and n <= MAX_EXT_VARIABLES and is_stable_family(
+            up_closure(family_of(g.support for g in ideal.generators), n), n):
+        return True, None
+    return _exchange_scan(ideal, squarefree)
+
+
+def _exchange_scan(ideal: MonomialIdeal, squarefree: bool):
+    """The first (generator, exchange) pair whose exchange is missing from
+    the ideal, or (True, None)."""
     for g in ideal.generators:
         if squarefree and isinstance(g, PolyMonomial):
             moves = _squarefree_smaller_exchanges(g)

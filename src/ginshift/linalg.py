@@ -4,10 +4,11 @@ monomial basis.
 
 Pivot columns only depend on the row space and the column order, so every
 initial-space computation downstream is reproducible bit for bit. Over a
-prime field the rows of a ``Subspace`` are one int64 array, over other fields
-lists of field elements. A term order enters as a ranking of the columns
-(``Subspace.leading_columns``), and rankings under which a kept echelon
-basis still fits share its elimination.
+prime field below 2**31 (``fields.fits_int64``) the rows of a ``Subspace``
+are one int64 array, over other fields lists of field elements. A term
+order enters as a ranking of the columns (``Subspace.leading_columns``),
+and rankings under which a kept echelon basis still fits share its
+elimination.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import PrimeField
+from .fields import fits_int64
 from .monomials import Monomial
 from .orders import TermOrder
 
@@ -72,10 +73,12 @@ def rref_exact(rows: list[list], field) -> tuple[list[list], list[int]]:
 
 
 def rref(rows, field) -> tuple[list[list], list[int]]:
-    """RREF as lists; over a prime field ``rows`` may be an int64 array."""
-    if isinstance(field, PrimeField) and len(rows):
+    """RREF as lists; ``rows`` may be an int64 array."""
+    if fits_int64(field) and len(rows):
         red, piv = rref_prime(np.asarray(rows, dtype=np.int64), field.p)
         return red.tolist(), piv
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
     return rref_exact(rows, field)
 
 
@@ -84,9 +87,9 @@ class Subspace:
     """A subspace of the degree-d component, stored against an ordered basis.
 
     ``columns`` is the monomial basis in a fixed order; ``rows`` are
-    coefficient rows of spanning elements, an int64 array over a prime field
-    and lists otherwise (so subspaces compare by identity). A term order
-    enters only as a ranking of the columns.
+    coefficient rows of spanning elements, an int64 array when
+    ``fits_int64(field)`` and lists otherwise (so subspaces compare by
+    identity). A term order enters only as a ranking of the columns.
     """
 
     ring: str
@@ -118,7 +121,7 @@ class Subspace:
             for m, c in v.items():
                 row[index[m]] = c
             rows.append(row)
-        if isinstance(field, PrimeField):
+        if fits_int64(field):
             rows = np.array(rows, dtype=np.int64).reshape(len(rows),
                                                           len(columns))
         return cls(ring, n, degree, list(columns), rows, field)
@@ -141,7 +144,7 @@ class Subspace:
             lead = np.where(support, pos, last).min(axis=1, initial=last)
             if np.array_equal(lead, pos[piv]):
                 return piv[np.argsort(lead)].tolist()
-        if isinstance(self.rows, np.ndarray):
+        if fits_int64(self.field):
             red, piv = rref_prime(self.rows[:, ranking], self.field.p)
             ranked_support = red != 0
         else:

@@ -44,14 +44,35 @@ def _revlex_cmp(u: Monomial, v: Monomial) -> int:
 
 def _weight(u: Monomial, weights) -> int:
     if isinstance(u, ExtMonomial):
-        return sum(weights[i - 1] for i in u.support)
-    return sum(w * e for w, e in zip(weights, u.exponents))
+        return sum([weights[i - 1] for i in u.support])
+    return sum([w * e for w, e in zip(weights, u.exponents)])
+
+
+# Sort keys: within a degree, u ranks above v exactly when its key is the
+# larger tuple; ``compare`` is the specification they are tested against.
+
+
+def _lex_key(u: Monomial) -> tuple:
+    if isinstance(u, ExtMonomial):
+        return tuple([-i for i in u.support])
+    return u.exponents
+
+
+def _revlex_key(u: Monomial) -> tuple:
+    if isinstance(u, ExtMonomial):
+        return tuple([-i for i in reversed(u.support)])
+    return tuple([-e for e in reversed(u.exponents)])
 
 
 class TermOrder:
-    """Base class; subclasses implement the within-degree comparison."""
+    """Base class; subclasses implement the within-degree comparison and
+    the within-degree sort key that agrees with it."""
 
     def _cmp_same_degree(self, u: Monomial, v: Monomial) -> int:
+        raise NotImplementedError
+
+    def key(self, u: Monomial) -> tuple:
+        """Within one degree, u > v exactly when key(u) > key(v)."""
         raise NotImplementedError
 
     def compare(self, u: Monomial, v: Monomial) -> int:
@@ -62,29 +83,27 @@ class TermOrder:
         return self._cmp_same_degree(u, v)
 
     def sort_descending(self, monomials) -> list:
-        import functools
-
-        return sorted(monomials, key=functools.cmp_to_key(self.compare), reverse=True)
+        """The monomials from greatest to least: by degree, then by ``key``."""
+        monomials = list(monomials)
+        if len({(u.ring, u.n) for u in monomials}) > 1:
+            raise InvalidInputError("monomials from different rings compared")
+        key = self.key
+        return sorted(monomials, key=lambda u: (u.degree, key(u)),
+                      reverse=True)
 
     def ranking(self, ring: str, n: int, d: int) -> tuple[int, ...]:
-        """Positions in ``basis_table(ring, n, d)`` in descending order.
-
-        Sorted once per (order, ring, n, d) by ``sort_descending``, so
-        ``compare`` stays the specification."""
+        """Positions in ``basis_table(ring, n, d)`` in descending order,
+        sorted once per (order, ring, n, d) by ``sort_descending``."""
         return _ranking(self, ring, n, d)
-
-    def max(self, monomials):
-        best = None
-        for m in monomials:
-            if best is None or self.compare(m, best) == GREATER:
-                best = m
-        return best
 
 
 @dataclass(frozen=True)
 class Lex(TermOrder):
     def _cmp_same_degree(self, u, v):
         return _lex_cmp(u, v)
+
+    def key(self, u):
+        return _lex_key(u)
 
     def __str__(self):
         return "lex"
@@ -94,6 +113,9 @@ class Lex(TermOrder):
 class RevLex(TermOrder):
     def _cmp_same_degree(self, u, v):
         return _revlex_cmp(u, v)
+
+    def key(self, u):
+        return _revlex_key(u)
 
     def __str__(self):
         return "revlex"
@@ -118,6 +140,10 @@ class WeightOrder(TermOrder):
             return _lex_cmp(u, v)
         return _revlex_cmp(u, v)
 
+    def key(self, u):
+        tiebreak = _lex_key(u) if self.tiebreak == "lex" else _revlex_key(u)
+        return (_weight(u, self.weights),) + tiebreak
+
     def __str__(self):
         return f"weight:{','.join(map(str, self.weights))}:{self.tiebreak}"
 
@@ -130,6 +156,9 @@ class Inverse(TermOrder):
 
     def _cmp_same_degree(self, u, v):
         return -self.inner._cmp_same_degree(u, v)
+
+    def key(self, u):
+        return tuple([-x for x in self.inner.key(u)])
 
     def __str__(self):
         return f"inv:{self.inner}"

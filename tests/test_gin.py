@@ -189,6 +189,18 @@ def test_gin_over_rationals_matches_prime_field():
         gin_space(REVLEX, w, EXT, 4, 2, field=GFP)
 
 
+def test_gin_over_a_prime_above_int64_range_matches_prime_field():
+    # 2**40 + 15 overflows int64 products, so it runs on python ints
+    big = PrimeField(2 ** 40 + 15)
+    w = _span([[1, 2], [2, 3], [3, 4]], 4)
+    for order in (LEX, REVLEX):
+        assert gin_space(order, w, EXT, 4, 2, field=big) == \
+            gin_space(order, w, EXT, 4, 2, field=GFP)
+    v = {poly_monomial((0, 2, 0)), poly_monomial((0, 1, 1))}
+    assert gin_space(LEX, v, POLY, 3, 2, field=big) == \
+        gin_space(LEX, v, POLY, 3, 2, field=GFP)
+
+
 def test_gin_multi_adaptive_matches_single_adaptive():
     ideal = MonomialIdeal.make(POLY, 4, [poly_monomial((1, 1, 0, 0)),
                                          poly_monomial((0, 0, 1, 1))])

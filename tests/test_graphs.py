@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from ginshift.fields import InvalidInputError
@@ -158,3 +160,39 @@ def test_serialization_round_trip():
     assert read_graph('{"n": 3, "edges": [[1, 2]]}') == Graph.make(3, [(1, 2)])
     with pytest.raises(InvalidInputError):
         read_graph("edges only\n")
+
+
+def _brute_force_contains_induced(g, h):
+    """The search before adjacency bitmasks: every injection in
+    ``permutations`` order, every vertex pair through ``has_edge``."""
+    if h.n > g.n:
+        return False, None
+    hverts = list(range(1, h.n + 1))
+    for img in itertools.permutations(range(1, g.n + 1), h.n):
+        if all(h.has_edge(a, b) == g.has_edge(img[a - 1], img[b - 1])
+               for a, b in itertools.combinations(hverts, 2)):
+            return True, dict(zip(hverts, img))
+    return False, None
+
+
+def test_contains_induced_matches_the_brute_force_search():
+    from ginshift.verifier import enumerate_graphs
+    found = set()
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            for target in (g, g.complement()):
+                for h in (GRAPH_A, GRAPH_B, GRAPH_C):
+                    got = contains_induced(target, h)
+                    assert got == _brute_force_contains_induced(target, h), \
+                        (sorted(target.edges), h)
+                    found.add(got[0])
+    assert found == {True, False}
+
+
+def test_adjacency_masks_agree_with_the_edge_set():
+    g = Graph.make(5, [(1, 2), (2, 5), (3, 5)])
+    assert g.adjacency == (0, 0b00010, 0b10001, 0b10000, 0, 0b00110)
+    assert [g.degree(v) for v in range(7)] == [0, 1, 2, 1, 0, 2, 0]
+    assert g.neighbors(5) == {2, 3} and g.neighbors(9) == set()
+    assert not g.has_edge(0, 1) and not g.has_edge(5, 6)
+    assert not g.has_edge(2, 2)

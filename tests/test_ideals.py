@@ -1,3 +1,6 @@
+from itertools import combinations
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from math import comb
@@ -133,3 +136,62 @@ def test_degree_component_matches_the_divisibility_scan(ideal, d):
     scan = {u for u in all_monomials(ideal.ring, ideal.n, d)
             if ideal.contains(u)}
     assert ideal.degree_component(d) == scan
+
+
+# -- the bitset rules against the scans they replaced --------------------
+
+
+def _scan_is_strongly_stable(ideal):
+    """The exterior stability check before subset bitsets: every
+    index-decreasing exchange of every generator, by divisibility."""
+    for g in ideal.generators:
+        s = set(g.support)
+        for j in g.support:
+            for i in range(1, j):
+                if i not in s:
+                    v = ext_monomial((s - {j}) | {i}, ideal.n)
+                    if not any(h.divides(v) for h in ideal.generators):
+                        return False, (g, v)
+    return True, None
+
+
+def _scan_from_components(ring, n, components):
+    """Minimal generators before subset bitsets: by degree, each monomial
+    not divisible by a generator kept so far."""
+    gens = []
+    for d in sorted(components):
+        for u in sorted(components[d]):
+            if not any(g.divides(u) for g in gens):
+                gens.append(u)
+    return MonomialIdeal.make(ring, n, gens)
+
+
+def _random_exterior_ideal(rng, n):
+    gens = [ext_monomial(s, n) for d in range(n + 1)
+            for s in combinations(range(1, n + 1), d)
+            if rng.random() < 0.5 / (d + 1) ** 1.5]
+    ideal = MonomialIdeal.make(EXT, n, gens)
+    if rng.random() < 0.3:
+        ideal = stable_closure(ideal.generators, EXT, n)
+    return ideal
+
+
+def test_exterior_bitset_rules_match_the_scans():
+    rng = np.random.default_rng(2024)
+    flags = set()
+    for _ in range(300):
+        n = int(rng.integers(1, 9))
+        ideal = _random_exterior_ideal(rng, n)
+        got = is_strongly_stable(ideal)
+        assert got == _scan_is_strongly_stable(ideal), ideal
+        flags.add(got[0])
+        dense = {d: ideal.degree_component(d)
+                 for d in range(int(rng.integers(0, n + 1)) + 1)}
+        assert MonomialIdeal.from_components(EXT, n, dense).generators == \
+            _scan_from_components(EXT, n, dense).generators
+        # any listed monomials, not only an ideal's components
+        loose = {d: {u for u in all_monomials(EXT, n, d)
+                     if rng.random() < 0.3} for d in range(n + 1)}
+        assert MonomialIdeal.from_components(EXT, n, loose).generators == \
+            _scan_from_components(EXT, n, loose).generators
+    assert flags == {True, False}

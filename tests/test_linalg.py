@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ginshift.fields import GFP, QQ, PrimeField
+from ginshift.fields import GFP, QQ, PrimeField, fits_int64
 from ginshift.linalg import (Subspace, initial_space, rref, rref_exact,
                              rref_prime, vector_rank)
 from ginshift.monomials import EXT, all_monomials, ext_monomial
@@ -81,3 +81,20 @@ def test_full_component_span():
     vecs = [{m: 1} for m in ms]
     sp = Subspace.from_vectors(vecs, LEX, GFP, EXT, n, d)
     assert initial_space(REVLEX, sp) == set(ms)
+
+
+def test_primes_above_int64_range_are_exact():
+    # above 2**31 products overflow int64; such primes run on python ints
+    field = PrimeField(2 ** 40 + 15)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        r = [field.random(rng) for _ in range(6)]
+        c = field.random(rng) or 1
+        assert vector_rank([r, [c * x % field.p for x in r]], field) == 1
+    assert not fits_int64(field) and fits_int64(GFP) and not fits_int64(QQ)
+    vecs = [{m: field.random(rng) for m in all_monomials(EXT, 4, 2)}
+            for _ in range(3)]
+    sp = Subspace.from_vectors(vecs, None, field, EXT, 4, 2,
+                               columns=all_monomials(EXT, 4, 2))
+    assert isinstance(sp.rows, list)
+    assert len(sp.leading_columns(range(6))) == 3

@@ -1,11 +1,12 @@
+import functools
 import itertools
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ginshift.fields import InvalidInputError
-from ginshift.monomials import (EXT, POLY, all_monomials, ext_monomial,
-                                poly_monomial)
+from ginshift.monomials import (EXT, POLY, all_monomials, basis_table,
+                                ext_monomial, poly_monomial)
 from ginshift.orders import (GREATER, LESS, LEX, REVLEX, Inverse, WeightOrder,
                              parse_order)
 
@@ -110,3 +111,44 @@ def test_parse_order_errors():
         parse_order("weight:1,2:lex", 3)
     with pytest.raises(InvalidInputError):
         parse_order("grevlex", 3)
+
+
+def test_sort_descending_rejects_mixed_rings():
+    # the ring check of ``compare`` survives the sort keys
+    with pytest.raises(InvalidInputError):
+        LEX.sort_descending([e([1, 2]), poly_monomial((1, 1, 0, 0, 0, 0))])
+    with pytest.raises(InvalidInputError):
+        REVLEX.sort_descending([e([1, 2], n=4), e([1, 3], n=5)])
+    with pytest.raises(InvalidInputError):
+        Inverse(LEX).sort_descending([poly_monomial((1, 0)),
+                                      poly_monomial((1, 0, 0))])
+    assert LEX.sort_descending([e([1, 2])]) == [e([1, 2])]
+    assert LEX.sort_descending([]) == []
+
+
+def _orders_with_inverses(n):
+    """Lex, revlex and weight orders, tied weights under both tie-breaks,
+    with the inverse of each."""
+    base = [LEX, REVLEX] + [WeightOrder(w[:n], t)
+                            for w in ((5, 5, 3, 3, 3, 1), (0, 2, 2, 4, 4, 4),
+                                      (6, 5, 4, 3, 2, 1))
+                            for t in ("lex", "revlex")]
+    return base + [Inverse(o) for o in base] + [Inverse(Inverse(LEX))]
+
+
+def _reference_sort(order, monomials):
+    """The ranking as it was computed before sort keys: ``compare`` alone."""
+    return sorted(monomials, key=functools.cmp_to_key(order.compare),
+                  reverse=True)
+
+
+@pytest.mark.parametrize("ring,max_degree", [(EXT, None), (POLY, 4)])
+def test_sort_keys_match_compare_on_every_basis_table(ring, max_degree):
+    for n in range(1, 7):
+        top = n if max_degree is None else max_degree
+        tables = [list(basis_table(ring, n, d)) for d in range(top + 1)]
+        mixed = [u for table in tables for u in table][::-1]
+        for order in _orders_with_inverses(n):
+            for table in tables + [mixed]:
+                assert order.sort_descending(table) == \
+                    _reference_sort(order, table), (order, ring, n)
