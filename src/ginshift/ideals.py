@@ -46,6 +46,15 @@ def minimalize(gens) -> tuple:
     return _canonical_sort(minimal)
 
 
+def _living_in(ring: str, n: int, gens) -> tuple:
+    """The generators as a tuple, each checked to live in (ring, n)."""
+    gens = tuple(gens)
+    for g in gens:
+        if g.ring != ring or g.n != n:
+            raise InvalidInputError(f"generator {g} does not live in ({ring}, n={n})")
+    return gens
+
+
 @dataclass(frozen=True)
 class MonomialIdeal:
     ring: str
@@ -54,25 +63,22 @@ class MonomialIdeal:
 
     @classmethod
     def make(cls, ring: str, n: int, gens) -> "MonomialIdeal":
-        gens = tuple(gens)
-        for g in gens:
-            if g.ring != ring or g.n != n:
-                raise InvalidInputError(f"generator {g} does not live in ({ring}, n={n})")
-        return cls(ring, n, minimalize(gens))
+        return cls(ring, n, minimalize(_living_in(ring, n, gens)))
 
     @classmethod
     def from_components(cls, ring: str, n: int, components: dict[int, set]) -> "MonomialIdeal":
         """Recover minimal generators from degree components: the monomials
         listed with no proper divisor listed. Exterior components on up to
         ``MAX_EXT_VARIABLES`` variables are read off their subset-bitset
-        family, whose minimal supports are a few int operations."""
+        family, whose minimal supports are a few int operations and are
+        already the minimal generators."""
         monomials = [u for d in components for u in components[d]]
         if ring == EXT and n <= MAX_EXT_VARIABLES:
             masks = [support_mask(u.support) for u in monomials]
             minimal = minimal_family(
                 reduce(or_, (1 << m for m in masks), 0), n)
-            monomials = [u for u, m in zip(monomials, masks)
-                         if minimal >> m & 1]
+            return cls(ring, n, _canonical_sort(_living_in(ring, n, (
+                u for u, m in zip(monomials, masks) if minimal >> m & 1))))
         return cls.make(ring, n, monomials)
 
     @property

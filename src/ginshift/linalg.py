@@ -14,6 +14,8 @@ elimination.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
@@ -48,7 +50,10 @@ def rref_prime(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def rref_exact(rows: list[list], field) -> tuple[list[list], list[int]]:
-    """RREF over an arbitrary exact field (python lists; used for Q)."""
+    """RREF over an arbitrary exact field (python lists; used for Q, and
+    for prime fields too large for int64)."""
+    if field.characteristic == 0:
+        return _rref_rational(rows)
     a = [list(row) for row in rows]
     m = len(a)
     ncols = len(a[0]) if a else 0
@@ -70,6 +75,39 @@ def rref_exact(rows: list[list], field) -> tuple[list[list], list[int]]:
         pivots.append(c)
         r += 1
     return a[: len(pivots)], pivots
+
+
+def _rref_rational(rows) -> tuple[list[list], list[int]]:
+    """RREF over Q by Gauss-Jordan on python ints: each row is scaled to
+    integers, eliminated as pivot * row - entry * pivot_row and divided by
+    its content, and only the returned rows become ``Fraction``s."""
+    a = []
+    for row in rows:
+        scale = lcm(*(x.denominator for x in row))
+        a.append([x.numerator * (scale // x.denominator) for x in row])
+    m = len(a)
+    ncols = len(a[0]) if a else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == m:
+            break
+        i = next((k for k in range(r, m) if a[k][c]), None)
+        if i is None:
+            continue
+        a[r], a[i] = a[i], a[r]
+        pivot_row = a[r]
+        piv = pivot_row[c]
+        for k in range(m):
+            f = a[k][c]
+            if k != r and f:
+                row = [piv * x - f * y for x, y in zip(a[k], pivot_row)]
+                content = gcd(*row)
+                a[k] = [x // content for x in row] if content > 1 else row
+        pivots.append(c)
+        r += 1
+    return [[Fraction(x, row[c]) for x in row]
+            for row, c in zip(a, pivots)], pivots
 
 
 def rref(rows, field) -> tuple[list[list], list[int]]:

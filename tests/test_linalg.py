@@ -25,6 +25,53 @@ def test_rref_exact_rational():
     assert red == [[Fraction(1), Fraction(2, 3)]]
 
 
+def _fraction_rref(rows, field):
+    """The Fraction Gauss-Jordan loop that integer elimination over Q
+    replaced: each pivot row scaled to 1, every other row reduced by it."""
+    a = [list(row) for row in rows]
+    m, ncols = len(a), len(a[0]) if a else 0
+    pivots, r = [], 0
+    for c in range(ncols):
+        if r == m:
+            break
+        i = next((k for k in range(r, m) if a[k][c] != field.zero), None)
+        if i is None:
+            continue
+        a[r], a[i] = a[i], a[r]
+        inv = field.inv(a[r][c])
+        a[r] = [field.mul(x, inv) for x in a[r]]
+        for k in range(m):
+            if k != r and a[k][c] != field.zero:
+                f = a[k][c]
+                a[k] = [field.sub(x, field.mul(f, y))
+                        for x, y in zip(a[k], a[r])]
+        pivots.append(c)
+        r += 1
+    return a[: len(pivots)], pivots
+
+
+def test_rref_exact_over_q_matches_the_fraction_loop():
+    rng = np.random.default_rng(11)
+    ranks = set()
+    for _ in range(400):
+        m, k = int(rng.integers(0, 8)), int(rng.integers(0, 8))
+        rows = [[Fraction(int(rng.integers(-20, 21)), int(rng.integers(1, 7)))
+                 if rng.random() < 0.6 else Fraction(0) for _ in range(k)]
+                for _ in range(m)]
+        if m >= 3 and rng.random() < 0.4:  # rank-deficient: a combination
+            rows[-1] = [Fraction(2, 3) * x - 5 * y
+                        for x, y in zip(rows[0], rows[1])]
+        if m >= 2 and rng.random() < 0.2:
+            rows[1] = [Fraction(0)] * k
+        red, piv = rref_exact(rows, QQ)
+        assert (red, piv) == _fraction_rref(rows, QQ)
+        assert all(type(x) is Fraction for row in red for x in row)
+        ranks.add(len(piv) < m)
+    assert ranks == {True, False}
+    # plain ints are read as rationals
+    assert rref_exact([[2, 4], [1, 3]], QQ) == ([[1, 0], [0, 1]], [0, 1])
+
+
 def test_rank_helpers():
     assert vector_rank([], GFP) == 0
     assert vector_rank([[1, 2], [2, 4], [0, 1]], GFP) == 2

@@ -4,10 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from ginshift.changes import SizeLimitError
+from ginshift import verifier
+from ginshift.changes import CoordinateChange, SizeLimitError
 from ginshift.fields import GFP, InvalidInputError
-from ginshift.gin import (elementary_shift_space, family_of, is_stable_family,
-                          pair_shift)
+from ginshift.gin import (elementary_shift_space, family_of, gin_multi,
+                          gin_space, is_stable_family, pair_shift)
 from ginshift.graphs import Graph, complete_bipartite, cycle_graph, path_graph
 from ginshift.monomials import EXT, ext_monomial
 from ginshift.orders import LEX, REVLEX, parse_order
@@ -160,11 +161,59 @@ def test_degree2_witness_search_says_when_it_is_cut():
     g = Graph.make(7, [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (2, 3),
                        (2, 4), (2, 5), (3, 4), (3, 6), (4, 7), (5, 6)])
     with pytest.raises(SizeLimitError):
-        degree2_trans_witnesses(g, stop_at=2)
+        degree2_trans_witnesses(g, stop_at=2, budget=200_000)
     comps = degree2_trans_witnesses(g, stop_at=2, budget=300_000)
     assert len(comps) == 2
     for comp in comps:
         assert is_stable_family(family_of(comp), 7)
+
+
+def test_degree2_witness_search_runs_to_its_closure_by_default():
+    g = Graph.make(7, [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (2, 3),
+                       (2, 4), (2, 5), (3, 4), (3, 6), (4, 7), (5, 6)])
+    assert len(degree2_trans_witnesses(g, stop_at=2)) == 2
+
+
+def test_sweep_theorem1_degree2_check_matches_gin_space(monkeypatch):
+    # C is read off the lex and revlex gins of the flag-complex ideal; its
+    # degree-2 part is the span of the non-edges, so the components are the
+    # certified gins of that span within degree 2
+    calls = []
+
+    def recording(orders, ideal, *args, **kwargs):
+        gins = gin_multi(orders, ideal, *args, **kwargs)
+        calls.append(gins)
+        return gins
+
+    monkeypatch.setattr(verifier, "gin_multi", recording)
+    report = sweep_theorem1(6, seed=0)
+    assert report.passed and len(calls) == len(report.records)
+    for rec, gins in zip(report.records, calls):
+        n = rec["n"]
+        if n < 2:
+            continue
+        nonedges = {ext_monomial(e, n) for e in
+                    Graph.make(n, map(tuple, rec["edges"])).complement().edges}
+        lex2, rev2 = (gin_space(order, nonedges, EXT, n, 2, seed=0)
+                      if nonedges else set() for order in (LEX, REVLEX))
+        assert gins[0].degree_component(2) == lex2
+        assert gins[1].degree_component(2) == rev2
+        assert rec["deg2_gin_equal"] == (lex2 == rev2)
+
+
+def test_sweep_theorem1_draws_one_trial_set_per_class(monkeypatch):
+    draws = []
+    draw = CoordinateChange.random_dense
+
+    def counting(cls, n, field, rng):
+        draws.append(n)
+        return draw(n, field, rng)
+
+    monkeypatch.setattr(CoordinateChange, "random_dense",
+                        classmethod(counting))
+    report = sweep_theorem1(5, seed=0, trials=3)
+    assert report.passed
+    assert len(draws) <= 3 * report.summary["classes"]
 
 
 def test_sweep_theorem1_small():
