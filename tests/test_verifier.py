@@ -13,6 +13,7 @@ from ginshift.graphs import Graph, complete_bipartite, cycle_graph, path_graph
 from ginshift.monomials import EXT, ext_monomial
 from ginshift.orders import LEX, REVLEX, parse_order
 from ginshift.verifier import (KNOWN_CLASS_COUNTS, SweepReport,
+                               degree2_descent_witnesses,
                                degree2_trans_witnesses, enumerate_graphs,
                                property_suite, sweep_theorem1, sweep_theorem2)
 
@@ -156,10 +157,15 @@ def test_degree2_witnesses_unique_for_bipartite():
     assert len(comps) == 1
 
 
+#: the n = 7 class with the longest closure search (14,430 families)
+HARD_CLASS = Graph.make(7, [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7),
+                            (2, 3), (2, 4), (2, 5), (3, 4), (3, 6), (4, 7),
+                            (5, 6)])
+
+
 def test_degree2_witness_search_says_when_it_is_cut():
     # the one n = 7 class whose search needs more than the default budget
-    g = Graph.make(7, [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (2, 3),
-                       (2, 4), (2, 5), (3, 4), (3, 6), (4, 7), (5, 6)])
+    g = HARD_CLASS
     with pytest.raises(SizeLimitError):
         degree2_trans_witnesses(g, stop_at=2, budget=200_000)
     comps = degree2_trans_witnesses(g, stop_at=2, budget=300_000)
@@ -169,9 +175,51 @@ def test_degree2_witness_search_says_when_it_is_cut():
 
 
 def test_degree2_witness_search_runs_to_its_closure_by_default():
-    g = Graph.make(7, [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (2, 3),
-                       (2, 4), (2, 5), (3, 4), (3, 6), (4, 7), (5, 6)])
-    assert len(degree2_trans_witnesses(g, stop_at=2)) == 2
+    assert len(degree2_trans_witnesses(HARD_CLASS, stop_at=2)) == 2
+
+
+def test_descent_witnesses_lie_in_the_closure():
+    # the closure search is the oracle: every descent family is a stable
+    # family it reaches, and the descents find two exactly when it does
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            closure = degree2_trans_witnesses(g, stop_at=10 ** 9)
+            comps = degree2_descent_witnesses(g, stop_at=2)
+            assert comps and comps <= closure
+            for comp in comps:
+                assert is_stable_family(family_of(comp), n)
+            assert (len(comps) >= 2) == (len(closure) >= 2)
+
+
+def test_descent_witnesses_of_the_hard_class(monkeypatch):
+    steps = [0]
+
+    def counting(family, a, b, n):
+        steps[0] += 1
+        return pair_shift(family, a, b, n)
+
+    monkeypatch.setattr(verifier, "pair_shift", counting)
+    comps = degree2_descent_witnesses(HARD_CLASS, stop_at=2)
+    assert len(comps) == 2
+    assert 0 < steps[0] <= 1_333
+    for comp in comps:
+        assert is_stable_family(family_of(comp), 7)
+
+
+def test_sweep_theorem1_falls_back_to_the_closure_search(monkeypatch):
+    expected = sweep_theorem1(5, seed=0).payload()
+    # the budget caps only the closure fallback, which the descents spare
+    assert sweep_theorem1(5, seed=0, shift_budget=1).payload() == expected
+
+    def one_family(g, stop_at=2):
+        return degree2_descent_witnesses(g, stop_at=1)
+
+    monkeypatch.setattr(verifier, "degree2_descent_witnesses", one_family)
+    report = sweep_theorem1(5, seed=0)
+    assert json.dumps(report.payload(), sort_keys=True) == \
+        json.dumps(expected, sort_keys=True)
+    with pytest.raises(SizeLimitError):
+        sweep_theorem1(5, seed=0, shift_budget=1)
 
 
 def test_sweep_theorem1_degree2_check_matches_gin_space(monkeypatch):
