@@ -137,39 +137,28 @@ def degree2_descent_witnesses(g: Graph, stop_at: int = 2) -> set[frozenset]:
     by shift descents, each a set of index pairs, as in
     ``degree2_trans_witnesses``; up to ``stop_at`` of them.
 
-    A descent applies ``pair_shift`` for every pair (a, b), a < b, in one
-    order, in full passes until the family is strongly stable, that is
-    until a further pass would change nothing; so it ends at a stable
-    family the closure search also reaches. Descents run in ascending and
-    then descending pair order, each from the non-edge family and then
-    from its image under each single shift. They may find fewer families
-    than the closure holds; ``sweep_theorem1`` then falls back to the
-    closure search.
+    A descent applies ``pair_shift`` for every pair (a, b), a < b, in
+    descending order, in full passes until the family is strongly stable,
+    that is until a further pass would change nothing; so it ends at a
+    stable family the closure search also reaches. Descents start from the
+    non-edge family and then from its image under each single shift, in
+    ascending pair order. They may find fewer families than the closure
+    holds; on every class with n <= 7 failing condition (v) they find two.
     """
     n = g.n
     pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    order = pairs[::-1]
+    start = family_of(g.complement().edges)
     found: set[int] = set()
-    for family in _descents(family_of(g.complement().edges), pairs, n):
+    for first in [None] + pairs:
+        family = start if first is None else pair_shift(start, *first, n)
+        while not is_stable_family(family, n):
+            for a, b in order:
+                family = pair_shift(family, a, b, n)
         found.add(family)
         if len(found) >= stop_at:
             break
     return {frozenset(family_supports(f, n)) for f in found}
-
-
-def _descents(start: int, pairs, n: int):
-    """The end of each descent of ``degree2_descent_witnesses``, one per
-    distinct starting family and pair order."""
-    for order in (pairs, pairs[::-1]):
-        tried = set()
-        for family in itertools.chain(
-                [start], (pair_shift(start, a, b, n) for a, b in pairs)):
-            if family in tried:
-                continue
-            tried.add(family)
-            while not is_stable_family(family, n):
-                for a, b in order:
-                    family = pair_shift(family, a, b, n)
-            yield family
 
 
 @dataclass
@@ -215,8 +204,7 @@ def _degree2_generators(ideal: MonomialIdeal) -> set:
 
 
 def sweep_theorem1(n_max: int = 6, seed: int = 0, weight_samples: int = 20,
-                   shift_budget: int | None = None, trials: int = 3,
-                   field=GFP) -> SweepReport:
+                   trials: int = 3, field=GFP) -> SweepReport:
     """Per class on 1..n_max vertices: condition_v (A), condition_vi (B),
     lex/revlex degree-2 gin agreement for the graph ideal (C), and the
     full-degree check (D): order-independence of the flag-complex gin over
@@ -232,10 +220,8 @@ def sweep_theorem1(n_max: int = 6, seed: int = 0, weight_samples: int = 20,
     span the degree-2 components.
 
     The two witnesses come from shift descents
-    (``degree2_descent_witnesses``); only when they find fewer than two
-    does the closure search ``degree2_trans_witnesses`` run, to its
-    closure unless ``shift_budget`` caps it. The budget caps only that
-    fallback: a class whose descents find both witnesses never reads it.
+    (``degree2_descent_witnesses``); a class for which they find fewer
+    than two fails D.
     """
     t0 = time.time()
     report = SweepReport("theorem1", n_max, seed)
@@ -258,11 +244,7 @@ def sweep_theorem1(n_max: int = 6, seed: int = 0, weight_samples: int = 20,
                 d = all(x == gins[0] for x in gins)
                 d_kind = "order-independence"
             else:
-                comps = degree2_descent_witnesses(g, stop_at=2)
-                if len(comps) < 2:
-                    comps = degree2_trans_witnesses(g, stop_at=2,
-                                                    budget=shift_budget)
-                d = len(comps) >= 2
+                d = len(degree2_descent_witnesses(g, stop_at=2)) >= 2
                 d_kind = "shift-discrepancy"
             record = {"n": n, "edges": sorted(map(list, g.edges)),
                       "condition_v": a, "condition_vi": b,
