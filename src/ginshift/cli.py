@@ -231,11 +231,13 @@ def run(args) -> int:
 
     if args.command == "sweep":
         if args.theorem == "thm1":
-            report = sweep_theorem1(args.n or 6, seed=args.seed,
-                                    trials=args.trials, field=field)
+            report = sweep_theorem1(6 if args.n is None else args.n,
+                                    seed=args.seed, trials=args.trials,
+                                    field=field)
         else:
-            report = sweep_theorem2(args.n or 5, seed=args.seed,
-                                    trials=args.trials, field=field)
+            report = sweep_theorem2(5 if args.n is None else args.n,
+                                    seed=args.seed, trials=args.trials,
+                                    field=field)
         print(report.to_json() if args.format == "json"
               else str(report.summary))
         return EXIT_PASS if report.passed else EXIT_CHECK_FAILED

@@ -58,13 +58,6 @@ def pair_shift(family: int, a: int, b: int, n: int) -> int:
 
     With the mask X and offset delta of ``_shift_mask``, the step is a few
     int operations in every degree at once.
-
-    The result is in_order(phi_{a,b}(span of the family)) exactly when the
-    order ranks S - b + a above S for every such S. For lex, revlex and
-    weight orders that comparison has the sign of e_a against e_b, so the
-    scope is those orders ranking e1 > ... > en (``gin._kalai_scope``).
-    Other orders take the algebraic route; under inv:lex, for one, S ranks
-    above S - b + a and e{2,3} stays put for (a, b) = (1, 3).
     """
     mask, delta = _shift_mask(n, a, b)
     moving = family & mask

@@ -20,7 +20,7 @@ from .fields import GFP, InvalidInputError
 from .ideals import MonomialIdeal, is_strongly_stable
 from .linalg import Subspace
 from .monomials import EXT, ExtMonomial, Monomial, all_monomials, basis_table
-from .orders import LEX, Inverse, Lex, RevLex, TermOrder, WeightOrder
+from .orders import LEX, Inverse, TermOrder
 
 
 class CertificationError(RuntimeError):
@@ -58,6 +58,13 @@ def default_degree_cap(ideal: MonomialIdeal) -> int:
     if ideal.ring == EXT:
         return ideal.n
     return ideal.max_generator_degree + 1
+
+
+def _degree_cap(ideal: MonomialIdeal, cap: int | None) -> int:
+    """``cap``, or the default cap of the ideal when it is None."""
+    if cap is not None and cap < 0:
+        raise InvalidInputError(f"degree cap {cap} is negative")
+    return default_degree_cap(ideal) if cap is None else cap
 
 
 class _Trials:
@@ -180,7 +187,7 @@ def gin(order: TermOrder, ideal: MonomialIdeal, cap: int | None = None,
     unanimous agreement, strong stability, and Hilbert preservation.  On
     failure the trial count is doubled once before giving up.
     """
-    cap = default_degree_cap(ideal) if cap is None else cap
+    cap = _degree_cap(ideal, cap)
     g, t = _certified(lambda t: t.initial_ideal(order, cap), ideal, trials,
                       seed, field)
     return g, t.certificate(order)
@@ -203,7 +210,7 @@ def gin_multi(orders, ideal: MonomialIdeal, cap: int | None = None,
     """Certified gins under several orders at once, sharing the transformed
     image vectors across orders (the coordinate change is order-independent,
     so one application per trial serves every order)."""
-    cap = default_degree_cap(ideal) if cap is None else cap
+    cap = _degree_cap(ideal, cap)
     return _certified(lambda t: [t.initial_ideal(order, cap)
                                  for order in orders],
                       ideal, trials, seed, field)[0]
@@ -290,12 +297,17 @@ def complement_dual(order: TermOrder, monomials, ring: str, n: int,
 # -- combinatorial shifting and Trans ----------------------------------
 
 
-def _kalai_scope(ring: str, n: int, order: TermOrder) -> bool:
-    """Whether ``pair_shift`` is the elementary shift of (ring, n) under the
-    order: an exterior ring, and a lex, revlex or weight order that ranks
-    e1 > ... > en."""
-    return (ring == EXT and isinstance(order, (Lex, RevLex, WeightOrder))
-            and order.ranking(EXT, n, 1) == tuple(range(n)))
+def _exterior_step(order: TermOrder, n: int):
+    """The elementary shift (family, a, b) -> family on bitset families of
+    [n] under the order. phi_{a,b}(e_S) is e_S +- e_{S-b+a} when b is in S
+    and a is not, and every order ranks S - b + a above S exactly when it
+    ranks e_a above e_b: then the step is ``pair_shift``, else the identity."""
+    place = {j + 1: i for i, j in enumerate(order.ranking(EXT, n, 1))}
+
+    def step(family: int, a: int, b: int) -> int:
+        shifted = pair_shift(family, a, b, n)  # checks the pair
+        return shifted if place[a] < place[b] else family
+    return step
 
 
 def _family(ideal: MonomialIdeal, top: int) -> int:
@@ -315,16 +327,15 @@ def _ideal_of(family: int, n: int) -> MonomialIdeal:
 def combinatorial_shift(order: TermOrder, ideal: MonomialIdeal,
                         pairs, cap: int | None = None, field=GFP) -> MonomialIdeal:
     """Left fold of elementary initial-ideal steps over the pair sequence:
-    ``pair_shift`` within its scope, the algebraic elementary shift over
-    ``field`` outside it."""
-    if cap is None:
-        cap = default_degree_cap(ideal)
+    ``_exterior_step`` on bitset families for an exterior ideal, the
+    algebraic elementary shift over ``field`` for a polynomial one."""
+    cap = _degree_cap(ideal, cap)
     pairs, n = list(pairs), ideal.n
-    if pairs and _kalai_scope(ideal.ring, n, order):
-        top = min(cap, n)
-        family = _family(ideal, top)
+    if pairs and ideal.ring == EXT:
+        step = _exterior_step(order, n)
+        family = _family(ideal, min(cap, n))
         for a, b in pairs:
-            family = pair_shift(family, a, b, n)
+            family = step(family, a, b)
         return _ideal_of(family, n)
     current = ideal
     for a, b in pairs:
@@ -353,39 +364,32 @@ def trans_search(ideal: MonomialIdeal, budget: int = 200,
     Sequences are explored by length, then lexicographically by pair;
     ``budget`` bounds the number of shift applications, and a search it cuts
     with states left to expand is not complete. Stable nodes are terminal.
-    Within the scope of ``pair_shift`` the states are its bitset families,
-    outside it ideals shifted by ``combinatorial_shift``.
+    An exterior search shifts bitset families by ``_exterior_step``, a
+    polynomial one ideals by ``combinatorial_shift``. Finding no stable
+    ideal raises, naming the budget only when it cut the search.
     """
+    if budget < 0:
+        raise InvalidInputError(f"shift budget {budget} is negative")
+    cap = _degree_cap(ideal, cap)
     if is_strongly_stable(ideal)[0]:
         return {ideal: ()}, True
-    if cap is None:
-        cap = default_degree_cap(ideal)
     n = ideal.n
-    if _kalai_scope(ideal.ring, n, order):
-        top = min(cap, n)
-        start = _family(ideal, top)
+    if ideal.ring == EXT:
+        start = _family(ideal, min(cap, n))
         # an ideal with generators above the cap differs from its truncation
-        seen = {start} if ideal.max_generator_degree <= top else set()
+        seen = {start} if ideal.max_generator_degree <= min(cap, n) else set()
+        shift = _exterior_step(order, n)
 
-        def shift(state, a, b):
-            return pair_shift(state, a, b, n)
-
-        def stable(state):
-            return is_stable_family(state, n)
-
-        def ideal_of(state):
-            return _ideal_of(state, n)
+        def stable_ideal(state):
+            return _ideal_of(state, n) if is_stable_family(state, n) else None
     else:
         start, seen = ideal, {ideal}
 
         def shift(state, a, b):
             return combinatorial_shift(order, state, [(a, b)], cap, field)
 
-        def stable(state):
-            return is_strongly_stable(state)[0]
-
-        def ideal_of(state):
-            return state
+        def stable_ideal(state):
+            return state if is_strongly_stable(state)[0] else None
 
     pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
     found: dict[MonomialIdeal, tuple] = {}
@@ -393,8 +397,10 @@ def trans_search(ideal: MonomialIdeal, budget: int = 200,
     spent, complete = 0, True
     while queue and complete:
         state, seq = queue.popleft()
-        if seq and stable(state):  # the start is not stable
-            found.setdefault(ideal_of(state), seq)
+        # the start is not stable, even where its truncation is
+        stable = stable_ideal(state) if seq else None
+        if stable is not None:
+            found.setdefault(stable, seq)
             continue
         for pair in pairs:
             if spent >= budget:
@@ -407,6 +413,7 @@ def trans_search(ideal: MonomialIdeal, budget: int = 200,
                 queue.append((nxt, seq + (pair,)))
     if not found:
         raise CertificationError(
+            "no strongly stable ideal is reachable" if complete else
             f"shift budget {budget} exhausted with no stable result")
     return found, complete
 

@@ -72,10 +72,6 @@ class Graph:
     def delete_vertices(self, vertices) -> "Graph":
         return self.induced(set(range(1, self.n + 1)) - set(vertices))
 
-    def relabel(self, perm: dict[int, int]) -> "Graph":
-        es = {(perm[i], perm[j]) for i, j in self.edges}
-        return Graph.make(self.n, es)
-
     def components(self) -> list[set[int]]:
         seen: set[int] = set()
         comps = []

@@ -37,6 +37,14 @@ KNOWN_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 MAX_ENUMERATION_N = 7
 
 
+def _check_vertex_count(n: int) -> None:
+    """Graphs are enumerated, and so swept, on 1..MAX_ENUMERATION_N
+    vertices."""
+    if not 1 <= n <= MAX_ENUMERATION_N:
+        raise InvalidInputError(
+            f"enumeration supports 1 <= n <= {MAX_ENUMERATION_N}, not {n}")
+
+
 def enumerate_graphs(n: int) -> list[Graph]:
     """One representative per isomorphism class on n labeled vertices,
     in deterministic (ascending edge-bitmask) order.
@@ -44,8 +52,7 @@ def enumerate_graphs(n: int) -> list[Graph]:
     Canonical form = minimum edge bitmask over all vertex permutations, bit
     b standing for the b-th pair of ``itertools.combinations(range(n), 2)``.
     """
-    if not 1 <= n <= MAX_ENUMERATION_N:
-        raise InvalidInputError(f"enumeration supports 1 <= n <= {MAX_ENUMERATION_N}")
+    _check_vertex_count(n)
     pairs = list(itertools.combinations(range(n), 2))
     out = [Graph.make(n, [(pairs[b][0] + 1, pairs[b][1] + 1)
                           for b in range(len(pairs)) if (mask >> b) & 1])
@@ -223,6 +230,7 @@ def sweep_theorem1(n_max: int = 6, seed: int = 0, weight_samples: int = 20,
     (``degree2_descent_witnesses``); a class for which they find fewer
     than two fails D.
     """
+    _check_vertex_count(n_max)
     t0 = time.time()
     report = SweepReport("theorem1", n_max, seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 101]))
@@ -265,6 +273,7 @@ def sweep_theorem2(n_max: int = 5, seed: int = 0, trials: int = 3,
     """Per class on 1..n_max vertices: lex/revlex agreement of the certified
     edge-ideal gins (adaptive degree cap) against base_form(G) being
     semi-complete bipartite."""
+    _check_vertex_count(n_max)
     t0 = time.time()
     report = SweepReport("theorem2", n_max, seed)
     passed = True
@@ -321,6 +330,9 @@ def _max_le_profile(monomials, n: int) -> list[int]:
 def property_suite(seed: int = 0, samples: int = 200) -> dict:
     """Randomized checks of the supporting lemmas; returns a report whose
     payload is seed-independent when every property holds."""
+    if samples < 1:
+        raise InvalidInputError(
+            f"property suite needs samples >= 1, not {samples}")
     root = np.random.SeedSequence([seed, 777])
     rngs = [np.random.default_rng(s) for s in root.spawn(8)]
     results: dict[str, dict] = {}

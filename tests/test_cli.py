@@ -70,6 +70,24 @@ def test_witnesses(rei_file, capsys):
     assert ("e{1,2}", "e{1,3}", "e{1,4}", "e{2,3,4}") in gens
 
 
+def test_shift_under_an_inverse_order_keeps_the_ideal(rei_file, capsys):
+    code, out = run(capsys, ["shift", rei_file, "--order", "inv:lex",
+                             "--pairs", "1,3;2,4"])
+    assert code == EXIT_PASS
+    assert out == ('{"generators": ["e{1,2}", "e{1,3}", "e{3,4}"], '
+                   '"pairs": "1,3;2,4", "seed": 0}\n')
+
+
+def test_witnesses_under_an_unsorted_weight_order(rei_file, capsys):
+    # e2 ranks below e3 and e4: the shifts (2, 3) and (2, 4) are the identity
+    code, out = run(capsys, ["witnesses", rei_file, "--order",
+                             "weight:4,1,3,2:lex", "--budget", "50"])
+    assert code == EXIT_PASS
+    assert out == ('{"budget": 50, "complete": true, "seed": 0, '
+                   '"witnesses": [{"generators": ["e{1,2}", "e{1,3}", '
+                   '"e{1,4}", "e{2,3,4}"], "sequence": [[1, 3]]}]}\n')
+
+
 def test_witnesses_drained_search_is_complete(rei_file, capsys):
     code, out = run(capsys, ["witnesses", rei_file, "--budget", "12"])
     assert code == EXIT_PASS
@@ -154,13 +172,23 @@ def test_properties_subcommand(capsys):
     assert doc["passed"] is True
 
 
-def test_invalid_input_exit_codes(tmp_path, capsys):
+def test_invalid_input_exit_codes(tmp_path, capsys, rei_file):
     code, _ = run(capsys, ["gin", str(tmp_path / "missing.ideal")])
     assert code == EXIT_INVALID_INPUT
     bad = tmp_path / "bad.ideal"
     bad.write_text("ring=ext n=4\ne{1;2}\n")
     code, _ = run(capsys, ["gin", str(bad)])
     assert code == EXIT_INVALID_INPUT
+    for argv in (["sweep", "thm1", "--n", "0"], ["sweep", "thm1", "--n", "8"],
+                 ["sweep", "thm2", "--n", "-1"], ["sweep", "thm2", "--n", "0"],
+                 ["gin", rei_file, "--degree-cap", "-1"],
+                 ["shift", rei_file, "--pairs", "1,3", "--degree-cap", "-1"],
+                 ["witnesses", rei_file, "--degree-cap", "-1"],
+                 ["witnesses", rei_file, "--budget", "-1"],
+                 ["properties", "--samples", "-5"],
+                 ["properties", "--samples", "0"]):
+        code, out = run(capsys, argv)
+        assert (code, out) == (EXIT_INVALID_INPUT, ""), argv
 
 
 def test_prime2_field_is_restricted(rei_file, capsys):

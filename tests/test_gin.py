@@ -119,6 +119,19 @@ def test_gin_requires_two_trials():
         gin(LEX, REI, trials=1)
 
 
+def test_negative_degree_caps_are_refused():
+    from ginshift.fields import InvalidInputError
+    for call in (lambda: gin(LEX, REI, cap=-1),
+                 lambda: gin_multi([LEX, REVLEX], REI, cap=-1),
+                 lambda: combinatorial_shift(LEX, REI, [(1, 3)], cap=-1),
+                 lambda: trans_witnesses(REI, cap=-1)):
+        with pytest.raises(InvalidInputError):
+            call()
+    # cap 0 keeps only degree 0, where the ideal is zero
+    assert gin(LEX, REI, cap=0)[0] == E([], 4)
+    assert combinatorial_shift(LEX, REI, [(1, 3)], cap=0) == E([], 4)
+
+
 def test_single_degree_gins_refuse_monomials_of_another_degree():
     # a full span of the wrong degree must not pass for a full component
     from ginshift.fields import InvalidInputError

@@ -1,7 +1,9 @@
-"""Exterior combinatorial shifting on subset bitsets (``pair_shift``) against
-the algebraic elementary shift it stands for, within its scope of orders,
-and the shift search against the algebraic search it replaced."""
+"""Exterior combinatorial shifting on subset bitsets against the algebraic
+elementary shift it stands for, under every term order: ``pair_shift`` when
+the order ranks e_a above e_b, the identity otherwise; and the shift search
+against the algebraic search it replaced."""
 
+import functools
 import importlib
 import itertools
 from collections import deque
@@ -11,7 +13,7 @@ import pytest
 
 from ginshift.changes import CoordinateChange, SizeLimitError
 from ginshift.complexes import combinatorial_ideal
-from ginshift.fields import InvalidInputError
+from ginshift.fields import GFP, QQ, InvalidInputError
 from ginshift.gin import (CertificationError, combinatorial_shift,
                           elementary_shift_space, family_of, family_supports,
                           is_stable_family, pair_shift, trans_search,
@@ -24,17 +26,19 @@ from ginshift.orders import LEX, REVLEX, Inverse, WeightOrder
 gin = importlib.import_module("ginshift.gin")
 verifier = importlib.import_module("ginshift.verifier")
 
-#: orders ranking e1 > ... > en: decreasing weights, strictly and with ties
-IN_SCOPE = [LEX, REVLEX] + [WeightOrder(w, t)
-                            for w in ((9, 7, 6, 4, 3, 2, 1),
-                                      (5, 5, 3, 3, 3, 1, 1))
-                            for t in ("lex", "revlex")]
-
-#: orders outside the scope, including one whose degree-1 ranking is e1 > ...
-OUT_OF_SCOPE = [Inverse(LEX), Inverse(REVLEX),
-                WeightOrder((1, 2, 3, 4, 5, 6, 7), "lex"),
-                WeightOrder((1, 2, 3, 4, 5, 6, 7), "revlex"),
-                Inverse(WeightOrder((1, 2, 3, 4, 5, 6, 7), "lex"))]
+#: lex, revlex, weight orders with decreasing (strictly and with ties),
+#: increasing and unsorted weights, and inverses; inv:weight:1,...,7:lex
+#: ranks e1 > ... > en in degree 1 like lex, but not in higher degrees
+UNSORTED = WeightOrder((3, 1, 4, 1, 5, 9, 2), "lex")
+ORDERS = [LEX, REVLEX] + [WeightOrder(w, t)
+                          for w in ((9, 7, 6, 4, 3, 2, 1),
+                                    (5, 5, 3, 3, 3, 1, 1))
+                          for t in ("lex", "revlex")] + [
+    Inverse(LEX), Inverse(REVLEX),
+    WeightOrder((1, 2, 3, 4, 5, 6, 7), "lex"),
+    WeightOrder((1, 2, 3, 4, 5, 6, 7), "revlex"),
+    Inverse(WeightOrder((1, 2, 3, 4, 5, 6, 7), "lex")),
+    UNSORTED, Inverse(UNSORTED)]
 
 
 def _fit(order, n):
@@ -54,12 +58,27 @@ def _random_ideal(rng, n):
     return MonomialIdeal.make(EXT, n, gens or [ext_monomial((n,), n)])
 
 
+# The searches at every budget repeat the same shifts of the same states,
+# and states share components, so the oracle's pieces are memoized.
+
+
+@functools.lru_cache(maxsize=None)
+def _components(ideal):
+    return tuple(frozenset(ideal.degree_component(d))
+                 for d in range(ideal.n + 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _algebraic_shift_space(order, component, n, d, a, b):
+    return elementary_shift_space(order, component, EXT, n, d, a, b)
+
+
 def _algebraic_shift(order, ideal, a, b, cap):
     """in_order(phi_{a,b}(I)) degree by degree, by elimination."""
     top = min(cap, ideal.n)
     return MonomialIdeal.from_components(EXT, ideal.n, {
-        d: set(elementary_shift_space(order, ideal.degree_component(d), EXT,
-                                      ideal.n, d, a, b))
+        d: set(_algebraic_shift_space(order, _components(ideal)[d], ideal.n,
+                                      d, a, b))
         for d in range(top + 1)})
 
 
@@ -88,6 +107,11 @@ def _old_shift_bfs(ideal, budget, order, cap=None):
     return (found, True) if found else "raised"
 
 
+def _above(order, n, a, b):
+    """Whether the order ranks e_a above e_b."""
+    return order.compare(ext_monomial((a,), n), ext_monomial((b,), n)) > 0
+
+
 def _search(ideal, budget, order, cap=None):
     try:
         return trans_search(ideal, budget, cap, order)
@@ -97,21 +121,28 @@ def _search(ideal, budget, order, cap=None):
 
 def test_pair_shift_is_the_elementary_shift_in_every_degree():
     rng = np.random.default_rng(5)
-    for n in range(2, 8):
-        for d in range(n + 1):
-            ambient = all_monomials(EXT, n, d)
-            for order in IN_SCOPE:
+    sides = set()
+    for field in (GFP, QQ):
+        for n in range(2, 8):
+            for order in ORDERS:
                 order = _fit(order, n)
-                assert gin._kalai_scope(EXT, n, order)
-                for _ in range(2):
-                    w = [u for u in ambient if rng.random() < 0.5]
+                step = gin._exterior_step(order, n)
+                for d in range(n + 1):
+                    w = [u for u in all_monomials(EXT, n, d)
+                         if rng.random() < 0.5]
                     a = int(rng.integers(1, n))
                     b = int(rng.integers(a + 1, n + 1))
-                    algebraic = elementary_shift_space(order, w, EXT, n, d,
-                                                       a, b)
-                    assert pair_shift(family_of(u.support for u in w),
-                                      a, b, n) == \
-                        family_of(u.support for u in algebraic)
+                    family = family_of(u.support for u in w)
+                    algebraic = family_of(u.support for u in
+                                          elementary_shift_space(
+                                              order, w, EXT, n, d, a, b,
+                                              field))
+                    assert step(family, a, b) == algebraic
+                    above = _above(order, n, a, b)
+                    assert algebraic == (pair_shift(family, a, b, n)
+                                         if above else family)
+                    sides.add(above)
+    assert sides == {True, False}
 
 
 def test_pair_shift_acts_degree_by_degree():
@@ -129,48 +160,30 @@ def test_pair_shift_acts_degree_by_degree():
             family_of(s for f in by_degree for s in family_supports(f, n))
 
 
-def test_orders_outside_the_scope_take_the_algebraic_route(monkeypatch):
+def test_exterior_shifts_never_take_the_algebraic_route(monkeypatch):
     rng = np.random.default_rng(7)
-    ideals = [_random_ideal(rng, n) for n in (3, 4, 4, 5)]
-    expected = {}
-    for order in OUT_OF_SCOPE:
-        for ideal in ideals:
-            o = _fit(order, ideal.n)
-            assert not gin._kalai_scope(EXT, ideal.n, o)
-            for a, b in ((1, 2), (1, ideal.n), (2, 3)):
-                expected[order, ideal, a, b] = _algebraic_shift(
-                    o, ideal, a, b, ideal.n)
-    # the bitset rule is not consulted, and its answer would differ
-    assert pair_shift(family_of({(2, 3)}), 1, 3, 3) == family_of({(1, 2)})
-
-    def refuse(*args):
-        raise AssertionError("pair_shift used outside its scope")
-
-    monkeypatch.setattr(gin, "pair_shift", refuse)
-    for (order, ideal, a, b), want in expected.items():
-        assert combinatorial_shift(_fit(order, ideal.n), ideal,
-                                   [(a, b)]) == want
-    for order in OUT_OF_SCOPE[:3]:
-        ideal = ideals[1]
-        o = _fit(order, ideal.n)
-        assert _search(ideal, 60, o) == _old_shift_bfs(ideal, 60, o)
-
-
-def test_orders_in_the_scope_take_the_bitset_route(monkeypatch):
-    rng = np.random.default_rng(8)
-    ideals = [_random_ideal(rng, n) for n in (3, 4, 5, 5)]
+    ideals = [_random_ideal(rng, n) for n in (3, 4, 4, 5, 5)]
     expected = {(order, ideal, a, b): _algebraic_shift(
                     _fit(order, ideal.n), ideal, a, b, ideal.n)
-                for order in IN_SCOPE for ideal in ideals
+                for order in ORDERS for ideal in ideals
                 for a, b in ((1, 2), (1, ideal.n), (2, 3))}
+    searches = {order: _old_shift_bfs(ideals[1], 60, _fit(order, 4))
+                for order in ORDERS}
+    # under inv:lex the shift (1, 3) keeps e{2,3}, which pair_shift moves
+    inv_lex = MonomialIdeal.make(EXT, 3, [ext_monomial((2, 3), 3)])
+    assert pair_shift(family_of({(2, 3)}), 1, 3, 3) == family_of({(1, 2)})
+    assert _algebraic_shift(Inverse(LEX), inv_lex, 1, 3, 3) == inv_lex
 
     def refuse(*args):
-        raise AssertionError("algebraic shift used inside the scope")
+        raise AssertionError("algebraic shift used on an exterior ideal")
 
     monkeypatch.setattr(CoordinateChange, "elementary", refuse)
+    assert combinatorial_shift(Inverse(LEX), inv_lex, [(1, 3)]) == inv_lex
     for (order, ideal, a, b), want in expected.items():
         assert combinatorial_shift(_fit(order, ideal.n), ideal,
                                    [(a, b)]) == want
+    for order, want in searches.items():
+        assert _search(ideals[1], 60, _fit(order, 4)) == want
 
 
 def test_stability_test_matches_the_ideal_oracle():
@@ -207,7 +220,8 @@ def _search_inputs():
 @pytest.mark.parametrize("budget", [3, 7, 30, 400])
 def test_search_matches_the_algebraic_search(budget):
     for ideal in _search_inputs():
-        for order in (LEX, REVLEX):
+        for order in ORDERS:
+            order = _fit(order, ideal.n)
             got = _search(ideal, budget, order)
             want = _old_shift_bfs(ideal, budget, order)
             assert got == want
@@ -223,26 +237,50 @@ def test_search_with_generators_above_the_cap():
     ideal = MonomialIdeal.make(EXT, 5, [ext_monomial(s, 5)
                                         for s in ((1, 2), (3, 4, 5))])
     truncation = MonomialIdeal.make(EXT, 5, [ext_monomial((1, 2), 5)])
-    assert _search(ideal, 10, LEX, cap=2) == ({truncation: ((1, 2),)}, True)
-    assert _old_shift_bfs(ideal, 10, LEX, cap=2) == \
-        ({truncation: ((1, 2),)}, True)
+    for order in ORDERS:
+        order = _fit(order, 5)
+        assert _search(ideal, 10, order, cap=2) == \
+            ({truncation: ((1, 2),)}, True)
+        assert _old_shift_bfs(ideal, 10, order, cap=2) == \
+            ({truncation: ((1, 2),)}, True)
     ideal = MonomialIdeal.make(EXT, 5, [ext_monomial(s, 5) for s in
                                         ((3, 4), (2, 5), (1, 4, 5))])
-    for budget in (5, 50, 400):
-        got = _search(ideal, budget, LEX, cap=2)
-        want = _old_shift_bfs(ideal, budget, LEX, cap=2)
-        assert got == want
-        if got != "raised":
-            assert list(got[0].items()) == list(want[0].items())
+    for order in ORDERS:
+        order = _fit(order, 5)
+        for budget in (5, 50, 400):
+            got = _search(ideal, budget, order, cap=2)
+            want = _old_shift_bfs(ideal, budget, order, cap=2)
+            assert got == want
+            if got != "raised":
+                assert list(got[0].items()) == list(want[0].items())
 
 
 def test_shift_rule_refuses_bad_pairs_and_large_n():
     ideal = MonomialIdeal.make(EXT, 4, [ext_monomial((3, 4), 4)])
-    for pairs in ([(2, 2)], [(3, 1)], [(1, 5)], [(0, 2)]):
-        with pytest.raises(InvalidInputError):
-            combinatorial_shift(LEX, ideal, pairs)
+    for order in ORDERS:
+        for pairs in ([(2, 2)], [(3, 1)], [(1, 5)], [(0, 2)]):
+            with pytest.raises(InvalidInputError):
+                combinatorial_shift(_fit(order, 4), ideal, pairs)
     with pytest.raises(SizeLimitError):
         pair_shift(1 << 3, 1, 2, 13)
+    big = MonomialIdeal.make(EXT, 13, [ext_monomial((12, 13), 13)])
+    with pytest.raises(SizeLimitError):
+        combinatorial_shift(Inverse(LEX), big, [(1, 2)])
+
+
+def test_a_search_that_finds_nothing_names_its_cause():
+    rei = MonomialIdeal.make(EXT, 4, [ext_monomial(s, 4) for s in
+                                      ((1, 2), (1, 3), (3, 4))])
+    # under inv:lex no shift moves anything, so the search drains
+    with pytest.raises(CertificationError,
+                       match="no strongly stable ideal is reachable"):
+        trans_search(rei, budget=50, order=Inverse(LEX))
+    for budget in (0, 1):
+        with pytest.raises(CertificationError,
+                           match=f"shift budget {budget} exhausted"):
+            trans_search(rei, budget=budget)
+    with pytest.raises(InvalidInputError):
+        trans_search(rei, budget=-1)
 
 
 def test_one_shift_rule_for_both_searches():
