@@ -2,16 +2,19 @@
 
 The exterior action sends e_S to the vector of d x d minors det(phi[T, S])
 over target supports T; the polynomial action expands the product of linear
-forms.  Minors are computed by Laplace expansion memoized per matrix.  A
-polynomial image is a coefficient row against ``basis_table(POLY, n, d)``:
-with x_i the largest variable of m, row(m) = sum_k phi[k][i] * row(m / x_i)
-scattered through the cached multiplication table of ``mult_table(n, d)``,
-and rows are memoized per monomial so shared prefixes are expanded once.
-Over a prime field below 2**31 a row is one int64 array, over other fields
-a list of field elements.  The gin engine applies a change once to each
-monomial of a degree component and assembles the images into one matrix
-that serves every term order, so the action costs the same however many
-orders are certified.
+forms.  Minors are computed by Laplace expansion and kept in the change's
+minor table.  A polynomial image is a coefficient row against
+``basis_table(POLY, n, d)``: with x_i the largest variable of m,
+row(m) = sum_k phi[k][i] * row(m / x_i) scattered through the cached
+multiplication table of ``mult_table(n, d)``, and rows are memoized per
+monomial so shared prefixes are expanded once.  Over a prime field below
+2**31 a row is one int64 array, over other fields a list of field elements.
+The gin engine applies a change once to each monomial of a degree component
+and assembles the images into one matrix that serves every term order, so
+the action costs the same however many orders are certified.  A random
+change drawn by the engine is shared, with its minor table and polynomial
+rows, by every gin that draws the same trial set (``gin._trial_changes``),
+so each minor and row is computed once per trial set, not once per ideal.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import asdict, dataclass, field as dc_field
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,6 +55,27 @@ def _trial_rngs(seed: int, trials: int, salt: int = 0):
     return [np.random.default_rng(child) for child in ss.spawn(trials)]
 
 
+#: trial sets kept at once. A sweep visits its classes n by n and draws one
+#: set per n (and one more for an escalation), so it needs only the last
+#: two; the property suite draws by seed + k and shares mostly between
+#: neighbouring samples. A bound of 16 already adds 2% to the suite's peak
+#: memory in kept rational rows, for no measurable gain in time
+TRIAL_SETS = 8
+
+
+@lru_cache(maxsize=TRIAL_SETS)
+def _trial_changes(n: int, field, trials: int, seed: int, salt: int,
+                   upper_triangular: bool) -> tuple[CoordinateChange, ...]:
+    """The random changes of (seed, trials, salt) on n variables over the
+    field. They depend on nothing else, so every certified gin drawing the
+    same set shares these objects and, with them, their minor tables and
+    polynomial rows; the key holds the field, so no change serves another."""
+    change = (CoordinateChange.random_upper_triangular if upper_triangular
+              else CoordinateChange.random_dense)
+    return tuple(change(n, field, rng)
+                 for rng in _trial_rngs(seed, trials, salt))
+
+
 def default_degree_cap(ideal: MonomialIdeal) -> int:
     if ideal.ring == EXT:
         return ideal.n
@@ -69,7 +91,9 @@ def _degree_cap(ideal: MonomialIdeal, cap: int | None) -> int:
 
 class _Trials:
     """The coordinate changes phi of one (seed, trials, salt) applied to a
-    graded span V, whose degree-d part ``source(d)`` spans.
+    graded span V, whose degree-d part ``source(d)`` spans. A drawn set of
+    changes is shared by every call with the same draw (``draw``); the
+    sources, image matrices and pivots below belong to one call.
 
     A degree component lives against the basis table of its degree: each
     (phi, d) has one image matrix, assembled once and shared by every order,
@@ -91,11 +115,13 @@ class _Trials:
     @classmethod
     def draw(cls, ring, n, source, trials, seed, field, salt=0,
              upper_triangular=False) -> "_Trials":
-        change = (CoordinateChange.random_upper_triangular if upper_triangular
-                  else CoordinateChange.random_dense)
-        return cls(ring, n, source, [change(n, field, rng) for rng
-                                     in _trial_rngs(seed, trials, salt)],
-                   seed, salt)
+        """The trials of (seed, trials, salt): shared changes
+        (``_trial_changes``), with this call's own sources, images and
+        pivots. Fewer than 2 trials would certify nothing."""
+        if trials < 2:
+            raise InvalidInputError("gin requires at least 2 trials")
+        return cls(ring, n, source, _trial_changes(
+            n, field, trials, seed, salt, upper_triangular), seed, salt)
 
     def top(self, cap: int) -> int:
         """The highest degree up to ``cap`` that can be non-zero."""
@@ -259,15 +285,14 @@ def _of_degree(monomials, ring: str, n: int, degree: int) -> set:
 def gin_space(order: TermOrder, monomials, ring: str, n: int, degree: int,
               trials: int = 3, seed: int = 0, field=GFP,
               upper_triangular: bool = False) -> set[Monomial]:
-    """Certified gin of the span of a monomial set, within one degree.
+    """Certified gin of the span of a monomial set, within one degree; at
+    least 2 trials.
 
     No escalation: the characteristic-2 duality check relies on the first
     disagreement raising. No stability check either: gins under an
     ``Inverse`` order are not strongly stable in the standard sense.
     """
     monomials = _of_degree(monomials, ring, n, degree)
-    if not monomials:
-        return set()
     t = _Trials.draw(ring, n, lambda d: monomials, trials, seed, field,
                      upper_triangular=upper_triangular)
     return set(t.component(order, degree))

@@ -3,9 +3,10 @@ import importlib
 import pytest
 
 from ginshift.changes import SizeLimitError
-from ginshift.fields import GFP, QQ, PrimeField
-from ginshift.gin import (CertificationError, DualityViolationError,
-                          combinatorial_shift, complement_dual, gin,
+from ginshift.fields import GFP, QQ, InvalidInputError, PrimeField
+from ginshift.gin import (CertificationError, DualityViolationError, _Trials,
+                          _trial_changes, combinatorial_shift,
+                          complement_dual, gin,
                           gin_adaptive, gin_multi, gin_multi_adaptive,
                           elementary_shift_space, gin_space,
                           gins_agree_adaptive, trans_witnesses)
@@ -280,6 +281,63 @@ def test_every_certified_ideal_gin_needs_two_trials():
                  lambda: gins_agree_adaptive(LEX, REVLEX, REI, trials=1)):
         with pytest.raises(InvalidInputError):
             call()
+
+
+def test_single_degree_gins_need_two_trials():
+    # refused before any trial set is drawn or looked up, empty span too
+    w = {ext_monomial([1, 2], 4), ext_monomial([3, 4], 4)}
+    before = _trial_changes.cache_info()
+    for trials in (0, 1):
+        for call in (lambda: gin_space(LEX, w, EXT, 4, 2, trials=trials),
+                     lambda: gin_space(LEX, set(), EXT, 4, 2, trials=trials),
+                     lambda: complement_dual(LEX, w, EXT, 4, trials=trials),
+                     lambda: complement_dual(LEX, w, EXT, 4, trials=trials,
+                                             verify=False)):
+            with pytest.raises(InvalidInputError):
+                call()
+    after = _trial_changes.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+FIELDS = (GFP, PrimeField(101), QQ)
+
+
+def test_trial_sets_never_cross_fields_or_kinds(fresh_trial_sets):
+    drawn = {}
+    for field in FIELDS:
+        for upper in (False, True):
+            t = _Trials.draw(EXT, 4, lambda d: (), 3, 7, field,
+                             upper_triangular=upper)
+            kind = "random-upper-triangular" if upper else "random-dense"
+            assert len(t.phis) == 3
+            for phi in t.phis:
+                assert type(phi.field) is type(field) and phi.field == field
+                assert phi.kind == kind
+                assert all(field(x) == x for row in phi.matrix for x in row)
+            drawn[field, upper] = t.phis
+    # six keys, six trial sets; a second draw of a key shares its changes
+    assert len({id(phi) for phis in drawn.values() for phi in phis}) == 18
+    for (field, upper), phis in drawn.items():
+        assert _Trials.draw(EXT, 4, lambda d: (), 3, 7, field,
+                            upper_triangular=upper).phis is phis
+
+
+def test_warm_trial_sets_give_the_cold_results(fresh_trial_sets):
+    w = {ext_monomial([1, 3], 4), ext_monomial([2, 4], 4),
+         ext_monomial([3, 4], 4)}
+
+    def results():
+        return [(gin(REVLEX, REI, seed=7, field=field)[0],
+                 gin_multi([LEX, REVLEX], REI, seed=7, field=field),
+                 gin_space(LEX, w, EXT, 4, 2, seed=7, field=field),
+                 gin_space(REVLEX, w, EXT, 4, 2, seed=7, field=field,
+                           upper_triangular=True))
+                for field in FIELDS]
+
+    cold = results()
+    assert results() == cold  # every draw from the cache
+    _trial_changes.cache_clear()
+    assert results() == cold
 
 
 def test_adaptive_exterior_gin_stops_at_n():

@@ -247,7 +247,8 @@ def test_sweep_theorem1_degree2_check_matches_gin_space(monkeypatch):
         assert rec["deg2_gin_equal"] == (lex2 == rev2)
 
 
-def test_sweep_theorem1_draws_one_trial_set_per_class(monkeypatch):
+def test_sweep_theorem1_draws_one_trial_set_per_class(monkeypatch,
+                                                      fresh_trial_sets):
     draws = []
     draw = CoordinateChange.random_dense
 
@@ -260,6 +261,27 @@ def test_sweep_theorem1_draws_one_trial_set_per_class(monkeypatch):
     report = sweep_theorem1(5, seed=0, trials=3)
     assert report.passed
     assert len(draws) <= 3 * report.summary["classes"]
+
+
+def test_sweep_theorem1_draws_each_trial_set_once(monkeypatch,
+                                                  fresh_trial_sets):
+    # every class on n vertices shares the trial set of (seed, trials, n)
+    draws = []
+    draw = CoordinateChange.random_dense
+
+    def counting(cls, n, field, rng):
+        draws.append(n)
+        return draw(n, field, rng)
+
+    monkeypatch.setattr(CoordinateChange, "random_dense",
+                        classmethod(counting))
+    cold = sweep_theorem1(5, seed=0, trials=3)
+    assert cold.passed
+    assert sorted(draws) == [n for n in range(1, 6) for _ in range(3)]
+    warm = sweep_theorem1(5, seed=0, trials=3)
+    assert len(draws) == 3 * 5
+    assert json.dumps(warm.payload(), sort_keys=True) == \
+        json.dumps(cold.payload(), sort_keys=True)
 
 
 def test_sweep_theorem1_small():
