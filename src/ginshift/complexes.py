@@ -73,10 +73,6 @@ class SimplicialComplex:
         return f"Complex(n={self.n}, facets={self.facets()})"
 
 
-def full_simplex(n: int) -> SimplicialComplex:
-    return SimplicialComplex.make(n, [tuple(range(1, n + 1))])
-
-
 def flag_complex(g: Graph) -> SimplicialComplex:
     """Faces are exactly the cliques of g."""
     cliques = [()]
@@ -162,10 +158,6 @@ def shifted_complex(order: TermOrder, gamma: SimplicialComplex, seed: int = 0,
         return gamma
     g, _cert = gin(order, j, trials=trials, seed=seed, field=field)
     return complex_from_ideal(g)
-
-
-def is_shifted(gamma: SimplicialComplex) -> bool:
-    return is_strongly_stable(face_ideal(gamma, EXT))[0]
 
 
 # -- serialization -----------------------------------------------------

@@ -138,8 +138,7 @@ class _Trials:
         if (ranking, d) not in self._pivots:
             if d not in self._spaces:
                 self._spaces[d] = [Subspace.from_vectors(
-                    [phi.apply(u) for u in sources], None, phi.field,
-                    self.ring, self.n, d, columns=basis)
+                    [phi.apply(u) for u in sources], basis, phi.field)
                     for phi in self.phis]
             results = [frozenset(basis[j] for j in
                                  space.leading_columns(ranking))
@@ -191,9 +190,7 @@ class _Trials:
 def _certified(run, ideal: MonomialIdeal, trials: int, seed: int, field):
     """(run(t), t) for the trials t of (seed, trials); after a certification
     failure once more on 2 * trials fresh changes (salt 1), whose failure
-    raises."""
-    if trials < 2:
-        raise InvalidInputError("gin requires at least 2 trials")
+    raises. Fewer than 2 trials raise at the draw."""
     for salt in (0, 1):
         t = _Trials.draw(ideal.ring, ideal.n, ideal.degree_component,
                          trials * (1 + salt), seed, field, salt)
@@ -300,22 +297,20 @@ def gin_space(order: TermOrder, monomials, ring: str, n: int, degree: int,
 
 def complement_dual(order: TermOrder, monomials, ring: str, n: int,
                     trials: int = 3, seed: int = 0, field=GFP,
-                    verify: bool = True) -> set[Monomial]:
-    """Complement of gin_order(span W) in the full degree-2 component.
-
-    With ``verify`` the dual route gin_{order^{-1}}(complement W) is computed
-    too and must coincide (complement duality); a mismatch raises.
+                    ) -> set[Monomial]:
+    """Complement of gin_order(span W) in the full degree-2 component,
+    checked against the dual route gin_{order^{-1}}(complement W), which
+    must coincide (complement duality); a mismatch raises.
     """
     ambient = set(all_monomials(ring, n, 2))
     w = set(monomials)
     if not w <= ambient:
         raise InvalidInputError("monomials are not of degree 2 in the given ring")
     primal = ambient - gin_space(order, w, ring, n, 2, trials, seed, field)
-    if verify:
-        dual = gin_space(Inverse(order), ambient - w, ring, n, 2, trials, seed + 1, field)
-        if primal != dual:
-            raise DualityViolationError(
-                f"complement duality violated for {sorted(map(str, w))} under {order}")
+    dual = gin_space(Inverse(order), ambient - w, ring, n, 2, trials, seed + 1, field)
+    if primal != dual:
+        raise DualityViolationError(
+            f"complement duality violated for {sorted(map(str, w))} under {order}")
     return primal
 
 
@@ -368,15 +363,6 @@ def combinatorial_shift(order: TermOrder, ideal: MonomialIdeal,
         current = _Trials(current.ring, n, current.degree_component,
                           [phi]).initial_ideal(order, cap, stable=False)
     return current
-
-
-def elementary_shift_space(order: TermOrder, monomials, ring: str, n: int,
-                           degree: int, a: int, b: int,
-                           field=GFP) -> frozenset:
-    """in_order(phi_{a,b}(span of the monomials)) within a single degree."""
-    phi = CoordinateChange.elementary(a, b, n, field)
-    monomials = _of_degree(monomials, ring, n, degree)
-    return _Trials(ring, n, lambda d: monomials, [phi]).component(order, degree)
 
 
 def trans_search(ideal: MonomialIdeal, budget: int = 200,

@@ -119,27 +119,17 @@ class MonomialIdeal:
         return "(" + ", ".join(str(g) for g in self.generators) + ")"
 
 
-def _smaller_exchanges(u: Monomial):
-    """All monomials obtained by replacing an index of u by a smaller one
-    (the squarefree rule in the exterior ring, the x_q -> x_p rule in R)."""
-    if isinstance(u, ExtMonomial):
-        s = set(u.support)
-        for j in u.support:
-            for i in range(1, j):
-                if i not in s:
-                    yield ext_monomial((s - {j}) | {i}, u.n)
-    else:
-        for q in u.support:
-            for p in range(1, q):
-                yield u.div_var(q).times_var(p)
-
-
-def _squarefree_smaller_exchanges(u: PolyMonomial):
-    s = set(u.support)
+def _exchanges(u: Monomial, squarefree: bool):
+    """All monomials obtained by replacing an index q of u by a smaller p:
+    the x_q -> x_p rule in R, and with ``squarefree`` (always in the
+    exterior ring) only for p outside the support of u."""
+    ext = isinstance(u, ExtMonomial)
+    s = set(u.support) if ext or squarefree else set()
     for q in u.support:
         for p in range(1, q):
             if p not in s:
-                yield u.div_var(q).times_var(p)
+                yield (ext_monomial((s - {q}) | {p}, u.n) if ext
+                       else u.div_var(q).times_var(p))
 
 
 def is_strongly_stable(ideal: MonomialIdeal, squarefree: bool = False):
@@ -163,11 +153,7 @@ def _exchange_scan(ideal: MonomialIdeal, squarefree: bool):
     """The first (generator, exchange) pair whose exchange is missing from
     the ideal, or (True, None)."""
     for g in ideal.generators:
-        if squarefree and isinstance(g, PolyMonomial):
-            moves = _squarefree_smaller_exchanges(g)
-        else:
-            moves = _smaller_exchanges(g)
-        for v in moves:
+        for v in _exchanges(g, squarefree):
             if not ideal.contains(v):
                 return False, (g, v)
     return True, None
@@ -179,7 +165,7 @@ def stable_closure(gens, ring: str, n: int) -> MonomialIdeal:
     seen = set(gens)
     while todo:
         u = todo.pop()
-        for v in _smaller_exchanges(u):
+        for v in _exchanges(u, False):
             if v not in seen:
                 seen.add(v)
                 todo.append(v)

@@ -18,9 +18,9 @@ from .fields import GFP, QQ, InvalidInputError
 from .gin import gin_adaptive, gin
 from .graphs import Graph
 from .ideals import MonomialIdeal, is_strongly_stable
-from .linalg import rref_exact
+from .linalg import rref_exact, vector_rank
 from .monomials import EXT, POLY, Monomial, PolyMonomial, squarefree_poly
-from .orders import LEX, REVLEX, TermOrder
+from .orders import REVLEX, TermOrder
 
 
 # -- Betti tables -------------------------------------------------------
@@ -324,7 +324,7 @@ def closed_form_profiles(a: int, b: int) -> tuple[list[int], list[int]]:
     return bipartite_profile(a, b), two_cliques_profile(a, b)
 
 
-# -- the lex/revlex complement identity --------------------------------
+# -- shifted graphs ---------------------------------------------------
 
 
 def shifted_graph_edges(g: Graph, order: TermOrder, seed: int = 0,
@@ -334,23 +334,6 @@ def shifted_graph_edges(g: Graph, order: TermOrder, seed: int = 0,
         g.n, list(g.edges) + [(v,) for v in range(1, g.n + 1)])
     delta = shifted_complex(order, gamma, seed=seed, field=field)
     return {tuple(f) for f in delta.faces_of_size(2)}
-
-
-def lex_rev_complement_identity(g: Graph, seed: int = 0, field=GFP) -> bool:
-    """max_{>=n+1-k} of the lex-shifted graph equals
-    C(n,2) - C(n-k,2) - (f1 of complement - min_{>=k+1} of its revlex shift),
-    for every k."""
-    n = g.n
-    lex_edges = shifted_graph_edges(g, LEX, seed, field)
-    comp = g.complement()
-    rev_edges = shifted_graph_edges(comp, REVLEX, seed + 1, field)
-    for k in range(1, n + 1):
-        lhs = edge_stat(lex_edges, "max", "ge", n + 1 - k)
-        rhs = comb(n, 2) - comb(n - k, 2) - (
-            comp.edge_count - edge_stat(rev_edges, "min", "ge", k + 1))
-        if lhs != rhs:
-            return False
-    return True
 
 
 # -- hyperplane rank oracle --------------------------------------------
@@ -375,9 +358,6 @@ def hyperplane_span_rank(pairs, n: int, width: int, phi: CoordinateChange,
             row[t * n + (i - 1)] = a_tj
             row[t * n + (j - 1)] = a_ti if sign > 0 else f.neg(a_ti)
         rows.append(row)
-    if not rows:
-        return 0
-    from .linalg import vector_rank
     return vector_rank(rows, f)
 
 
@@ -389,13 +369,3 @@ def hyperplane_rank_oracle(monomials, n: int, k: int, phi: CoordinateChange,
     supports = {tuple(sorted(u.support)) for u in monomials}
     pairs = [p for p in combinations(range(1, n + 1), 2) if p not in supports]
     return hyperplane_span_rank(pairs, n, n + 1 - k, phi, sign)
-
-
-def gin_profile_max_ge(order: TermOrder, monomials, ring: str, n: int,
-                       k: int, seed: int = 0, field=GFP) -> int:
-    """|{degree-2 monomials not in gin(W) with max >= k}| via the engine."""
-    from .gin import gin_space
-    from .monomials import all_monomials
-    g = gin_space(order, set(monomials), ring, n, 2, seed=seed, field=field)
-    ambient = set(all_monomials(ring, n, 2))
-    return sum(1 for u in ambient - g if u.max_index() >= k)

@@ -21,7 +21,6 @@ import numpy as np
 
 from .fields import fits_int64
 from .monomials import Monomial
-from .orders import TermOrder
 
 
 def rref_prime(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -122,7 +121,7 @@ def rref(rows, field) -> tuple[list[list], list[int]]:
 
 @dataclass(eq=False)
 class Subspace:
-    """A subspace of the degree-d component, stored against an ordered basis.
+    """A subspace of one degree component, stored against an ordered basis.
 
     ``columns`` is the monomial basis in a fixed order; ``rows`` are
     coefficient rows of spanning elements, an int64 array when
@@ -130,28 +129,16 @@ class Subspace:
     identity). A term order enters only as a ranking of the columns.
     """
 
-    ring: str
-    n: int
-    degree: int
     columns: list[Monomial]
     rows: object
     field: object
     _echelons: list = dc_field(default_factory=list, repr=False)
 
     @classmethod
-    def from_vectors(cls, vectors, order: TermOrder | None, field, ring: str,
-                     n: int, degree: int, columns=None) -> "Subspace":
-        """Build from dict-vectors (monomial -> coefficient).
-
-        Columns default to the union of supports sorted by ``order``; all-zero
-        columns can never be pivots, so this loses nothing and keeps matrices
-        small. Given ``columns`` are taken as they are.
-        """
-        if columns is None:
-            seen = set()
-            for v in vectors:
-                seen.update(v)
-            columns = order.sort_descending(seen)
+    def from_vectors(cls, vectors, columns, field) -> "Subspace":
+        """Build from dict-vectors (monomial -> coefficient) against the
+        basis ``columns``, which must hold every monomial of their
+        supports."""
         index = {m: j for j, m in enumerate(columns)}
         rows = []
         for v in vectors:
@@ -162,7 +149,7 @@ class Subspace:
         if fits_int64(field):
             rows = np.array(rows, dtype=np.int64).reshape(len(rows),
                                                           len(columns))
-        return cls(ring, n, degree, list(columns), rows, field)
+        return cls(list(columns), rows, field)
 
     def leading_columns(self, ranking) -> list[int]:
         """Positions of the leading columns of the span when the columns are
@@ -195,14 +182,6 @@ class Subspace:
         support[:, ranking] = ranked_support
         self._echelons.append((ranking[piv], support))
         return ranking[piv].tolist()
-
-
-def initial_space(order: TermOrder, space: Subspace) -> set[Monomial]:
-    """Leading monomials of a subspace: exactly the pivot columns once the
-    columns are ranked by ``order``."""
-    index = {m: j for j, m in enumerate(space.columns)}
-    ranking = [index[m] for m in order.sort_descending(space.columns)]
-    return {space.columns[j] for j in space.leading_columns(ranking)}
 
 
 def vector_rank(vectors: list[list], field) -> int:

@@ -10,7 +10,6 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import comb
 
 from .fields import InvalidInputError
 
@@ -126,11 +125,6 @@ def squarefree_poly(indices, n: int) -> PolyMonomial:
     return PolyMonomial(tuple(e))
 
 
-def ext_to_squarefree(m: ExtMonomial) -> PolyMonomial:
-    """Image of e_S in the polynomial ring: the squarefree monomial x_S."""
-    return squarefree_poly(m.support, m.n)
-
-
 def all_monomials(ring: str, n: int, d: int) -> list:
     """Every degree-d monomial of the ambient ring, in a fixed ascending order."""
     if ring == EXT:
@@ -157,10 +151,6 @@ def basis_table(ring: str, n: int, d: int) -> tuple:
     """The degree-d monomials in ``all_monomials`` order: the one basis, shared
     and immutable, against which every degree-d component is stored."""
     return tuple(all_monomials(ring, n, d))
-
-
-def count_monomials(ring: str, n: int, d: int) -> int:
-    return comb(n, d) if ring == EXT else comb(n + d - 1, d)
 
 
 _EXT_RE = re.compile(r"^e\{([0-9,\s]*)\}$")

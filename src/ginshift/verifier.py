@@ -345,7 +345,7 @@ def property_suite(seed: int = 0, samples: int = 200) -> dict:
         w = _random_monomial_subset(rng, EXT, n)
         try:
             complement_dual(LEX if k % 2 == 0 else REVLEX, w, EXT, n,
-                            seed=seed + k, verify=True)
+                            seed=seed + k)
         except DualityViolationError:
             violations += 1
     results["complement-duality-exterior"] = {"samples": samples,
@@ -360,7 +360,7 @@ def property_suite(seed: int = 0, samples: int = 200) -> dict:
         w = _random_monomial_subset(rng, POLY, n)
         try:
             complement_dual(LEX if k % 2 == 0 else REVLEX, w, POLY, n,
-                            seed=seed + k, field=QQ, verify=True)
+                            seed=seed + k, field=QQ)
         except DualityViolationError:
             violations += 1
     results["complement-duality-polynomial-char0"] = {"samples": poly_samples,
@@ -370,7 +370,7 @@ def property_suite(seed: int = 0, samples: int = 200) -> dict:
     broke = False
     try:
         complement_dual(LEX, {poly_monomial((2, 0)), poly_monomial((0, 2))},
-                        POLY, 2, field=PrimeField(2), verify=True)
+                        POLY, 2, field=PrimeField(2))
     except (DualityViolationError, CertificationError):
         broke = True
     results["char2-duality-negative"] = {"samples": 1,

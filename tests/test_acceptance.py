@@ -223,7 +223,7 @@ def test_criterion_09_property_suites():
     broke = False
     try:
         complement_dual(LEX, {poly_monomial((2, 0)), poly_monomial((0, 2))},
-                        POLY, 2, field=PrimeField(2), verify=True)
+                        POLY, 2, field=PrimeField(2))
     except (DualityViolationError, CertificationError):
         broke = True
     ok = ok and broke

@@ -8,7 +8,7 @@ from ginshift.gin import (CertificationError, DualityViolationError, _Trials,
                           _trial_changes, combinatorial_shift,
                           complement_dual, gin,
                           gin_adaptive, gin_multi, gin_multi_adaptive,
-                          elementary_shift_space, gin_space,
+                          gin_space,
                           gins_agree_adaptive, trans_witnesses)
 from ginshift.ideals import MonomialIdeal
 from ginshift.monomials import (EXT, POLY, all_monomials, ext_monomial,
@@ -44,13 +44,14 @@ def test_shift_is_order_independent_here():
 
 def test_elementary_shift_space_follows_the_field():
     # phi_{1,2}(x2^2) = x1^2 + 2 x1 x2 + x2^2: the middle term vanishes
-    # over GF(2), so the initial space of span(x1^2, x2^2) depends on p
+    # over GF(2), so the shift of (x1^2, x2^2) depends on p
     w = [poly_monomial((2, 0)), poly_monomial((0, 2))]
-    over5 = {poly_monomial((2, 0)), poly_monomial((1, 1))}
-    over2 = set(w)
-    for p, want in ((5, over5), (2, over2), (5, over5)):
-        assert elementary_shift_space(LEX, w, POLY, 2, 2, 1, 2,
-                                      field=PrimeField(p)) == want
+    ideal = MonomialIdeal.make(POLY, 2, w)
+    over5 = MonomialIdeal.make(POLY, 2, [poly_monomial((2, 0)),
+                                         poly_monomial((1, 1))])
+    for p, want in ((5, over5), (2, ideal), (5, over5)):
+        assert combinatorial_shift(LEX, ideal, [(1, 2)], cap=2,
+                                   field=PrimeField(p)) == want
 
 
 def test_trans_witnesses_find_both():
@@ -138,8 +139,7 @@ def test_single_degree_gins_refuse_monomials_of_another_degree():
     from ginshift.fields import InvalidInputError
     w = set(all_monomials(EXT, 3, 3))
     for call in (lambda: gin_space(LEX, w, EXT, 3, 2),
-                 lambda: gin_space(LEX, w, EXT, 4, 3),
-                 lambda: elementary_shift_space(LEX, w, EXT, 3, 1, 1, 2)):
+                 lambda: gin_space(LEX, w, EXT, 4, 3)):
         with pytest.raises(InvalidInputError):
             call()
 
@@ -290,9 +290,7 @@ def test_single_degree_gins_need_two_trials():
     for trials in (0, 1):
         for call in (lambda: gin_space(LEX, w, EXT, 4, 2, trials=trials),
                      lambda: gin_space(LEX, set(), EXT, 4, 2, trials=trials),
-                     lambda: complement_dual(LEX, w, EXT, 4, trials=trials),
-                     lambda: complement_dual(LEX, w, EXT, 4, trials=trials,
-                                             verify=False)):
+                     lambda: complement_dual(LEX, w, EXT, 4, trials=trials)):
             with pytest.raises(InvalidInputError):
                 call()
     after = _trial_changes.cache_info()

@@ -155,6 +155,21 @@ def _scan_is_strongly_stable(ideal):
     return True, None
 
 
+def _scan_poly_is_strongly_stable(ideal, squarefree):
+    """The polynomial stability scans before one exchange rule: x_q -> x_p
+    for every p < q, and under the squarefree rule only for p outside the
+    support of the generator."""
+    for g in ideal.generators:
+        s = set(g.support)
+        for q in g.support:
+            for p in range(1, q):
+                if not (squarefree and p in s):
+                    v = g.div_var(q).times_var(p)
+                    if not ideal.contains(v):
+                        return False, (g, v)
+    return True, None
+
+
 def _scan_from_components(ring, n, components):
     """Minimal generators before subset bitsets: by degree, each monomial
     not divisible by a generator kept so far."""
@@ -176,6 +191,23 @@ def _random_exterior_ideal(rng, n):
     return ideal
 
 
+def _random_polynomial_ideal(rng, n):
+    """The squarefree image of an exterior ideal, or a few monomials with
+    exponents up to 2, sometimes closed under the exchange rule."""
+    if rng.random() < 0.4:
+        return MonomialIdeal.make(POLY, n, [
+            squarefree_poly(g.support, n)
+            for g in _random_exterior_ideal(rng, n).generators])
+    gens = [poly_monomial(rng.integers(0, 3, size=n).tolist())
+            for _ in range(int(rng.integers(1, 5)))]
+    if rng.random() < 0.3:
+        closed = stable_closure(gens, POLY, n)
+        assert all(closed.contains(g) for g in gens)
+        assert _scan_poly_is_strongly_stable(closed, False)[0]
+        return closed
+    return MonomialIdeal.make(POLY, n, gens)
+
+
 def test_exterior_bitset_rules_match_the_scans():
     rng = np.random.default_rng(2024)
     flags = set()
@@ -184,6 +216,7 @@ def test_exterior_bitset_rules_match_the_scans():
         ideal = _random_exterior_ideal(rng, n)
         got = is_strongly_stable(ideal)
         assert got == _scan_is_strongly_stable(ideal), ideal
+        assert is_strongly_stable(ideal, squarefree=True) == got
         flags.add(got[0])
         dense = {d: ideal.degree_component(d)
                  for d in range(int(rng.integers(0, n + 1)) + 1)}
@@ -195,3 +228,19 @@ def test_exterior_bitset_rules_match_the_scans():
         assert MonomialIdeal.from_components(EXT, n, loose).generators == \
             _scan_from_components(EXT, n, loose).generators
     assert flags == {True, False}
+
+
+def test_one_exchange_rule_matches_the_polynomial_scans():
+    # the exterior scan above and both polynomial flavours share one rule
+    rng = np.random.default_rng(2025)
+    flags = set()
+    for _ in range(300):
+        n = int(rng.integers(1, 6))
+        ideal = _random_polynomial_ideal(rng, n)
+        for squarefree in (False, True):
+            got = is_strongly_stable(ideal, squarefree)
+            assert got == _scan_poly_is_strongly_stable(ideal, squarefree), \
+                (ideal, squarefree)
+            flags.add((squarefree, got[0]))
+    assert flags == {(False, True), (False, False), (True, True),
+                     (True, False)}

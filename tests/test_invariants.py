@@ -8,6 +8,7 @@ from math import comb
 
 from ginshift.changes import CoordinateChange, SizeLimitError
 from ginshift.fields import GFP, QQ, InvalidInputError
+from ginshift.gin import gin_space
 from ginshift.graphs import (Graph, complete_bipartite, cycle_graph,
                              disjoint_cliques, path_graph)
 from ginshift.ideals import MonomialIdeal
@@ -15,9 +16,8 @@ from ginshift import invariants
 from ginshift.invariants import (SQUAREFREE, STABLE_POLY, BettiTable, alpha,
                                  alpha_monomial, betti_stable,
                                  bipartite_profile, closed_form_profiles,
-                                 edge_stat, gin_profile_max_ge, h_values,
-                                 hyperplane_rank_oracle, index_profile,
-                                 lex_rev_complement_identity, m_count,
+                                 edge_stat, h_values, hyperplane_rank_oracle,
+                                 index_profile, m_count,
                                  regularity_from_gin, resolution_oracle,
                                  shifted_graph_edges, two_cliques_profile,
                                  two_cliques_profile_from_h)
@@ -331,10 +331,26 @@ def test_closed_form_profiles_wrapper():
                                complete_bipartite(2, 3),
                                Graph.make(5, [(1, 2), (2, 3), (1, 3), (4, 5)])])
 def test_lex_rev_complement_identity(g):
-    assert lex_rev_complement_identity(g, seed=0)
+    # max_{>=n+1-k} of the lex-shifted graph equals C(n,2) - C(n-k,2) -
+    # (f1 of the complement - min_{>=k+1} of its revlex shift), for every k
+    n = g.n
+    lex_edges = shifted_graph_edges(g, LEX, 0)
+    comp = g.complement()
+    rev_edges = shifted_graph_edges(comp, REVLEX, 1)
+    for k in range(1, n + 1):
+        assert edge_stat(lex_edges, "max", "ge", n + 1 - k) == \
+            comb(n, 2) - comb(n - k, 2) - (
+                comp.edge_count - edge_stat(rev_edges, "min", "ge", k + 1))
 
 
 # -- hyperplane rank oracle ---------------------------------------------
+
+
+def _gin_profile_max_ge(order, monomials, ring, n, k, seed):
+    """|{degree-2 monomials not in gin(W) with max >= k}| via the engine."""
+    g = gin_space(order, set(monomials), ring, n, 2, seed=seed)
+    return sum(1 for u in set(all_monomials(ring, n, 2)) - g
+               if u.max_index() >= k)
 
 
 def test_hyperplane_rank_oracle_matches_engine():
@@ -346,5 +362,5 @@ def test_hyperplane_rank_oracle_matches_engine():
         phi = CoordinateChange.random_dense(n, GFP, rng)
         for k in range(1, n + 1):
             oracle = hyperplane_rank_oracle(w, n, k, phi, sign=-1)
-            engine = gin_profile_max_ge(REVLEX, w, EXT, n, k, seed=trial)
+            engine = _gin_profile_max_ge(REVLEX, w, EXT, n, k, seed=trial)
             assert oracle == engine

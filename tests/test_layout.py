@@ -1,0 +1,60 @@
+"""``src/ginshift`` holds what the program runs: every module-level public
+function is referenced somewhere else in the package (a call, an attribute,
+an import, or an export from ``__init__.py``). A reference or oracle that
+only the tests use belongs in the tests."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import ginshift
+
+PACKAGE = Path(ginshift.__file__).parent
+
+#: unreferenced functions kept in ``src/`` on purpose
+ALLOWED = {
+    "gin_multi_adaptive": "the Theorem 2 sweep over sampled weight orders "
+                          "will call it",
+    "degree2_trans_witnesses": "the tests' closure oracle for the witness "
+                               "descents; the benchmark tracer wraps it",
+    "write_graph": "the pair of the used read_graph",
+    "write_ideal": "the pair of the used read_ideal",
+    "alpha": "the alpha map, a computation offered to users",
+}
+
+
+def _names(tree) -> Counter:
+    """How often each name is referred to within a syntax tree."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            names[node.name] += 1
+    return names
+
+
+def unreferenced_functions(package=PACKAGE) -> list[str]:
+    """``module.function`` for each module-level public function of the
+    package that no code outside its own body refers to."""
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(package.glob("*.py"))}
+    names = sum(map(_names, trees.values()), Counter())
+    return [f"{module}.{node.name}"
+            for module, tree in trees.items() for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and not node.name.startswith("_")
+            and names[node.name] == _names(node)[node.name]]
+
+
+def test_every_public_function_in_src_is_used():
+    dead = [name for name in unreferenced_functions()
+            if name.split(".")[1] not in ALLOWED]
+    assert dead == [], f"move test-only helpers into tests/: {dead}"
+
+
+def test_the_allowlist_names_only_unreferenced_functions():
+    unused = {name.split(".")[1] for name in unreferenced_functions()}
+    assert set(ALLOWED) <= unused

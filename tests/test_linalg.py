@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ginshift.fields import GFP, QQ, PrimeField, fits_int64
-from ginshift.linalg import (Subspace, initial_space, rref, rref_exact,
-                             rref_prime, vector_rank)
+from ginshift.linalg import Subspace, rref, rref_exact, rref_prime, vector_rank
 from ginshift.monomials import EXT, all_monomials, ext_monomial
 from ginshift.orders import LEX, REVLEX
+from references import initial_space
 
 
 def test_rref_prime_known():
@@ -102,7 +102,7 @@ def test_initial_space_picks_leading_pivots():
     e = lambda s: ext_monomial(s, n)
     # span of e12 + e34 and e13 + e24
     vecs = [{e([1, 2]): 1, e([3, 4]): 1}, {e([1, 3]): 1, e([2, 4]): 1}]
-    sp = Subspace.from_vectors(vecs, LEX, GFP, EXT, n, 2)
+    sp = Subspace.from_vectors(vecs, all_monomials(EXT, n, 2), GFP)
     assert initial_space(LEX, sp) == {e([1, 2]), e([1, 3])}
     # re-sorting the same rows under revlex changes the leading terms
     assert initial_space(REVLEX, sp) == {e([1, 2]), e([1, 3])}
@@ -112,13 +112,13 @@ def test_initial_space_order_sensitive():
     n = 4
     e = lambda s: ext_monomial(s, n)
     vecs = [{e([1, 4]): 1, e([2, 3]): 1}]
-    sp_lex = Subspace.from_vectors(vecs, LEX, GFP, EXT, n, 2)
+    sp_lex = Subspace.from_vectors(vecs, all_monomials(EXT, n, 2), GFP)
     assert initial_space(LEX, sp_lex) == {e([1, 4])}
     assert initial_space(REVLEX, sp_lex) == {e([2, 3])}
 
 
 def test_initial_space_of_zero_rows_is_empty():
-    sp = Subspace.from_vectors([{}, {}], LEX, GFP, EXT, 3, 2)
+    sp = Subspace.from_vectors([{}, {}], all_monomials(EXT, 3, 2), GFP)
     assert initial_space(LEX, sp) == initial_space(REVLEX, sp) == set()
 
 
@@ -126,7 +126,7 @@ def test_full_component_span():
     n, d = 5, 2
     ms = all_monomials(EXT, n, d)
     vecs = [{m: 1} for m in ms]
-    sp = Subspace.from_vectors(vecs, LEX, GFP, EXT, n, d)
+    sp = Subspace.from_vectors(vecs, ms, GFP)
     assert initial_space(REVLEX, sp) == set(ms)
 
 
@@ -141,7 +141,6 @@ def test_primes_above_int64_range_are_exact():
     assert not fits_int64(field) and fits_int64(GFP) and not fits_int64(QQ)
     vecs = [{m: field.random(rng) for m in all_monomials(EXT, 4, 2)}
             for _ in range(3)]
-    sp = Subspace.from_vectors(vecs, None, field, EXT, 4, 2,
-                               columns=all_monomials(EXT, 4, 2))
+    sp = Subspace.from_vectors(vecs, all_monomials(EXT, 4, 2), field)
     assert isinstance(sp.rows, list)
     assert len(sp.leading_columns(range(6))) == 3

@@ -3,10 +3,8 @@ from hypothesis import given, strategies as st
 from math import comb
 
 from ginshift.fields import InvalidInputError
-from ginshift.monomials import (EXT, POLY, ExtMonomial, PolyMonomial,
-                                all_monomials, count_monomials, ext_monomial,
-                                ext_to_squarefree, parse_monomial,
-                                poly_monomial, squarefree_poly)
+from ginshift.monomials import (EXT, POLY, ExtMonomial, all_monomials,
+                                ext_monomial, parse_monomial, poly_monomial)
 
 
 def test_ext_monomial_validation():
@@ -40,17 +38,10 @@ def test_poly_basics():
     assert u.div_var(1).exponents == (1, 0, 1)
 
 
-def test_squarefree_conversion():
-    u = ext_monomial([2, 4], 4)
-    assert ext_to_squarefree(u) == squarefree_poly((2, 4), 4)
-    assert ext_to_squarefree(u).exponents == (0, 1, 0, 1)
-
-
 @given(st.integers(1, 7), st.integers(0, 7))
 def test_all_monomials_counts(n, d):
     assert len(all_monomials(EXT, n, d)) == (comb(n, d) if d <= n else 0)
     assert len(all_monomials(POLY, n, d)) == comb(n + d - 1, d)
-    assert count_monomials(POLY, n, d) == comb(n + d - 1, d)
 
 
 def test_all_monomials_distinct_and_correct_degree():

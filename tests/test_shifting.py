@@ -15,13 +15,13 @@ from ginshift.changes import CoordinateChange, SizeLimitError
 from ginshift.complexes import combinatorial_ideal
 from ginshift.fields import GFP, QQ, InvalidInputError
 from ginshift.gin import (CertificationError, combinatorial_shift,
-                          elementary_shift_space, family_of, family_supports,
-                          is_stable_family, pair_shift, trans_search,
-                          trans_witnesses)
+                          family_of, family_supports, is_stable_family,
+                          pair_shift, trans_search, trans_witnesses)
 from ginshift.graphs import Graph
 from ginshift.ideals import MonomialIdeal, is_strongly_stable, stable_closure
 from ginshift.monomials import EXT, all_monomials, ext_monomial
 from ginshift.orders import LEX, REVLEX, Inverse, WeightOrder
+from references import elementary_shift_space
 
 gin = importlib.import_module("ginshift.gin")
 verifier = importlib.import_module("ginshift.verifier")

@@ -7,8 +7,8 @@ import pytest
 from ginshift import verifier
 from ginshift.changes import CoordinateChange, SizeLimitError
 from ginshift.fields import GFP, InvalidInputError
-from ginshift.gin import (elementary_shift_space, family_of, gin_multi,
-                          gin_space, is_stable_family, pair_shift)
+from ginshift.gin import (family_of, gin_multi, gin_space, is_stable_family,
+                          pair_shift)
 from ginshift.graphs import Graph, complete_bipartite, cycle_graph, path_graph
 from ginshift.monomials import EXT, ext_monomial
 from ginshift.orders import LEX, REVLEX, parse_order
@@ -16,6 +16,7 @@ from ginshift.verifier import (KNOWN_CLASS_COUNTS, SweepReport,
                                degree2_descent_witnesses,
                                degree2_trans_witnesses, enumerate_graphs,
                                property_suite, sweep_theorem1, sweep_theorem2)
+from references import elementary_shift_space
 
 
 def test_enumeration_counts():
