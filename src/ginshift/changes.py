@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import InvalidInputError, fits_int64
+from .fields import InvalidInputError, row_dtype
 from .linalg import vector_rank
 from .monomials import (EXT, POLY, ExtMonomial, Monomial, PolyMonomial,
                         basis_table)
@@ -76,7 +76,7 @@ class CoordinateChange:
         n = len(self.matrix)
         if any(len(row) != n for row in self.matrix):
             raise InvalidInputError("matrix not square")
-        if vector_rank([list(r) for r in self.matrix], self.field) != n:
+        if vector_rank(self.matrix, self.field) != n:
             raise SingularMatrixError(f"{self.kind} matrix is singular")
 
     @property
@@ -182,44 +182,37 @@ class CoordinateChange:
         if m.n != self.n:
             raise InvalidInputError(
                 f"monomial in {m.n} variables, coordinate change in {self.n}")
-        row = self._poly_row(m.exponents)
-        values = row.tolist() if isinstance(row, np.ndarray) else row
+        row = self._poly_row(m.exponents).tolist()
         zero = self.field.zero
-        return {u: c for u, c in zip(basis_table(POLY, self.n, m.degree),
-                                     values) if c != zero}
+        return {u: c for u, c in zip(basis_table(POLY, self.n, m.degree), row)
+                if c != zero}
 
-    def _poly_row(self, e: tuple[int, ...]):
+    def _poly_row(self, e: tuple[int, ...]) -> np.ndarray:
         """Coefficient row of the image of x^e against the basis table of
-        its degree; cached, never mutated."""
+        its degree, of dtype ``row_dtype(field)``; cached, never mutated."""
         row = self._poly_cache.get(e)
         if row is not None:
             return row
         f = self.field
-        # int64 holds a sum of min(n, d) products reduced below p < 2**31
-        native = fits_int64(f)
+        p = f.characteristic
+        dtype = row_dtype(f)
         d = sum(e)
         if d == 0:
-            row = np.ones(1, dtype=np.int64) if native else [f.one]
+            row = np.full(1, f.one, dtype=dtype)
         else:
             # peel the largest variable so prefixes are shared via the cache
             i = max(k for k, x in enumerate(e) if x)
             prev = self._poly_row(e[:i] + (e[i] - 1,) + e[i + 1:])
-            table = mult_table(self.n, d)
-            size = len(basis_table(POLY, self.n, d))
-            column = [self.matrix[k][i] for k in range(self.n)]
-            if native:
-                row = np.zeros(size, dtype=np.int64)
-                np.add.at(row, table, np.outer(prev, column) % f.p)
-                row %= f.p
-            else:
-                row = [f.zero] * size
-                terms = [(j, c) for j, c in enumerate(prev) if c != f.zero]
-                for k, a in enumerate(column):
-                    if a == f.zero:
-                        continue
-                    targets = table[:, k].tolist()
-                    for j, c in terms:
-                        t = targets[j]
-                        row[t] = f.add(row[t], f.mul(c, a))
+            column = np.array([self.matrix[k][i] for k in range(self.n)],
+                              dtype=dtype)
+            terms = np.outer(prev, column)
+            if p:
+                # int64 then holds a sum of min(n, d) reduced products
+                terms %= p
+            row = np.full(len(basis_table(POLY, self.n, d)), f.zero,
+                          dtype=dtype)
+            np.add.at(row, mult_table(self.n, d), terms)
+            if p:
+                row %= p
         self._poly_cache[e] = row
         return row

@@ -25,7 +25,7 @@ from .ideals import read_ideal
 from .invariants import (SQUAREFREE, STABLE_POLY, betti_stable,
                          closed_form_profiles, index_profile,
                          resolution_oracle, two_cliques_profile_from_h)
-from .monomials import EXT, POLY
+from .monomials import POLY
 from .orders import parse_order
 from .verifier import property_suite, sweep_theorem1, sweep_theorem2
 
@@ -36,12 +36,18 @@ EXIT_CERTIFICATION = 3
 EXIT_SIZE_LIMIT = 4
 
 
-def _common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--ring", choices=[EXT, POLY], default=None)
-    parser.add_argument("--order", default="revlex")
-    parser.add_argument("--field", default="prime")
-    parser.add_argument("--degree-cap", type=int, default=None)
-    parser.add_argument("--trials", type=int, default=3)
+def _common(parser: argparse.ArgumentParser, *options: str) -> None:
+    """Add the engine options named in ``options`` ("order", "field",
+    "degree-cap", "trials"), and --seed and --format, which every
+    subcommand reads."""
+    if "order" in options:
+        parser.add_argument("--order", default="revlex")
+    if "field" in options:
+        parser.add_argument("--field", default="prime")
+    if "degree-cap" in options:
+        parser.add_argument("--degree-cap", type=int, default=None)
+    if "trials" in options:
+        parser.add_argument("--trials", type=int, default=3)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--format", choices=["json", "table"], default="json")
 
@@ -52,18 +58,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gin", help="certified generic initial ideal")
     p.add_argument("ideal_file")
-    _common(p)
+    _common(p, "order", "field", "degree-cap", "trials")
 
     p = sub.add_parser("shift", help="apply an elementary shift sequence")
     p.add_argument("ideal_file")
     p.add_argument("--pairs", required=True,
                    help="semicolon-separated pairs, e.g. '1,3;2,4'")
-    _common(p)
+    _common(p, "order", "field", "degree-cap")
 
     p = sub.add_parser("witnesses", help="transformed strongly stable ideals")
     p.add_argument("ideal_file")
     p.add_argument("--budget", type=int, default=200)
-    _common(p)
+    _common(p, "order", "field", "degree-cap")
 
     p = sub.add_parser("classify", help="graph classifiers")
     p.add_argument("graph_file")
@@ -86,12 +92,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shifted-complex", help="algebraically shifted complex")
     p.add_argument("complex_file")
-    _common(p)
+    _common(p, "order", "field", "trials")
 
     p = sub.add_parser("sweep", help="exhaustive theorem sweeps")
     p.add_argument("theorem", choices=["thm1", "thm2"])
     p.add_argument("--n", type=int, default=None)
-    _common(p)
+    _common(p, "field", "trials")
 
     p = sub.add_parser("properties",
                        help="randomized lemma checks (includes the "
@@ -110,10 +116,9 @@ def _emit(doc: dict, args) -> None:
         print(f"{key}: {value}")
 
 
-def _load_field(args):
-    field = parse_field(args.field)
-    if isinstance(field, PrimeField) and field.p == 2 \
-            and args.command != "properties":
+def _load_field(spec: str):
+    field = parse_field(spec)
+    if isinstance(field, PrimeField) and field.p == 2:
         raise InvalidInputError(
             "the prime-2 field is reserved for the negative test under "
             "the 'properties' subcommand")
@@ -129,7 +134,7 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
 
 
 def run(args) -> int:
-    field = _load_field(args)
+    field = _load_field(args.field) if "field" in args else None
 
     if args.command == "gin":
         ideal = read_ideal(Path(args.ideal_file).read_text())

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 #: largest prime below 2**31; products of two elements fit in int64
 DEFAULT_PRIME = 2_147_483_629
 
@@ -124,9 +126,15 @@ GFP = PrimeField()
 def fits_int64(field) -> bool:
     """Whether the field's arithmetic may run on int64 arrays: a prime
     field with p < 2**31, so that a product of two reduced elements, or a
-    sum of a few such products, fits. Every other field, larger primes
-    included, runs on lists of python ints or ``Fraction``s."""
+    sum of a few such products, fits."""
     return isinstance(field, PrimeField) and field.p < 2 ** 31
+
+
+def row_dtype(field):
+    """The numpy dtype of the field's coefficient rows: int64 where
+    ``fits_int64`` holds, else ``object``, which holds python ints for
+    larger primes and ``Fraction``s over Q."""
+    return np.int64 if fits_int64(field) else object
 
 
 def parse_field(spec: str):

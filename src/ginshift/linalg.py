@@ -3,12 +3,13 @@ of one degree component presented by coefficient rows against an ordered
 monomial basis.
 
 Pivot columns only depend on the row space and the column order, so every
-initial-space computation downstream is reproducible bit for bit. Over a
-prime field below 2**31 (``fields.fits_int64``) the rows of a ``Subspace``
-are one int64 array, over other fields lists of field elements. A term
-order enters as a ranking of the columns (``Subspace.leading_columns``),
-and rankings under which a kept echelon basis still fits share its
-elimination.
+initial-space computation downstream is reproducible bit for bit. Rows
+are one numpy array for every field, of dtype ``fields.row_dtype``: int64
+over a prime below 2**31, python objects otherwise (ints for larger primes,
+``Fraction``s over Q). Every prime field is eliminated by ``rref_prime``
+and Q by ``rref_exact``. A term order enters as a ranking of the columns
+(``Subspace.leading_columns``), and rankings under which a kept echelon
+basis still fits share its elimination.
 """
 
 from __future__ import annotations
@@ -19,12 +20,13 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .fields import fits_int64
+from .fields import row_dtype
 from .monomials import Monomial
 
 
 def rref_prime(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """RREF of an int64 matrix mod p (p < 2**31 so products fit in int64)."""
+    """RREF mod p of an int64 array (p < 2**31, so products fit) or of an
+    object array of python ints (any p)."""
     a = np.mod(mat, p)
     m, ncols = a.shape
     pivots: list[int] = []
@@ -48,32 +50,14 @@ def rref_prime(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return a[: len(pivots)], pivots
 
 
-def rref_exact(rows: list[list], field) -> tuple[list[list], list[int]]:
-    """RREF over an arbitrary exact field (python lists; used for Q, and
-    for prime fields too large for int64)."""
-    if field.characteristic == 0:
-        return _rref_rational(rows)
-    a = [list(row) for row in rows]
-    m = len(a)
-    ncols = len(a[0]) if a else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == m:
-            break
-        i = next((k for k in range(r, m) if a[k][c] != field.zero), None)
-        if i is None:
-            continue
-        a[r], a[i] = a[i], a[r]
-        inv = field.inv(a[r][c])
-        a[r] = [field.mul(x, inv) for x in a[r]]
-        for k in range(m):
-            if k != r and a[k][c] != field.zero:
-                f = a[k][c]
-                a[k] = [field.sub(x, field.mul(f, y)) for x, y in zip(a[k], a[r])]
-        pivots.append(c)
-        r += 1
-    return a[: len(pivots)], pivots
+def rref_exact(rows, field) -> tuple[list[list], list[int]]:
+    """RREF over Q as lists of ``Fraction``s; ``rows`` may hold ints or
+    ``Fraction``s. A prime field is handed to ``rref_prime``, so no
+    result over GF(p) is ever computed over Q."""
+    if field.characteristic:
+        red, piv = rref(rows, field)
+        return red.tolist(), piv
+    return _rref_rational(rows)
 
 
 def _rref_rational(rows) -> tuple[list[list], list[int]]:
@@ -109,14 +93,15 @@ def _rref_rational(rows) -> tuple[list[list], list[int]]:
             for row, c in zip(a, pivots)], pivots
 
 
-def rref(rows, field) -> tuple[list[list], list[int]]:
-    """RREF as lists; ``rows`` may be an int64 array."""
-    if fits_int64(field) and len(rows):
-        red, piv = rref_prime(np.asarray(rows, dtype=np.int64), field.p)
-        return red.tolist(), piv
-    if isinstance(rows, np.ndarray):
-        rows = rows.tolist()
-    return rref_exact(rows, field)
+def rref(rows, field) -> tuple[np.ndarray, list[int]]:
+    """RREF of two-dimensional coefficient rows as an array of the field's
+    row dtype (``fields.row_dtype``): every prime field runs
+    ``rref_prime``, Q runs ``rref_exact``."""
+    a = np.asarray(rows, dtype=row_dtype(field))
+    if field.characteristic:
+        return rref_prime(a, field.characteristic)
+    red, piv = rref_exact(a.tolist(), field)
+    return np.array(red, dtype=object).reshape(len(piv), a.shape[1]), piv
 
 
 @dataclass(eq=False)
@@ -124,13 +109,13 @@ class Subspace:
     """A subspace of one degree component, stored against an ordered basis.
 
     ``columns`` is the monomial basis in a fixed order; ``rows`` are
-    coefficient rows of spanning elements, an int64 array when
-    ``fits_int64(field)`` and lists otherwise (so subspaces compare by
-    identity). A term order enters only as a ranking of the columns.
+    coefficient rows of spanning elements, one array of dtype
+    ``row_dtype(field)`` (so subspaces compare by identity). A term order
+    enters only as a ranking of the columns.
     """
 
     columns: list[Monomial]
-    rows: object
+    rows: np.ndarray
     field: object
     _echelons: list = dc_field(default_factory=list, repr=False)
 
@@ -146,9 +131,8 @@ class Subspace:
             for m, c in v.items():
                 row[index[m]] = c
             rows.append(row)
-        if fits_int64(field):
-            rows = np.array(rows, dtype=np.int64).reshape(len(rows),
-                                                          len(columns))
+        rows = np.array(rows, dtype=row_dtype(field)).reshape(len(rows),
+                                                              len(columns))
         return cls(list(columns), rows, field)
 
     def leading_columns(self, ranking) -> list[int]:
@@ -169,15 +153,8 @@ class Subspace:
             lead = np.where(support, pos, last).min(axis=1, initial=last)
             if np.array_equal(lead, pos[piv]):
                 return piv[np.argsort(lead)].tolist()
-        if fits_int64(self.field):
-            red, piv = rref_prime(self.rows[:, ranking], self.field.p)
-            ranked_support = red != 0
-        else:
-            red, piv = rref_exact([[row[j] for j in ranking]
-                                   for row in self.rows], self.field)
-            ranked_support = np.array(
-                [[x != self.field.zero for x in row] for row in red],
-                dtype=bool).reshape(len(piv), len(ranking))
+        red, piv = rref(self.rows[:, ranking], self.field)
+        ranked_support = red != 0
         support = np.empty_like(ranked_support)
         support[:, ranking] = ranked_support
         self._echelons.append((ranking[piv], support))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import time
 from collections import deque
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
@@ -175,7 +174,6 @@ class SweepReport:
     seed: int
     records: list[dict] = dc_field(default_factory=list)
     summary: dict = dc_field(default_factory=dict)
-    elapsed: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -187,9 +185,8 @@ class SweepReport:
                 "records": self.records, "summary": self.summary}
 
     def to_json(self) -> str:
-        doc = dict(self.payload(), seed=self.seed,
-                   elapsed_seconds=round(self.elapsed, 3))
-        return json.dumps(doc, sort_keys=True)
+        return json.dumps(dict(self.payload(), seed=self.seed),
+                          sort_keys=True)
 
 
 def _sample_weight_orders(n: int, count: int, rng) -> list[WeightOrder]:
@@ -231,7 +228,6 @@ def sweep_theorem1(n_max: int = 6, seed: int = 0, weight_samples: int = 20,
     than two fails D.
     """
     _check_vertex_count(n_max)
-    t0 = time.time()
     report = SweepReport("theorem1", n_max, seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 101]))
     passed = True
@@ -264,7 +260,6 @@ def sweep_theorem1(n_max: int = 6, seed: int = 0, weight_samples: int = 20,
                 passed = False
     counts["passed"] = passed
     report.summary = counts
-    report.elapsed = time.time() - t0
     return report
 
 
@@ -274,7 +269,6 @@ def sweep_theorem2(n_max: int = 5, seed: int = 0, trials: int = 3,
     edge-ideal gins (adaptive degree cap) against base_form(G) being
     semi-complete bipartite."""
     _check_vertex_count(n_max)
-    t0 = time.time()
     report = SweepReport("theorem2", n_max, seed)
     passed = True
     counts = {"classes": 0, "bipartite_base": 0}
@@ -296,7 +290,6 @@ def sweep_theorem2(n_max: int = 5, seed: int = 0, trials: int = 3,
                 passed = False
     counts["passed"] = passed
     report.summary = counts
-    report.elapsed = time.time() - t0
     return report
 
 

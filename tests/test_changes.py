@@ -127,7 +127,8 @@ def _old_apply_poly(phi, m, cache):
 
 
 #: GF(p) at the default prime, two small primes, a prime past 2**31 (whose
-#: products overflow int64, so it takes the list rows) and Q
+#: products overflow int64, so its rows are object arrays of python ints)
+#: and Q
 ACTION_FIELDS = [GFP, PrimeField(2), PrimeField(7), PrimeField(2147483659), QQ]
 
 

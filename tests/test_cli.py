@@ -1,9 +1,11 @@
+import argparse
 import json
 
 import pytest
 
 from ginshift.cli import (EXIT_CERTIFICATION, EXIT_CHECK_FAILED,
-                          EXIT_INVALID_INPUT, EXIT_PASS, EXIT_SIZE_LIMIT, main)
+                          EXIT_INVALID_INPUT, EXIT_PASS, EXIT_SIZE_LIMIT,
+                          build_parser, main)
 
 
 @pytest.fixture
@@ -245,3 +247,53 @@ def test_betti_closed_form_refuses_an_ideal_that_is_not_strongly_stable(
     code, out = run(capsys, ["betti", unstable_file])
     assert code == EXIT_INVALID_INPUT
     assert out == ""
+
+
+#: the options each subcommand reads besides its own: --seed and --format
+#: everywhere, and the engine options it passes on
+SUBCOMMAND_OPTIONS = {
+    "gin": {"--order", "--field", "--degree-cap", "--trials"},
+    "shift": {"--order", "--field", "--degree-cap"},
+    "witnesses": {"--order", "--field", "--degree-cap"},
+    "classify": set(),
+    "profile": set(),
+    "betti": set(),
+    "shifted-complex": {"--order", "--field", "--trials"},
+    "sweep": {"--field", "--trials"},
+    "properties": set(),
+}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    parser = build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(commands) == set(SUBCOMMAND_OPTIONS)
+    shared = {"--order", "--field", "--degree-cap", "--trials", "--seed",
+              "--format", "--ring"}
+    slots = 0
+    for name, sub in commands.items():
+        options = {s for a in sub._actions for s in a.option_strings} & shared
+        assert options == SUBCOMMAND_OPTIONS[name] | {"--seed", "--format"}
+        slots += len(options)
+    assert slots == 33
+
+
+def test_an_option_a_subcommand_does_not_read_exits_2(graph_file, capsys):
+    for argv in (["classify", graph_file, "--ring", "ext"],
+                 ["properties", "--field", "prime:2"],
+                 ["sweep", "thm1", "--order", "lex"],
+                 ["shift", graph_file, "--pairs", "1,2", "--trials", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_INVALID_INPUT, argv
+        assert capsys.readouterr().out == ""
+
+
+def test_sweep_stdout_is_identical_across_runs(capsys):
+    code1, out1 = run(capsys, ["sweep", "thm1", "--n", "4"])
+    code2, out2 = run(capsys, ["sweep", "thm1", "--n", "4"])
+    assert code1 == code2 == EXIT_PASS
+    assert out1 == out2
+    assert set(json.loads(out1)) == {"theorem", "n_max", "records",
+                                     "summary", "seed"}

@@ -143,7 +143,7 @@ def test_subspace_rows_and_initial_space_on_both_row_kinds(field):
     vecs = [{e([1, 4]): field(1), e([2, 3]): field(1)}]
     basis = all_monomials(EXT, n, 2)
     sp = Subspace.from_vectors(vecs, basis, field)
-    assert isinstance(sp.rows, np.ndarray) == (field == GFP)
+    assert sp.rows.dtype == (np.int64 if field == GFP else object)
     assert initial_space(LEX, sp) == {e([1, 4])}
     assert initial_space(REVLEX, sp) == {e([2, 3])}
     assert rref(sp.rows, field)[1] == [2]
@@ -159,8 +159,8 @@ def test_leading_columns_match_a_fresh_elimination(field):
         rows = [[field(int(x)) for x in rng.integers(0, 3, size=ncols)]
                 for _ in range(k)]
         columns = list(range(ncols))
-        space = Subspace(columns, rows if field == QQ else
-                         np.array(rows, dtype=np.int64), field)
+        space = Subspace(columns, np.array(
+            rows, dtype=object if field == QQ else np.int64), field)
         for _ in range(8):
             ranking = [int(j) for j in rng.permutation(ncols)]
             fresh = rref([[row[j] for j in ranking] for row in rows],

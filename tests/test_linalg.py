@@ -72,6 +72,52 @@ def test_rref_exact_over_q_matches_the_fraction_loop():
     assert rref_exact([[2, 4], [1, 3]], QQ) == ([[1, 0], [0, 1]], [0, 1])
 
 
+@pytest.mark.parametrize("field", [PrimeField(2 ** 40 + 15),
+                                   PrimeField(2147483659)],
+                         ids=["2^40+15", "2147483659"])
+def test_object_rows_match_the_field_element_loop(field):
+    # primes past 2**31 eliminate object arrays of python ints in
+    # rref_prime; the field-element loop is the reference
+    rng = np.random.default_rng(23)
+    ranks, zero_columns = set(), 0
+    for _ in range(150):
+        m, k = int(rng.integers(1, 7)), int(rng.integers(1, 8))
+        rows = [[field.random(rng) if rng.random() < 0.7 else 0
+                 for _ in range(k)] for _ in range(m)]
+        if m >= 3 and rng.random() < 0.4:  # rank-deficient: a combination
+            a, b = field.random(rng), field.random(rng)
+            rows[-1] = [(a * x + b * y) % field.p
+                        for x, y in zip(rows[0], rows[1])]
+        if rng.random() < 0.3:
+            j = int(rng.integers(k))
+            for row in rows:
+                row[j] = 0
+        zero_columns += any(not any(col) for col in zip(*rows))
+        red, piv = rref(rows, field)
+        assert red.dtype == object
+        assert (red.tolist(), piv) == _fraction_rref(rows, field)
+        ranks.add(len(piv) < m)
+        space = Subspace(list(range(k)), np.array(rows, dtype=object), field)
+        for _ in range(3):
+            ranking = [int(j) for j in rng.permutation(k)]
+            ref = _fraction_rref([[row[j] for j in ranking] for row in rows],
+                                 field)[1]
+            assert space.leading_columns(ranking) == [ranking[j] for j in ref]
+    assert ranks == {True, False} and zero_columns
+
+
+def test_rref_exact_over_a_prime_field_does_not_eliminate_over_q():
+    # over Q the rows are independent; over GF(2) the first one vanishes
+    rows = [[2, 4], [1, 3]]
+    assert rref_exact(rows, QQ) == ([[1, 0], [0, 1]], [0, 1])
+    assert rref_exact(rows, PrimeField(2)) == ([[1, 1]], [0])
+    # the determinant -2p vanishes mod p alone
+    p = 2 ** 40 + 15
+    rows = [[2, 2 * p + 4], [1, 2]]
+    assert rref_exact(rows, QQ)[1] == [0, 1]
+    assert rref_exact(rows, PrimeField(p)) == ([[1, 2]], [0])
+
+
 def test_rank_helpers():
     assert vector_rank([], GFP) == 0
     assert vector_rank([[1, 2], [2, 4], [0, 1]], GFP) == 2
@@ -94,7 +140,7 @@ def test_rref_is_deterministic_under_row_permutation():
     red1, piv1 = rref(rows, PrimeField(101))
     red2, piv2 = rref([rows[2], rows[0], rows[1]], PrimeField(101))
     assert piv1 == piv2
-    assert red1 == red2
+    assert red1.tolist() == red2.tolist()
 
 
 def test_initial_space_picks_leading_pivots():
@@ -131,7 +177,8 @@ def test_full_component_span():
 
 
 def test_primes_above_int64_range_are_exact():
-    # above 2**31 products overflow int64; such primes run on python ints
+    # above 2**31 products overflow int64; such primes run on object arrays
+    # of python ints
     field = PrimeField(2 ** 40 + 15)
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -142,5 +189,5 @@ def test_primes_above_int64_range_are_exact():
     vecs = [{m: field.random(rng) for m in all_monomials(EXT, 4, 2)}
             for _ in range(3)]
     sp = Subspace.from_vectors(vecs, all_monomials(EXT, 4, 2), field)
-    assert isinstance(sp.rows, list)
+    assert sp.rows.dtype == object
     assert len(sp.leading_columns(range(6))) == 3
