@@ -7,8 +7,10 @@ minor table.  A polynomial image is a coefficient row against
 ``basis_table(POLY, n, d)``: with x_i the largest variable of m,
 row(m) = sum_k phi[k][i] * row(m / x_i) scattered through the cached
 multiplication table of ``mult_table(n, d)``, and rows are memoized per
-monomial so shared prefixes are expanded once.  Over a prime field below
-2**31 a row is one int64 array, over other fields a list of field elements.
+monomial so shared prefixes are expanded once.  A row is one numpy array of
+dtype ``fields.row_dtype(field)`` over every field: int64 over a prime below
+2**31, python ints over larger primes and ``Fraction``s over Q.  A minor
+is summed with plain operators and reduced by the field once.
 The gin engine applies a change once to each monomial of a degree component
 and assembles the images into one matrix that serves every term order, so
 the action costs the same however many orders are certified.  A random
@@ -141,17 +143,16 @@ class CoordinateChange:
         cached = self._minors.get(key)
         if cached is not None:
             return cached
-        f = self.field
         c0 = cols[0]
         rest = cols[1:]
-        acc = f.zero
+        acc = 0
         for k, r in enumerate(rows):
             a = self.matrix[r - 1][c0 - 1]
-            if a == f.zero:
+            if a == 0:
                 continue
-            sub = self.minor(rows[:k] + rows[k + 1:], rest)
-            term = f.mul(a, sub)
-            acc = f.add(acc, term) if k % 2 == 0 else f.sub(acc, term)
+            term = a * self.minor(rows[:k] + rows[k + 1:], rest)
+            acc = acc + term if k % 2 == 0 else acc - term
+        acc = self.field(acc)
         self._minors[key] = acc
         return acc
 

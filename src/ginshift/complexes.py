@@ -168,6 +168,12 @@ def write_complex(gamma: SimplicialComplex) -> str:
 
 
 def read_complex(text: str) -> SimplicialComplex:
-    data = json.loads(text)
-    return SimplicialComplex.make(int(data["n"]),
-                                  [tuple(f) for f in data["facets"]])
+    """A complex from JSON ``{"n": <int>, "facets": [[i, ...], ...]}``."""
+    try:
+        data = json.loads(text)
+        n = int(data["n"])
+        facets = [tuple(map(int, f)) for f in data["facets"]]
+    except (KeyError, TypeError) as exc:
+        raise InvalidInputError(
+            'complex JSON needs "n" and a list of "facets"') from exc
+    return SimplicialComplex.make(n, facets)

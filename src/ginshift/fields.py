@@ -1,4 +1,12 @@
-"""Exact coefficient fields: arbitrary-precision rationals and large prime fields.
+"""Exact coefficient fields: large prime fields and arbitrary-precision
+rationals.
+
+A field is its reduction: ``field(x)`` is the element an integer (or, over
+Q, a rational) stands for, ``int(x) % p`` over GF(p) and ``Fraction(x)``
+over Q. Field arithmetic is python or numpy operators followed by that one
+reduction (``% p`` on a whole row of dtype ``row_dtype``). Besides it a
+field gives only its characteristic, ``zero``, ``one`` and uniform random
+elements.
 
 The prime-field mode is the default work horse (dense generic matrices over Q
 blow up badly under elimination); the rational mode is available everywhere
@@ -62,27 +70,25 @@ class PrimeField:
     def __call__(self, x) -> int:
         return int(x) % self.p
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def inv(self, a):
-        return pow(a, -1, self.p)
-
-    def neg(self, a):
-        return -a % self.p
-
     zero = 0
     one = 1
 
     def random(self, rng):
         """Uniform element, via a numpy Generator."""
-        return int(rng.integers(0, self.p))
+        p = self.p
+        if p <= 2 ** 63:
+            return int(rng.integers(0, p))
+        # numpy draws below 2**63 only: the top bits of 63-bit limbs, with
+        # draws of p or more rejected, stay uniform
+        bits = (p - 1).bit_length()
+        limbs = -(-bits // 63)
+        while True:
+            x = 0
+            for _ in range(limbs):
+                x = x << 63 | int(rng.integers(0, 2 ** 63))
+            x >>= 63 * limbs - bits
+            if x < p:
+                return x
 
 
 @dataclass(frozen=True)
@@ -95,21 +101,6 @@ class RationalField:
 
     def __call__(self, x) -> Fraction:
         return Fraction(x)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def inv(self, a):
-        return 1 / Fraction(a)
-
-    def neg(self, a):
-        return -a
 
     zero = Fraction(0)
     one = Fraction(1)

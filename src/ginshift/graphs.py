@@ -321,12 +321,20 @@ def write_graph(g: Graph) -> str:
 
 
 def read_graph(text: str) -> Graph:
+    """A graph from ``n <int>`` and one ``i j`` line per edge, or from JSON
+    ``{"n": <int>, "edges": [[i, j], ...]}``."""
     text = text.strip()
     if text.startswith("{"):
-        data = json.loads(text)
-        return Graph.make(int(data["n"]), [tuple(e) for e in data["edges"]])
+        try:
+            data = json.loads(text)
+            n = int(data["n"])
+            edges = [tuple(map(int, e)) for e in data["edges"]]
+        except (KeyError, TypeError) as exc:
+            raise InvalidInputError(
+                'graph JSON needs "n" and a list of "edges"') from exc
+        return Graph.make(n, edges)
     lines = [ln.split() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0][0] != "n":
+    if not lines or len(lines[0]) != 2 or lines[0][0] != "n":
         raise InvalidInputError("graph file must start with 'n <int>'")
     n = int(lines[0][1])
     edges = [(int(a), int(b)) for a, b in lines[1:]]

@@ -81,7 +81,8 @@ def index_profile(ideal: MonomialIdeal, d: int) -> tuple[list[int], list[int]]:
 def m_count(order: TermOrder, ideal: MonomialIdeal, u: Monomial) -> int:
     """Number of monomials of the ideal in degree deg(u) that are >= u."""
     comp = ideal.degree_component(u.degree)
-    return sum(1 for t in comp if order.compare(t, u) >= 0)
+    key = order.key(u)
+    return sum(1 for t in comp if order.key(t) >= key)
 
 
 def edge_stat(edges, which: str, direction: str, k: int) -> int:
@@ -233,7 +234,7 @@ def _boundary_rank(cells: list[int], faces: set[int]) -> int:
         return 0
     rows = [[row.get(c, QQ.zero) for c in range(len(columns))]
             for row in sparse]
-    _red, piv = rref_exact(rows, QQ)
+    _red, piv = rref_exact(rows)
     return len(piv)
 
 
@@ -339,13 +340,11 @@ def shifted_graph_edges(g: Graph, order: TermOrder, seed: int = 0,
 # -- hyperplane rank oracle --------------------------------------------
 
 
-def hyperplane_span_rank(pairs, n: int, width: int, phi: CoordinateChange,
-                         sign: int = -1) -> int:
+def hyperplane_span_rank(pairs, n: int, width: int,
+                         phi: CoordinateChange) -> int:
     """Rank of the stacked hyperplane-restriction vectors over a set of index
-    pairs: pair {i,j} maps to (a_{tj} e_i + sign * a_{ti} e_j) for t = 1..width.
-
-    ``sign=-1`` is the exterior map, ``sign=+1`` its polynomial counterpart
-    (acting on squarefree x_i x_j).
+    pairs: pair {i,j} maps to the exterior (a_{tj} e_i - a_{ti} e_j) for
+    t = 1..width.
     """
     f = phi.field
     rows = []
@@ -353,19 +352,17 @@ def hyperplane_span_rank(pairs, n: int, width: int, phi: CoordinateChange,
         i, j = (i, j) if i < j else (j, i)
         row = [f.zero] * (width * n)
         for t in range(width):
-            a_tj = phi.matrix[t][j - 1]
-            a_ti = phi.matrix[t][i - 1]
-            row[t * n + (i - 1)] = a_tj
-            row[t * n + (j - 1)] = a_ti if sign > 0 else f.neg(a_ti)
+            row[t * n + (i - 1)] = phi.matrix[t][j - 1]
+            row[t * n + (j - 1)] = f(-phi.matrix[t][i - 1])
         rows.append(row)
     return vector_rank(rows, f)
 
 
-def hyperplane_rank_oracle(monomials, n: int, k: int, phi: CoordinateChange,
-                           sign: int = -1) -> int:
+def hyperplane_rank_oracle(monomials, n: int, k: int,
+                           phi: CoordinateChange) -> int:
     """dim span of the width-(n+1-k) restriction vectors over the degree-2
     monomials *not* in W; matches |{u not in gin(W) : max(u) >= k}| for
     generic phi."""
     supports = {tuple(sorted(u.support)) for u in monomials}
     pairs = [p for p in combinations(range(1, n + 1), 2) if p not in supports]
-    return hyperplane_span_rank(pairs, n, n + 1 - k, phi, sign)
+    return hyperplane_span_rank(pairs, n, n + 1 - k, phi)

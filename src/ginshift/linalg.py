@@ -50,18 +50,9 @@ def rref_prime(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return a[: len(pivots)], pivots
 
 
-def rref_exact(rows, field) -> tuple[list[list], list[int]]:
+def rref_exact(rows) -> tuple[list[list], list[int]]:
     """RREF over Q as lists of ``Fraction``s; ``rows`` may hold ints or
-    ``Fraction``s. A prime field is handed to ``rref_prime``, so no
-    result over GF(p) is ever computed over Q."""
-    if field.characteristic:
-        red, piv = rref(rows, field)
-        return red.tolist(), piv
-    return _rref_rational(rows)
-
-
-def _rref_rational(rows) -> tuple[list[list], list[int]]:
-    """RREF over Q by Gauss-Jordan on python ints: each row is scaled to
+    ``Fraction``s. Gauss-Jordan on python ints: each row is scaled to
     integers, eliminated as pivot * row - entry * pivot_row and divided by
     its content, and only the returned rows become ``Fraction``s."""
     a = []
@@ -95,12 +86,13 @@ def _rref_rational(rows) -> tuple[list[list], list[int]]:
 
 def rref(rows, field) -> tuple[np.ndarray, list[int]]:
     """RREF of two-dimensional coefficient rows as an array of the field's
-    row dtype (``fields.row_dtype``): every prime field runs
-    ``rref_prime``, Q runs ``rref_exact``."""
+    row dtype (``fields.row_dtype``), the one dispatch on the field:
+    every prime field runs ``rref_prime``, so no result over GF(p) is
+    computed over Q, and Q runs ``rref_exact``."""
     a = np.asarray(rows, dtype=row_dtype(field))
     if field.characteristic:
         return rref_prime(a, field.characteristic)
-    red, piv = rref_exact(a.tolist(), field)
+    red, piv = rref_exact(a.tolist())
     return np.array(red, dtype=object).reshape(len(piv), a.shape[1]), piv
 
 

@@ -1,8 +1,9 @@
 """Term orders on monomials: lex, revlex, weight-with-tiebreak, and inverses.
 
-Within a fixed degree each order is a strict total order; across degrees the
-degree always dominates (higher degree compares greater).  The inverse order
-flips the within-degree comparison only.
+An order is defined by its sort key alone: within a fixed degree it ranks u
+above v exactly when key(u) > key(v), a strict total order; across degrees
+the degree always dominates (higher degree compares greater).  The inverse
+order negates the key, so it flips the within-degree comparison only.
 """
 
 from __future__ import annotations
@@ -16,32 +17,6 @@ from .monomials import ExtMonomial, Monomial, basis_table
 LESS, EQUAL, GREATER = -1, 0, 1
 
 
-def _lex_cmp(u: Monomial, v: Monomial) -> int:
-    if isinstance(u, ExtMonomial):
-        # smaller leading index wins
-        for a, b in zip(u.support, v.support):
-            if a != b:
-                return GREATER if a < b else LESS
-        return EQUAL
-    for a, b in zip(u.exponents, v.exponents):
-        if a != b:
-            return GREATER if a > b else LESS
-    return EQUAL
-
-
-def _revlex_cmp(u: Monomial, v: Monomial) -> int:
-    if isinstance(u, ExtMonomial):
-        # at the largest differing index, membership in v means u is greater
-        for a, b in zip(reversed(u.support), reversed(v.support)):
-            if a != b:
-                return GREATER if a < b else LESS
-        return EQUAL
-    for a, b in zip(reversed(u.exponents), reversed(v.exponents)):
-        if a != b:
-            return GREATER if a < b else LESS
-    return EQUAL
-
-
 def _weight(u: Monomial, weights) -> int:
     if isinstance(u, ExtMonomial):
         return sum([weights[i - 1] for i in u.support])
@@ -49,7 +24,7 @@ def _weight(u: Monomial, weights) -> int:
 
 
 # Sort keys: within a degree, u ranks above v exactly when its key is the
-# larger tuple; ``compare`` is the specification they are tested against.
+# larger tuple. The keys are the only definition of the orders.
 
 
 def _lex_key(u: Monomial) -> tuple:
@@ -65,22 +40,18 @@ def _revlex_key(u: Monomial) -> tuple:
 
 
 class TermOrder:
-    """Base class; subclasses implement the within-degree comparison and
-    the within-degree sort key that agrees with it."""
-
-    def _cmp_same_degree(self, u: Monomial, v: Monomial) -> int:
-        raise NotImplementedError
+    """Base class; subclasses implement the within-degree sort key."""
 
     def key(self, u: Monomial) -> tuple:
         """Within one degree, u > v exactly when key(u) > key(v)."""
         raise NotImplementedError
 
     def compare(self, u: Monomial, v: Monomial) -> int:
+        """GREATER, EQUAL or LESS: by degree, then by ``key``."""
         if u.ring != v.ring or u.n != v.n:
             raise InvalidInputError("monomials from different rings compared")
-        if u.degree != v.degree:
-            return GREATER if u.degree > v.degree else LESS
-        return self._cmp_same_degree(u, v)
+        a, b = (u.degree, self.key(u)), (v.degree, self.key(v))
+        return (a > b) - (a < b)
 
     def sort_descending(self, monomials) -> list:
         """The monomials from greatest to least: by degree, then by ``key``."""
@@ -99,9 +70,6 @@ class TermOrder:
 
 @dataclass(frozen=True)
 class Lex(TermOrder):
-    def _cmp_same_degree(self, u, v):
-        return _lex_cmp(u, v)
-
     def key(self, u):
         return _lex_key(u)
 
@@ -111,9 +79,6 @@ class Lex(TermOrder):
 
 @dataclass(frozen=True)
 class RevLex(TermOrder):
-    def _cmp_same_degree(self, u, v):
-        return _revlex_cmp(u, v)
-
     def key(self, u):
         return _revlex_key(u)
 
@@ -132,14 +97,6 @@ class WeightOrder(TermOrder):
     weights: tuple[int, ...]
     tiebreak: str = "lex"  # "lex" | "revlex"
 
-    def _cmp_same_degree(self, u, v):
-        wu, wv = _weight(u, self.weights), _weight(v, self.weights)
-        if wu != wv:
-            return GREATER if wu > wv else LESS
-        if self.tiebreak == "lex":
-            return _lex_cmp(u, v)
-        return _revlex_cmp(u, v)
-
     def key(self, u):
         tiebreak = _lex_key(u) if self.tiebreak == "lex" else _revlex_key(u)
         return (_weight(u, self.weights),) + tiebreak
@@ -153,9 +110,6 @@ class Inverse(TermOrder):
     """The order sigma^{-1}: degree still dominates, within-degree flipped."""
 
     inner: TermOrder
-
-    def _cmp_same_degree(self, u, v):
-        return -self.inner._cmp_same_degree(u, v)
 
     def key(self, u):
         return tuple([-x for x in self.inner.key(u)])

@@ -423,7 +423,7 @@ def property_suite(seed: int = 0, samples: int = 200) -> dict:
         ginw = gin_space(REVLEX, w, EXT, n, 2, seed=seed + k) if w else set()
         for kk in range(1, n + 1):
             engine = sum(1 for u in ambient - ginw if u.max_index() >= kk)
-            oracle = hyperplane_rank_oracle(w, n, kk, phi, sign=-1)
+            oracle = hyperplane_rank_oracle(w, n, kk, phi)
             if engine != oracle:
                 violations += 1
     results["hyperplane-rank-oracle"] = {"samples": oracle_samples,

@@ -2,8 +2,79 @@
 module: pytest collects no tests from it."""
 
 from ginshift.changes import CoordinateChange
-from ginshift.fields import GFP
+from ginshift.fields import GFP, InvalidInputError
 from ginshift.gin import _of_degree, _Trials
+from ginshift.monomials import ExtMonomial
+from ginshift.orders import (EQUAL, GREATER, LESS, Inverse, Lex, RevLex,
+                             WeightOrder)
+
+
+# -- term orders, written out comparison by comparison ------------------
+# The specification the sort keys of ``ginshift.orders`` are tested
+# against: a test that ranked by ``TermOrder.compare`` would check the key
+# against itself.
+
+
+def _lex_cmp(u, v) -> int:
+    if isinstance(u, ExtMonomial):
+        # smaller leading index wins
+        for a, b in zip(u.support, v.support):
+            if a != b:
+                return GREATER if a < b else LESS
+        return EQUAL
+    for a, b in zip(u.exponents, v.exponents):
+        if a != b:
+            return GREATER if a > b else LESS
+    return EQUAL
+
+
+def _revlex_cmp(u, v) -> int:
+    if isinstance(u, ExtMonomial):
+        # at the largest differing index, membership in v means u is greater
+        for a, b in zip(reversed(u.support), reversed(v.support)):
+            if a != b:
+                return GREATER if a < b else LESS
+        return EQUAL
+    for a, b in zip(reversed(u.exponents), reversed(v.exponents)):
+        if a != b:
+            return GREATER if a < b else LESS
+    return EQUAL
+
+
+def _weight(u, weights) -> int:
+    if isinstance(u, ExtMonomial):
+        return sum(weights[i - 1] for i in u.support)
+    return sum(w * e for w, e in zip(weights, u.exponents))
+
+
+def _cmp_same_degree(order, u, v) -> int:
+    if isinstance(order, Inverse):
+        return -_cmp_same_degree(order.inner, u, v)
+    if isinstance(order, Lex):
+        return _lex_cmp(u, v)
+    if isinstance(order, RevLex):
+        return _revlex_cmp(u, v)
+    if isinstance(order, WeightOrder):
+        wu, wv = _weight(u, order.weights), _weight(v, order.weights)
+        if wu != wv:
+            return GREATER if wu > wv else LESS
+        if order.tiebreak == "lex":
+            return _lex_cmp(u, v)
+        return _revlex_cmp(u, v)
+    raise TypeError(f"no reference comparison for {order!r}")
+
+
+def compare(order, u, v) -> int:
+    """``order.compare(u, v)`` as specified: degree first, then the
+    order's own within-degree comparison."""
+    if u.ring != v.ring or u.n != v.n:
+        raise InvalidInputError("monomials from different rings compared")
+    if u.degree != v.degree:
+        return GREATER if u.degree > v.degree else LESS
+    return _cmp_same_degree(order, u, v)
+
+
+# -- initial spaces -------------------------------------------------------
 
 
 def initial_space(order, space):

@@ -68,6 +68,12 @@ def test_minor_matches_numpy_det():
     sub = mat[np.ix_([0, 2, 3], [1, 2, 4])]
     expected = Fraction(round(float(np.linalg.det(sub))))
     assert phi.minor(rows, cols) == expected
+    # over GF(11) the same minor, summed with operators and reduced once
+    f = PrimeField(11)
+    phi = CoordinateChange(tuple(tuple(f(x) for x in row) for row in mat),
+                           f, "dense")
+    got = phi.minor(rows, cols)
+    assert type(got) is int and got == f(expected.numerator)
 
 
 def test_random_changes_are_invertible_and_deterministic():
@@ -117,7 +123,7 @@ def _old_apply_poly(phi, m, cache):
                 if a == f.zero:
                     continue
                 m2 = mono.times_var(k + 1)
-                v = f.add(acc.get(m2, f.zero), f.mul(coeff, a))
+                v = f(acc.get(m2, 0) + coeff * a)
                 if v == f.zero:
                     acc.pop(m2, None)
                 else:

@@ -193,6 +193,36 @@ def test_invalid_input_exit_codes(tmp_path, capsys, rei_file):
         assert (code, out) == (EXIT_INVALID_INPUT, ""), argv
 
 
+@pytest.mark.parametrize("command,text", [
+    ("classify", "n\n1 2\n"),
+    ("classify", '{"edges": [[1, 2]]}'),
+    ("shifted-complex", '{"n": 3}'),
+    ("shifted-complex", "[1, 2]"),
+], ids=["graph-header-without-n", "graph-json-without-n",
+        "complex-without-facets", "complex-not-an-object"])
+def test_malformed_graph_and_complex_files_exit_2(command, text, tmp_path,
+                                                  capsys):
+    path = tmp_path / "input"
+    path.write_text(text)
+    code, out = run(capsys, [command, str(path)])
+    assert (code, out) == (EXIT_INVALID_INPUT, "")
+
+
+def test_a_prime_past_int64_gives_the_default_prime_results(
+        rei_file, edges_file, tmp_path, capsys):
+    # 2**89 - 1: numpy cannot draw its elements in one call
+    big = ["--field", "prime:618970019642690137449562111"]
+    complex_path = tmp_path / "c4.complex"
+    complex_path.write_text(json.dumps(
+        {"n": 4, "facets": [[1, 3], [1, 4], [2, 3], [2, 4]]}))
+    for argv in (["gin", rei_file], ["gin", edges_file],
+                 ["shifted-complex", str(complex_path)],
+                 ["sweep", "thm1", "--n", "4"], ["sweep", "thm2", "--n", "4"]):
+        code, out = run(capsys, argv + big)
+        assert code == EXIT_PASS, argv
+        assert out == run(capsys, argv)[1], argv
+
+
 def test_prime2_field_is_restricted(rei_file, capsys):
     code, _ = run(capsys, ["gin", rei_file, "--field", "prime:2"])
     assert code == EXIT_INVALID_INPUT

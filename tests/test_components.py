@@ -1,7 +1,8 @@
 """The degree-component route of the gin engine (one image matrix per trial
 against the basis table, one ranking per order) against the route it
 replaced: dict vectors whose union of supports is sorted with ``cmp_to_key``
-for every (trial, order) and then eliminated."""
+of the hand-written comparison in ``references`` for every (trial, order)
+and then eliminated."""
 
 import functools
 import importlib
@@ -16,15 +17,15 @@ from ginshift.ideals import MonomialIdeal
 from ginshift.linalg import Subspace, rref
 from ginshift.monomials import EXT, POLY, all_monomials, ext_monomial
 from ginshift.orders import LEX, REVLEX, Inverse, WeightOrder
-from references import initial_space
+from references import compare, initial_space
 
 
 def _old_pivots(vectors, order, field):
     vectors = [v for v in vectors if v]
     if not vectors:
         return frozenset()
-    columns = sorted(set().union(*vectors),
-                     key=functools.cmp_to_key(order.compare), reverse=True)
+    by_order = functools.cmp_to_key(functools.partial(compare, order))
+    columns = sorted(set().union(*vectors), key=by_order, reverse=True)
     index = {m: j for j, m in enumerate(columns)}
     rows = []
     for v in vectors:

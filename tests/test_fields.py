@@ -20,19 +20,22 @@ def test_prime_field_rejects_composites():
 
 
 def test_prime_field_arithmetic():
+    # arithmetic is operators followed by the field's one reduction
     f = PrimeField(7)
-    assert f.add(3, 5) == 1
-    assert f.mul(3, 5) == 1
-    assert f.sub(2, 5) == 4
-    assert f.inv(3) == 5
-    assert f.neg(2) == 5
+    assert f(3 + 5) == 1
+    assert f(3 * 5) == 1
+    assert f(2 - 5) == 4
+    assert f(3 * pow(3, -1, 7)) == 1
+    assert f(-2) == 5
+    assert type(f(np.int64(-9))) is int and f(np.int64(-9)) == 5
     assert f.characteristic == 7
 
 
 def test_rational_field_arithmetic():
     from fractions import Fraction
-    assert QQ.mul(Fraction(2, 3), Fraction(3, 4)) == Fraction(1, 2)
-    assert QQ.inv(Fraction(-5, 7)) == Fraction(-7, 5)
+    assert QQ(Fraction(2, 3) * Fraction(3, 4)) == Fraction(1, 2)
+    assert QQ(1 / Fraction(-5, 7)) == Fraction(-7, 5)
+    assert type(QQ(np.int64(-3))) is Fraction and QQ(np.int64(-3)) == -3
     assert QQ.characteristic == 0
 
 
@@ -44,15 +47,16 @@ def test_parse_field():
         parse_field("galois")
 
 
-@given(st.integers(1, 10 ** 6), st.integers(1, 10 ** 6))
+@given(st.integers(-10 ** 30, 10 ** 30), st.integers(-10 ** 30, 10 ** 30))
 def test_prime_field_axioms(a, b):
+    # the reduction is a ring map from the integers onto [0, p)
     f = PrimeField(101)
-    a, b = a % 101, b % 101
-    assert f.add(a, b) == f.add(b, a)
-    assert f.mul(a, b) == f.mul(b, a)
-    if a != f.zero:
-        assert f.mul(a, f.inv(a)) == f.one
-    assert f.add(a, f.neg(a)) == f.zero
+    assert 0 <= f(a) < 101 and f(f(a)) == f(a)
+    assert f(f(a) + f(b)) == f(a + b)
+    assert f(f(a) - f(b)) == f(a - b)
+    assert f(f(a) * f(b)) == f(a * b)
+    if f(a) != f.zero:
+        assert f(a * pow(f(a), -1, 101)) == f.one
 
 
 def test_random_elements_are_reduced():
@@ -61,3 +65,19 @@ def test_random_elements_are_reduced():
     for _ in range(50):
         x = f.random(rng)
         assert 0 <= x < 11
+
+
+def test_primes_past_int64_draw_uniformly():
+    # numpy draws below 2**63 only; larger primes draw by rejection from
+    # 63-bit limbs, and primes below keep numpy's stream
+    for p in (2 ** 63 + 29, 2 ** 89 - 1):
+        f = PrimeField(p)
+        rng = np.random.default_rng(5)
+        xs = [f.random(rng) for _ in range(2000)]
+        assert all(type(x) is int and 0 <= x < p for x in xs)
+        quarters = np.bincount([4 * x // p for x in xs], minlength=4)
+        assert quarters.min() > 400, (p, quarters)
+    p = 2 ** 63 - 25
+    a, b = np.random.default_rng(5), np.random.default_rng(5)
+    assert [PrimeField(p).random(a) for _ in range(20)] == \
+        [int(b.integers(0, p)) for _ in range(20)]

@@ -7,7 +7,7 @@ from itertools import combinations
 from math import comb
 
 from ginshift.changes import CoordinateChange, SizeLimitError
-from ginshift.fields import GFP, QQ, InvalidInputError
+from ginshift.fields import GFP, InvalidInputError
 from ginshift.gin import gin_space
 from ginshift.graphs import (Graph, complete_bipartite, cycle_graph,
                              disjoint_cliques, path_graph)
@@ -110,7 +110,7 @@ def _taylor_oracle(ideal):
             return 0
         dense = [[row.get(c, Fraction(0)) for c in range(len(targets))]
                  for row in rows]
-        return len(rref_exact(dense, QQ)[1])
+        return len(rref_exact(dense)[1])
 
     by_mdeg = {}
     for size in range(1, len(gens) + 1):
@@ -361,6 +361,6 @@ def test_hyperplane_rank_oracle_matches_engine():
         w = {m for m in ambient if rng.random() < 0.5}
         phi = CoordinateChange.random_dense(n, GFP, rng)
         for k in range(1, n + 1):
-            oracle = hyperplane_rank_oracle(w, n, k, phi, sign=-1)
+            oracle = hyperplane_rank_oracle(w, n, k, phi)
             engine = _gin_profile_max_ge(REVLEX, w, EXT, n, k, seed=trial)
             assert oracle == engine

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ginshift import linalg
 from ginshift.fields import GFP, QQ, PrimeField, fits_int64
 from ginshift.linalg import Subspace, rref, rref_exact, rref_prime, vector_rank
 from ginshift.monomials import EXT, all_monomials, ext_monomial
@@ -20,14 +21,16 @@ def test_rref_prime_known():
 
 def test_rref_exact_rational():
     rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3), Fraction(2)]]
-    red, piv = rref_exact(rows, QQ)
+    red, piv = rref_exact(rows)
     assert piv == [0]
     assert red == [[Fraction(1), Fraction(2, 3)]]
 
 
 def _fraction_rref(rows, field):
     """The Fraction Gauss-Jordan loop that integer elimination over Q
-    replaced: each pivot row scaled to 1, every other row reduced by it."""
+    replaced: each pivot row scaled to 1, every other row reduced by it.
+    Each entry is computed with operators and reduced by ``field`` once."""
+    p = field.characteristic
     a = [list(row) for row in rows]
     m, ncols = len(a), len(a[0]) if a else 0
     pivots, r = [], 0
@@ -38,13 +41,12 @@ def _fraction_rref(rows, field):
         if i is None:
             continue
         a[r], a[i] = a[i], a[r]
-        inv = field.inv(a[r][c])
-        a[r] = [field.mul(x, inv) for x in a[r]]
+        inv = pow(a[r][c], -1, p) if p else 1 / field(a[r][c])
+        a[r] = [field(x * inv) for x in a[r]]
         for k in range(m):
             if k != r and a[k][c] != field.zero:
                 f = a[k][c]
-                a[k] = [field.sub(x, field.mul(f, y))
-                        for x, y in zip(a[k], a[r])]
+                a[k] = [field(x - f * y) for x, y in zip(a[k], a[r])]
         pivots.append(c)
         r += 1
     return a[: len(pivots)], pivots
@@ -63,13 +65,13 @@ def test_rref_exact_over_q_matches_the_fraction_loop():
                         for x, y in zip(rows[0], rows[1])]
         if m >= 2 and rng.random() < 0.2:
             rows[1] = [Fraction(0)] * k
-        red, piv = rref_exact(rows, QQ)
+        red, piv = rref_exact(rows)
         assert (red, piv) == _fraction_rref(rows, QQ)
         assert all(type(x) is Fraction for row in red for x in row)
         ranks.add(len(piv) < m)
     assert ranks == {True, False}
     # plain ints are read as rationals
-    assert rref_exact([[2, 4], [1, 3]], QQ) == ([[1, 0], [0, 1]], [0, 1])
+    assert rref_exact([[2, 4], [1, 3]]) == ([[1, 0], [0, 1]], [0, 1])
 
 
 @pytest.mark.parametrize("field", [PrimeField(2 ** 40 + 15),
@@ -106,16 +108,27 @@ def test_object_rows_match_the_field_element_loop(field):
     assert ranks == {True, False} and zero_columns
 
 
-def test_rref_exact_over_a_prime_field_does_not_eliminate_over_q():
+def test_rref_exact_over_a_prime_field_does_not_eliminate_over_q(
+        monkeypatch):
     # over Q the rows are independent; over GF(2) the first one vanishes
     rows = [[2, 4], [1, 3]]
-    assert rref_exact(rows, QQ) == ([[1, 0], [0, 1]], [0, 1])
-    assert rref_exact(rows, PrimeField(2)) == ([[1, 1]], [0])
+    assert rref_exact(rows) == ([[1, 0], [0, 1]], [0, 1])
     # the determinant -2p vanishes mod p alone
     p = 2 ** 40 + 15
-    rows = [[2, 2 * p + 4], [1, 2]]
-    assert rref_exact(rows, QQ)[1] == [0, 1]
-    assert rref_exact(rows, PrimeField(p)) == ([[1, 2]], [0])
+    big = [[2, 2 * p + 4], [1, 2]]
+    assert rref_exact(big)[1] == [0, 1]
+
+    def refuse(_rows):
+        raise AssertionError("rows over GF(p) eliminated over Q")
+
+    monkeypatch.setattr(linalg, "rref_exact", refuse)
+    for mat, field, reduced in ((rows, PrimeField(2), [[1, 1]]),
+                                (big, PrimeField(p), [[1, 2]])):
+        red, piv = rref(mat, field)
+        assert (red.tolist(), piv) == (reduced, [0])
+        assert vector_rank(mat, field) == 1
+    with pytest.raises(AssertionError):
+        rref(rows, QQ)
 
 
 def test_rank_helpers():

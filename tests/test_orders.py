@@ -9,6 +9,7 @@ from ginshift.monomials import (EXT, POLY, all_monomials, basis_table,
                                 ext_monomial, poly_monomial)
 from ginshift.orders import (GREATER, LESS, LEX, REVLEX, Inverse, WeightOrder,
                              parse_order)
+import references
 
 
 def e(idx, n=6):
@@ -137,9 +138,10 @@ def _orders_with_inverses(n):
 
 
 def _reference_sort(order, monomials):
-    """The ranking as it was computed before sort keys: ``compare`` alone."""
-    return sorted(monomials, key=functools.cmp_to_key(order.compare),
-                  reverse=True)
+    """The ranking by the hand-written comparison in ``references``: the
+    specification, not the key it is checked against."""
+    spec = functools.partial(references.compare, order)
+    return sorted(monomials, key=functools.cmp_to_key(spec), reverse=True)
 
 
 @pytest.mark.parametrize("ring,max_degree", [(EXT, None), (POLY, 4)])
@@ -150,5 +152,7 @@ def test_sort_keys_match_compare_on_every_basis_table(ring, max_degree):
         mixed = [u for table in tables for u in table][::-1]
         for order in _orders_with_inverses(n):
             for table in tables + [mixed]:
-                assert order.sort_descending(table) == \
-                    _reference_sort(order, table), (order, ring, n)
+                ref = _reference_sort(order, table)
+                assert order.sort_descending(table) == ref, (order, ring, n)
+                assert sorted(table, key=functools.cmp_to_key(order.compare),
+                              reverse=True) == ref, (order, ring, n)
