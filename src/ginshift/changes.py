@@ -113,8 +113,11 @@ class CoordinateChange:
 
     @classmethod
     def random_dense(cls, n: int, field, rng) -> "CoordinateChange":
+        """Uniform entries, row by row, in one draw per matrix; a singular
+        draw is drawn again."""
         while True:
-            m = tuple(tuple(field.random(rng) for _ in range(n)) for _ in range(n))
+            x = field.random(rng, n * n)
+            m = tuple(tuple(x[i * n:(i + 1) * n]) for i in range(n))
             try:
                 return cls(m, field, "random-dense")
             except SingularMatrixError:
@@ -122,13 +125,16 @@ class CoordinateChange:
 
     @classmethod
     def random_upper_triangular(cls, n: int, field, rng) -> "CoordinateChange":
+        """Uniform entries on and above the diagonal, row by row, in one
+        draw per matrix; a singular draw is drawn again."""
+        upper = list(zip(*np.triu_indices(n)))
         while True:
-            rows = []
-            for i in range(n):
-                row = [field.zero] * i + [field.random(rng) for _ in range(n - i)]
-                rows.append(tuple(row))
+            rows = [[field.zero] * n for _ in range(n)]
+            for (i, j), x in zip(upper, field.random(rng, len(upper))):
+                rows[i][j] = x
             try:
-                return cls(tuple(rows), field, "random-upper-triangular")
+                return cls(tuple(map(tuple, rows)), field,
+                           "random-upper-triangular")
             except SingularMatrixError:
                 continue
 

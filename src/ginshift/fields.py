@@ -24,11 +24,18 @@ import numpy as np
 DEFAULT_PRIME = 2_147_483_629
 
 
+#: the first 13 primes: Miller-Rabin to all of them as bases is
+#: deterministic below 3,317,044,064,679,887,385,961,981
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(m: int) -> bool:
-    """Deterministic Miller-Rabin, valid for every m < 3.3 * 10**24."""
+    """Miller-Rabin to the bases ``_BASES``: deterministic for every
+    m < 3,317,044,064,679,887,385,961,981 (about 3.3 * 10**24), a strong
+    probable-prime test above that bound."""
     if m < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _BASES:
         if m % q == 0:
             return m == q
     d = m - 1
@@ -36,7 +43,7 @@ def is_prime(m: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _BASES:
         x = pow(a, d, m)
         if x in (1, m - 1):
             continue
@@ -73,11 +80,16 @@ class PrimeField:
     zero = 0
     one = 1
 
-    def random(self, rng):
-        """Uniform element, via a numpy Generator."""
+    def random(self, rng, size=None):
+        """A uniform element, or a list of ``size`` of them, via a numpy
+        Generator. Below 2**63 a list is one draw, and holds the elements
+        that ``size`` single draws would give."""
         p = self.p
         if p <= 2 ** 63:
-            return int(rng.integers(0, p))
+            x = rng.integers(0, p, size=size)
+            return int(x) if size is None else x.tolist()
+        if size is not None:
+            return [self.random(rng) for _ in range(size)]
         # numpy draws below 2**63 only: the top bits of 63-bit limbs, with
         # draws of p or more rejected, stay uniform
         bits = (p - 1).bit_length()
@@ -105,9 +117,12 @@ class RationalField:
     zero = Fraction(0)
     one = Fraction(1)
 
-    def random(self, rng):
-        """Uniform integer in [-10**6, 10**6], nonzero bias-free."""
-        return Fraction(int(rng.integers(-10**6, 10**6 + 1)))
+    def random(self, rng, size=None):
+        """A uniform integer in [-10**6, 10**6], or a list of ``size`` of
+        them drawn at once, as ``Fraction``s."""
+        x = rng.integers(-10**6, 10**6 + 1, size=size)
+        return Fraction(int(x)) if size is None else list(map(Fraction,
+                                                               x.tolist()))
 
 
 QQ = RationalField()

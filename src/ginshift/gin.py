@@ -19,13 +19,9 @@ from .families import (family_of, family_supports, is_stable_family,
                        minimal_family, pair_shift)
 from .fields import GFP, InvalidInputError
 from .ideals import MonomialIdeal, is_strongly_stable
-from .linalg import Subspace
+from .linalg import CertificationError, Subspace
 from .monomials import EXT, ExtMonomial, Monomial, all_monomials, basis_table
 from .orders import LEX, Inverse, TermOrder
-
-
-class CertificationError(RuntimeError):
-    """Trials disagreed or the candidate failed stability / Hilbert checks."""
 
 
 class DualityViolationError(RuntimeError):
@@ -97,8 +93,10 @@ class _Trials:
 
     A degree component lives against the basis table of its degree: each
     (phi, d) has one image matrix, assembled once and shared by every order,
-    and an order enters only as its ranking of the table. Orders that rank
-    the table alike share one result, and orders whose initial spaces agree
+    and an order enters only as its ranking of the table. The k image
+    matrices of a degree are one stack, eliminated in lockstep, which
+    raises at the first column where the trials part. Orders that rank the
+    table alike share one result, and orders whose initial spaces agree
     share one elimination (``Subspace.leading_columns``). A component
     in_order(phi(V))_d is certified when every phi gives the same one and it
     has |V_d| monomials; for a single invertible phi both always hold. When
@@ -109,7 +107,7 @@ class _Trials:
         self.ring, self.n, self.source = ring, n, source
         self.phis, self.seed, self.salt = phis, seed, salt
         self._sources: dict[int, list] = {}
-        self._spaces: dict[int, list[Subspace]] = {}
+        self._spaces: dict[int, Subspace] = {}
         self._pivots: dict[tuple, frozenset] = {}
 
     @classmethod
@@ -137,18 +135,19 @@ class _Trials:
         ranking = order.ranking(self.ring, self.n, d)
         if (ranking, d) not in self._pivots:
             if d not in self._spaces:
-                self._spaces[d] = [Subspace.from_vectors(
+                self._spaces[d] = Subspace.stack([Subspace.from_vectors(
                     [phi.apply(u) for u in sources], basis, phi.field)
-                    for phi in self.phis]
-            results = [frozenset(basis[j] for j in
-                                 space.leading_columns(ranking))
-                       for space in self._spaces[d]]
-            if any(r != results[0] for r in results) \
-                    or len(results[0]) != len(sources):
+                    for phi in self.phis])
+            try:
+                leading = self._spaces[d].leading_columns(ranking)
+            except CertificationError as exc:
                 raise CertificationError(
-                    f"trials disagreed or missed the Hilbert function in "
-                    f"degree {d} under {order}")
-            self._pivots[ranking, d] = results[0]
+                    f"{exc} in degree {d} under {order}") from None
+            if len(leading) != len(sources):
+                raise CertificationError(
+                    f"trials missed the Hilbert function in degree {d} "
+                    f"under {order}")
+            self._pivots[ranking, d] = frozenset(basis[j] for j in leading)
         return self._pivots[ranking, d]
 
     def initial_ideal(self, order: TermOrder, cap: int,

@@ -141,10 +141,21 @@ def is_strongly_stable(ideal: MonomialIdeal, squarefree: bool = False):
     An exterior ideal on up to ``MAX_EXT_VARIABLES`` variables is checked
     as the upward closure of its generator family by ``is_stable_family``;
     the generator scan then only names the witness of a failure.
+
+    Under the plain rule a polynomial ideal is strongly stable once each
+    generator g has x_{q-1} g / x_q in it for each x_q dividing g: for
+    m = g w with x_q dividing w, x_{q-1} m / x_q = g (x_{q-1} w / x_q),
+    so every monomial of the ideal has its adjacent exchanges, and chaining
+    q -> q-1 -> ... -> p gives every exchange. Only a candidate failing
+    that gate is scanned in full, for its witness.
     """
     n = ideal.n
     if ideal.ring == EXT and n <= MAX_EXT_VARIABLES and is_stable_family(
             up_closure(family_of(g.support for g in ideal.generators), n), n):
+        return True, None
+    if ideal.ring == POLY and not squarefree and all(
+            ideal.contains(g.div_var(q).times_var(q - 1))
+            for g in ideal.generators for q in g.support if q > 1):
         return True, None
     return _exchange_scan(ideal, squarefree)
 

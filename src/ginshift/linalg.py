@@ -6,10 +6,13 @@ Pivot columns only depend on the row space and the column order, so every
 initial-space computation downstream is reproducible bit for bit. Rows
 are one numpy array for every field, of dtype ``fields.row_dtype``: int64
 over a prime below 2**31, python objects otherwise (ints for larger primes,
-``Fraction``s over Q). Every prime field is eliminated by ``rref_prime``
-and Q by ``rref_exact``. A term order enters as a ranking of the columns
-(``Subspace.leading_columns``), and rankings under which a kept echelon
-basis still fits share its elimination.
+``Fraction``s over Q). Every prime field is eliminated by the one column
+loop of ``rref_prime`` and Q by ``rref_exact``. The k trial images of one
+span are stacked and eliminated together: over GF(p) in one column loop
+for all k, which raises at the first column where they part. A term order
+enters as a ranking of the columns (``Subspace.leading_columns``), and
+rankings under which a kept echelon basis still fits share its
+elimination.
 """
 
 from __future__ import annotations
@@ -24,30 +27,54 @@ from .fields import row_dtype
 from .monomials import Monomial
 
 
-def rref_prime(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """RREF mod p of an int64 array (p < 2**31, so products fit) or of an
-    object array of python ints (any p)."""
-    a = np.mod(mat, p)
-    m, ncols = a.shape
+class CertificationError(RuntimeError):
+    """Trials disagreed or the candidate failed stability / Hilbert checks."""
+
+
+def _rref_lockstep(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """RREF mod p, in place, of a (k, rows, cols) stack of k matrices with
+    reduced entries, in one column loop for all of them: int64 entries
+    (p < 2**31, so products fit) or python ints (any p). The k matrices
+    must share their pivot columns: a column that is a pivot for some and
+    not for others raises CertificationError at once."""
+    k, m, ncols = a.shape
+    stack = np.arange(k)
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
         if r == m:
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
-        other = np.nonzero(a[:, c])[0]
-        other = other[other != r]
-        if other.size:
-            a[other] = (a[other] - np.outer(a[other, c], a[r])) % p
+        # a non-zero at row r in every matrix makes c a pivot of all of them
+        if not a[:, r, c].all():
+            nz = a[:, r:, c] != 0
+            found = nz.any(axis=1)
+            if not found.any():
+                continue
+            if not found.all():
+                raise CertificationError(
+                    f"trials disagree on pivot column {c}")
+            i = r + nz.argmax(axis=1)
+            a[stack, r], a[stack, i] = a[stack, i], a[stack, r]
+        inv = np.array([pow(x, -1, p) for x in a[:, r, c].tolist()],
+                       dtype=a.dtype)
+        # entries left of c are 0 in row r, so only columns c: change;
+        # row r itself is reduced to 0 and then set to the pivot row
+        rest = a[:, :, c:]
+        pivot_row = rest[:, r] * inv[:, None] % p
+        rest -= rest[:, :, :1] * pivot_row[:, None, :]
+        rest %= p
+        rest[:, r] = pivot_row
         pivots.append(c)
         r += 1
-    return a[: len(pivots)], pivots
+    return a[:, : len(pivots)], pivots
+
+
+def rref_prime(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """RREF mod p of an int64 array (p < 2**31, so products fit) or of an
+    object array of python ints (any p): the column loop of
+    ``_rref_lockstep`` on a stack of one."""
+    red, pivots = _rref_lockstep(np.mod(mat, p)[None], p)
+    return red[0], pivots
 
 
 def rref_exact(rows) -> tuple[list[list], list[int]]:
@@ -85,25 +112,41 @@ def rref_exact(rows) -> tuple[list[list], list[int]]:
 
 
 def rref(rows, field) -> tuple[np.ndarray, list[int]]:
-    """RREF of two-dimensional coefficient rows as an array of the field's
-    row dtype (``fields.row_dtype``), the one dispatch on the field:
-    every prime field runs ``rref_prime``, so no result over GF(p) is
-    computed over Q, and Q runs ``rref_exact``."""
+    """RREF of coefficient rows as an array of the field's row dtype
+    (``fields.row_dtype``): of a (rows, cols) matrix, or of a
+    (k, rows, cols) stack of k trial matrices, which must share their pivot
+    columns (CertificationError otherwise). The one dispatch on the field:
+    every prime field runs one column loop, a matrix through ``rref_prime``
+    and a stack in lockstep, so no result over GF(p) is computed over Q;
+    Q runs ``rref_exact`` matrix by matrix."""
     a = np.asarray(rows, dtype=row_dtype(field))
-    if field.characteristic:
-        return rref_prime(a, field.characteristic)
-    red, piv = rref_exact(a.tolist())
-    return np.array(red, dtype=object).reshape(len(piv), a.shape[1]), piv
+    p = field.characteristic
+    if p and a.ndim == 2:
+        return rref_prime(a, p)
+    stack = a.reshape((-1,) + a.shape[-2:])
+    if p:
+        red, pivots = _rref_lockstep(np.mod(stack, p), p)
+    else:
+        exact = [rref_exact(trial.tolist()) for trial in stack]
+        pivots = exact[0][1]
+        if any(piv != pivots for _, piv in exact):
+            raise CertificationError("trials disagree on pivot columns")
+        red = np.array([rows for rows, _ in exact], dtype=object).reshape(
+            len(stack), len(pivots), stack.shape[2])
+    return red.reshape(a.shape[:-2] + red.shape[1:]), pivots
 
 
 @dataclass(eq=False)
 class Subspace:
-    """A subspace of one degree component, stored against an ordered basis.
+    """A subspace of one degree component, stored against an ordered basis,
+    or a stack of k of them spanned by as many rows each (the images of one
+    span under k trials), which are eliminated in lockstep.
 
     ``columns`` is the monomial basis in a fixed order; ``rows`` are
     coefficient rows of spanning elements, one array of dtype
-    ``row_dtype(field)`` (so subspaces compare by identity). A term order
-    enters only as a ranking of the columns.
+    ``row_dtype(field)`` (so subspaces compare by identity), of shape
+    (rows, columns), or (k, rows, columns) for a stack. A term order enters
+    only as a ranking of the columns.
     """
 
     columns: list[Monomial]
@@ -127,28 +170,37 @@ class Subspace:
                                                               len(columns))
         return cls(list(columns), rows, field)
 
+    @classmethod
+    def stack(cls, spaces) -> "Subspace":
+        """Subspaces of as many rows against the same columns as one stack."""
+        return cls(spaces[0].columns, np.stack([s.rows for s in spaces]),
+                   spaces[0].field)
+
     def leading_columns(self, ranking) -> list[int]:
         """Positions of the leading columns of the span when the columns are
         taken in the order ``ranking`` (a permutation of their positions):
-        the pivots of ``rows[:, ranking]``, mapped back, in ranking order.
+        the pivots of ``rows[..., ranking]``, mapped back, in ranking order.
+        Every subspace of a stack must have the same ones; a column leading
+        for some and not for others raises CertificationError.
 
         The reduced basis with the identity on a given column set is
         unique, so an echelon basis kept from an earlier ranking whose rows
-        each still lead at their own pivot is the answer again, and no
-        elimination is needed.
+        each still lead at their own pivot, in every subspace, is the answer
+        again, and no elimination is needed.
         """
         ranking = np.asarray(ranking, dtype=np.intp)
         last = len(ranking)
         pos = np.empty_like(ranking)
         pos[ranking] = np.arange(last)
         for piv, support in self._echelons:
-            lead = np.where(support, pos, last).min(axis=1, initial=last)
-            if np.array_equal(lead, pos[piv]):
+            lead = pos[piv]
+            if (np.where(support, pos, last).min(axis=-1, initial=last)
+                    == lead).all():
                 return piv[np.argsort(lead)].tolist()
-        red, piv = rref(self.rows[:, ranking], self.field)
+        red, piv = rref(self.rows[..., ranking], self.field)
         ranked_support = red != 0
         support = np.empty_like(ranked_support)
-        support[:, ranking] = ranked_support
+        support[..., ranking] = ranked_support
         self._echelons.append((ranking[piv], support))
         return ranking[piv].tolist()
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 from ginshift.changes import (MAX_EXT_VARIABLES, CoordinateChange,
                               SingularMatrixError, SizeLimitError, mult_table)
 from ginshift.fields import GFP, QQ, InvalidInputError, PrimeField
+from ginshift.linalg import vector_rank
 from ginshift.monomials import POLY, basis_table, ext_monomial, poly_monomial
 
 
@@ -86,6 +87,33 @@ def test_random_changes_are_invertible_and_deterministic():
     for i in range(4):
         for j in range(i):
             assert tri.matrix[i][j] == GFP.zero
+
+
+def _per_entry_draw(n, field, rng, upper):
+    """A random change as drawn before one draw per matrix: one
+    ``field.random`` call per entry, row by row, again until invertible."""
+    while True:
+        rows = tuple(tuple(field.random(rng) if j >= i or not upper
+                           else field.zero for j in range(n))
+                     for i in range(n))
+        if vector_rank(rows, field) == n:
+            return rows
+
+
+@pytest.mark.parametrize("field", [PrimeField(p) for p in (
+    2, 3, 101, 2 ** 31 - 19, 2 ** 40 + 15, 2 ** 61 - 1, 2 ** 63 - 25,
+    2 ** 89 - 1)] + [QQ], ids=lambda f: str(f.characteristic or "Q"))
+def test_one_draw_per_matrix_gives_the_per_entry_matrices(field):
+    # the same matrices from the same generator, singular redraws included,
+    # and the same stream after them
+    a, b = np.random.default_rng(9), np.random.default_rng(9)
+    for n in (1, 2, 3, 5):
+        for upper, draw in ((False, CoordinateChange.random_dense),
+                            (True, CoordinateChange.random_upper_triangular)):
+            got = draw(n, field, a).matrix
+            assert got == _per_entry_draw(n, field, b, upper), (n, upper)
+            assert all(type(x) is type(field.one) for row in got for x in row)
+    assert field.random(a) == field.random(b)
 
 
 def test_exterior_size_limit():

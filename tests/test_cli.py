@@ -188,7 +188,10 @@ def test_invalid_input_exit_codes(tmp_path, capsys, rei_file):
                  ["witnesses", rei_file, "--degree-cap", "-1"],
                  ["witnesses", rei_file, "--budget", "-1"],
                  ["properties", "--samples", "-5"],
-                 ["properties", "--samples", "0"]):
+                 ["properties", "--samples", "0"],
+                 # composite, a strong pseudoprime to the bases up to 37
+                 ["gin", rei_file, "--field",
+                  "prime:318665857834031151167461"]):
         code, out = run(capsys, argv)
         assert (code, out) == (EXIT_INVALID_INPUT, ""), argv
 

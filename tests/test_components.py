@@ -15,7 +15,8 @@ from ginshift.fields import GFP, QQ, PrimeField
 from ginshift.gin import CertificationError, _Trials
 from ginshift.ideals import MonomialIdeal
 from ginshift.linalg import Subspace, rref
-from ginshift.monomials import EXT, POLY, all_monomials, ext_monomial
+from ginshift.monomials import (EXT, POLY, all_monomials, ext_monomial,
+                                poly_monomial)
 from ginshift.orders import LEX, REVLEX, Inverse, WeightOrder
 from references import compare, initial_space
 
@@ -110,6 +111,19 @@ def test_exact_components_need_no_images(ring, n, d):
         for order in (LEX, REVLEX, Inverse(LEX)):
             assert trials.component(order, d) == want
         assert trials._spaces == {}
+
+
+def test_trials_that_agree_below_the_hilbert_function_raise():
+    # two changes whose matrices turn singular after their invertibility
+    # check send x1 and x2 to one form: the trials agree, on one leading
+    # monomial where the Hilbert function asks for two
+    phis = [CoordinateChange.identity(3, GFP) for _ in range(2)]
+    for phi in phis:
+        phi.matrix = ((1, 1, 0), (1, 1, 0), (0, 0, 1))
+    sources = [poly_monomial((1, 0, 0)), poly_monomial((0, 1, 0))]
+    trials = _Trials(POLY, 3, lambda _d: sources, phis)
+    with pytest.raises(CertificationError, match="Hilbert function"):
+        trials.component(LEX, 1)
 
 
 def test_orders_ranking_the_table_alike_share_one_elimination():

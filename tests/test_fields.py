@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ginshift.fields import (GFP, QQ, InvalidInputError, PrimeField,
-                             RationalField, parse_field)
+                             RationalField, is_prime, parse_field)
 
 
 def test_default_prime_is_int64_safe():
@@ -17,6 +17,17 @@ def test_prime_field_rejects_composites():
         PrimeField(91)
     with pytest.raises(InvalidInputError):
         PrimeField(1)
+
+
+def test_a_strong_pseudoprime_to_the_bases_up_to_37_is_composite():
+    # the least composite that passes Miller-Rabin to every prime base up
+    # to 37; base 41 rejects it
+    m = 318665857834031151167461
+    assert m == 399165290221 * 798330580441
+    assert not is_prime(m)
+    with pytest.raises(InvalidInputError):
+        parse_field(f"prime:{m}")
+    assert all(map(is_prime, (41, 2 ** 61 - 1, 2 ** 89 - 1)))
 
 
 def test_prime_field_arithmetic():
@@ -81,3 +92,4 @@ def test_primes_past_int64_draw_uniformly():
     a, b = np.random.default_rng(5), np.random.default_rng(5)
     assert [PrimeField(p).random(a) for _ in range(20)] == \
         [int(b.integers(0, p)) for _ in range(20)]
+

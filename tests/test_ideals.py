@@ -1,3 +1,5 @@
+import importlib
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -244,3 +246,31 @@ def test_one_exchange_rule_matches_the_polynomial_scans():
             flags.add((squarefree, got[0]))
     assert flags == {(False, True), (False, False), (True, True),
                      (True, False)}
+
+
+def test_the_adjacent_exchange_gate_gives_the_full_scan(monkeypatch):
+    # under the plain rule a polynomial ideal is scanned in full, for its
+    # witness, exactly when a generator g lacks some x_{q-1} g / x_q; the
+    # flag and witness are the full scan's. A stable closure with one
+    # generator dropped is an unstable ideal missing few exchanges.
+    ideals = importlib.import_module("ginshift.ideals")
+    scan, scanned = ideals._exchange_scan, []
+    monkeypatch.setattr(ideals, "_exchange_scan", lambda ideal, squarefree:
+                        scanned.append(ideal) or scan(ideal, squarefree))
+    rng = np.random.default_rng(2026)
+    flags = Counter()
+    for _ in range(400):
+        n = int(rng.integers(1, 6))
+        ideal = _random_polynomial_ideal(rng, n)
+        if ideal.generators and rng.random() < 0.5:
+            closed = stable_closure(ideal.generators, POLY, n).generators
+            drop = int(rng.integers(len(closed)))
+            ideal = MonomialIdeal.make(POLY, n, closed[:drop]
+                                       + closed[drop + 1:])
+        scanned.clear()
+        got = is_strongly_stable(ideal)
+        assert got == scan(ideal, False) == \
+            _scan_poly_is_strongly_stable(ideal, False), ideal
+        assert scanned == ([] if got[0] else [ideal])
+        flags[got[0]] += 1
+    assert min(flags.values()) > 100, flags

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -5,8 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ginshift import linalg
-from ginshift.fields import GFP, QQ, PrimeField, fits_int64
-from ginshift.linalg import Subspace, rref, rref_exact, rref_prime, vector_rank
+from ginshift.fields import GFP, QQ, PrimeField, fits_int64, row_dtype
+from ginshift.gin import gin
+from ginshift.ideals import MonomialIdeal
+from ginshift.linalg import (CertificationError, Subspace, rref, rref_exact,
+                             rref_prime, vector_rank)
 from ginshift.monomials import EXT, all_monomials, ext_monomial
 from ginshift.orders import LEX, REVLEX
 from references import initial_space
@@ -204,3 +208,117 @@ def test_primes_above_int64_range_are_exact():
     sp = Subspace.from_vectors(vecs, all_monomials(EXT, 4, 2), field)
     assert sp.rows.dtype == object
     assert len(sp.leading_columns(range(6))) == 3
+
+
+# -- trial stacks, eliminated in lockstep ---------------------------------
+
+#: int64 rows, object rows of python ints, and Q (matrix by matrix)
+STACK_FIELDS = [PrimeField(5), PrimeField(2 ** 40 + 15), QQ]
+STACK_IDS = ["gf5", "2^40+15", "qq"]
+
+
+def _alone(mat, field):
+    """One trial's (reduced rows as lists, pivots), eliminated alone."""
+    if not field.characteristic:
+        return rref_exact(mat)
+    red, piv = rref_prime(np.array(mat, dtype=row_dtype(field)),
+                          field.characteristic)
+    return red.tolist(), piv
+
+
+def _entry(field, rng):
+    if field.characteristic:
+        return field.random(rng)
+    return Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
+
+
+@pytest.mark.parametrize("field", STACK_FIELDS, ids=STACK_IDS)
+def test_a_stack_eliminates_as_its_trials_do_alone(field):
+    # the reduced rows and pivots of each trial when they all agree, and a
+    # CertificationError when their pivots part
+    rng = np.random.default_rng(31)
+    outcomes = Counter()
+    for _ in range(200):
+        k, m, ncols = (int(rng.integers(1, 4)), int(rng.integers(1, 6)),
+                       int(rng.integers(1, 8)))
+        zero = rng.random(ncols) < 0.2
+        mats = [[[field.zero if zero[j] or rng.random() < 0.25
+                  else _entry(field, rng) for j in range(ncols)]
+                 for _ in range(m)] for _ in range(k)]
+        for mat in mats:
+            if m >= 3 and rng.random() < 0.2:  # rank-deficient
+                mat[-1] = [field(2 * x - y) for x, y in zip(mat[0], mat[1])]
+        alone = [_alone(mat, field) for mat in mats]
+        stack = np.array(mats, dtype=row_dtype(field))
+        if any(piv != alone[0][1] for _, piv in alone):
+            with pytest.raises(CertificationError):
+                rref(stack, field)
+            outcomes["parted"] += 1
+            continue
+        red, piv = rref(stack, field)
+        assert piv == alone[0][1]
+        assert red.dtype == row_dtype(field)
+        assert red.shape == (k, len(piv), ncols)
+        assert red.tolist() == [rows for rows, _ in alone]
+        outcomes["agreed", k == 1] += 1
+    assert min(outcomes.values()) > 10 and len(outcomes) == 3, outcomes
+
+
+@pytest.mark.parametrize("field", STACK_FIELDS, ids=STACK_IDS)
+def test_a_stack_raises_where_one_trial_parts(field):
+    f = lambda rows: [[field(x) for x in row] for row in rows]
+    agree = f([[1, 2, 0, 3], [0, 0, 1, 4]])
+    deficient = f([[1, 2, 0, 3], [2, 4, 0, 6]])
+    other_pivot = f([[1, 2, 0, 3], [0, 1, 1, 4]])
+    for odd in (deficient, other_pivot):
+        with pytest.raises(CertificationError):
+            rref(np.array([agree, odd, agree], dtype=row_dtype(field)), field)
+    # a stack of one is its matrix
+    red, piv = rref(np.array([agree], dtype=row_dtype(field)), field)
+    alone = rref(agree, field)
+    assert piv == alone[1] == [0, 2]
+    assert red.tolist() == [alone[0].tolist()]
+
+
+def test_a_stack_keeps_one_echelon_basis_for_all_its_trials(monkeypatch):
+    calls = []
+    lockstep = linalg._rref_lockstep
+    monkeypatch.setattr(linalg, "_rref_lockstep", lambda a, p: calls.append(
+        a.shape) or lockstep(a, p))
+    # c0 + c2, c1 + c3 and c0 + c3, c1 + c2: leading columns {0, 1} under
+    # the identity, and under a ranking both kept bases still fit
+    space = Subspace.stack([Subspace(list(range(4)), np.array(
+        rows, dtype=np.int64), GFP) for rows in (
+            [[1, 0, 1, 0], [0, 1, 0, 1]], [[1, 0, 0, 1], [0, 1, 1, 0]])])
+    assert space.rows.shape == (2, 2, 4)
+    assert space.leading_columns([0, 1, 2, 3]) == [0, 1]
+    assert space.leading_columns([1, 0, 3, 2]) == [1, 0]
+    assert calls == [(2, 2, 4)]
+    # the first basis fits [0, 2, 1, 3] and the second does not, so their
+    # leading columns part: one more elimination, which raises
+    with pytest.raises(CertificationError):
+        space.leading_columns([0, 2, 1, 3])
+    assert calls == [(2, 2, 4)] * 2
+
+
+def test_a_trial_set_that_parts_escalates_and_certifies(monkeypatch):
+    # under revlex over GF(31) the first three trials part inside the
+    # elimination; six fresh ones certify the gin
+    parted = []
+    lockstep = linalg._rref_lockstep
+
+    def record(a, p):
+        try:
+            return lockstep(a, p)
+        except CertificationError:
+            parted.append(a.shape)
+            raise
+
+    monkeypatch.setattr(linalg, "_rref_lockstep", record)
+    rei = MonomialIdeal.make(EXT, 4, [ext_monomial(s, 4)
+                                      for s in ((1, 2), (1, 3), (3, 4))])
+    g, cert = gin(REVLEX, rei, seed=1, field=PrimeField(31))
+    assert parted and all(shape[0] == 3 for shape in parted)
+    assert cert.escalated and cert.accepted and cert.trials == 6
+    assert g == MonomialIdeal.make(EXT, 4, [ext_monomial(s, 4) for s in
+                                            ((1, 2), (1, 3), (2, 3))])
