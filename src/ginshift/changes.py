@@ -2,15 +2,20 @@
 
 The exterior action sends e_S to the vector of d x d minors det(phi[T, S])
 over target supports T; the polynomial action expands the product of linear
-forms.  Minors are computed by Laplace expansion and kept in the change's
-minor table.  A polynomial image is a coefficient row against
+forms.  Minors come from degree tables: on its first read in degree d a
+change fills its whole exterior power, the C(n,d) x C(n,d) array of every
+minor det(phi[T, S]), from the degree d - 1 table in one gathered array
+product, Laplace along the last column vectorized over every (T, S) through
+the cached index table ``laplace_table(n, d)``.  A minor is then read from a
+per-column-set dict keyed by target support, built from the table on the
+column set's first read.  A polynomial image is a coefficient row against
 ``basis_table(POLY, n, d)``: with x_i the largest variable of m,
 row(m) = sum_k phi[k][i] * row(m / x_i) scattered through the cached
 multiplication table of ``mult_table(n, d)``, and rows are memoized per
 monomial so shared prefixes are expanded once.  A row is one numpy array of
 dtype ``fields.row_dtype(field)`` over every field: int64 over a prime below
-2**31, python ints over larger primes and ``Fraction``s over Q.  A minor
-is summed with plain operators and reduced by the field once.
+2**31, python ints over larger primes and ``Fraction``s over Q, and so is
+a degree table, each of whose entries is reduced mod p once over GF(p).
 The gin engine applies a change once to each monomial of a degree component
 and assembles the images into one matrix that serves every term order, so
 the action costs the same however many orders are certified.  A random
@@ -26,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import InvalidInputError, row_dtype
+from .fields import InvalidInputError, fits_int64, row_dtype
 from .linalg import vector_rank
 from .monomials import (EXT, POLY, ExtMonomial, Monomial, PolyMonomial,
                         basis_table)
@@ -52,6 +57,37 @@ def mult_table(n: int, d: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=256)
+def _support_index(n: int, d: int) -> dict:
+    """Position of each support in ``basis_table(EXT, n, d)``."""
+    return {m.support: j for j, m in enumerate(basis_table(EXT, n, d))}
+
+
+@lru_cache(maxsize=256)
+def laplace_table(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(drop, row) for the j-th support T of ``basis_table(EXT, n, d)`` and
+    each i < d: drop[j, i] is the position in ``basis_table(EXT, n, d - 1)``
+    of T without its i-th index t_i, and row[j, i] = t_i - 1, the 0-based
+    row of the change that Laplace expansion pairs with it; read-only,
+    d >= 1."""
+    index = _support_index(n, d - 1)
+    basis = basis_table(EXT, n, d)
+    drop = np.empty((len(basis), d), dtype=np.intp)
+    row = np.empty((len(basis), d), dtype=np.intp)
+    for j, m in enumerate(basis):
+        s = m.support
+        for i, t in enumerate(s):
+            drop[j, i] = index[s[:i] + s[i + 1:]]
+            row[j, i] = t - 1
+    drop.flags.writeable = row.flags.writeable = False
+    return drop, row
+
+
+def _is_support(s: tuple[int, ...], n: int) -> bool:
+    """Whether s is strictly increasing in 1..n."""
+    return all(a < b for a, b in zip((0,) + s, s + (n + 1,)))
+
+
 class SingularMatrixError(ValueError):
     pass
 
@@ -72,6 +108,7 @@ class CoordinateChange:
     field: object
     kind: str = "dense"
     _minors: dict = dc_field(default_factory=dict, repr=False)
+    _tables: list = dc_field(default_factory=list, repr=False)
     _poly_cache: dict = dc_field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -141,26 +178,65 @@ class CoordinateChange:
     # -- minors (exterior action) ---------------------------------------
 
     def minor(self, rows: tuple[int, ...], cols: tuple[int, ...]):
-        """det of the submatrix with the given 1-based rows and columns,
-        by memoized Laplace expansion along the first column."""
-        if not rows:
+        """det of the submatrix with the given 1-based rows and columns:
+        strictly increasing indices in 1..n, as many rows as columns."""
+        try:
+            return self._minors[cols][rows]
+        except KeyError:
+            pass
+        n = self.n
+        if len(rows) != len(cols) or not (_is_support(rows, n)
+                                          and _is_support(cols, n)):
+            raise InvalidInputError(
+                f"minor rows {rows} and columns {cols} are not supports of "
+                f"one degree in 1..{n}")
+        if not cols:
             return self.field.one
-        key = (rows, cols)
-        cached = self._minors.get(key)
-        if cached is not None:
-            return cached
-        c0 = cols[0]
-        rest = cols[1:]
-        acc = 0
-        for k, r in enumerate(rows):
-            a = self.matrix[r - 1][c0 - 1]
-            if a == 0:
-                continue
-            term = a * self.minor(rows[:k] + rows[k + 1:], rest)
-            acc = acc + term if k % 2 == 0 else acc - term
-        acc = self.field(acc)
-        self._minors[key] = acc
-        return acc
+        if n > MAX_EXT_VARIABLES:
+            raise SizeLimitError(
+                f"minor tables refused for n={n} > {MAX_EXT_VARIABLES}")
+        d = len(cols)
+        while len(self._tables) <= d:
+            self._fill()
+        index = _support_index(n, d)
+        column = self._tables[d][:, index[cols]].tolist()
+        self._minors[cols] = dict(zip(index, column))
+        return self._minors[cols][rows]
+
+    def _fill(self) -> None:
+        """Append the table of the next degree d: det phi[T, S] = sum_i
+        (-1)^(i+d) phi[t_i, s_d] det phi[T - t_i, S - s_d] (i 1-based), for
+        every (T, S) at once, from the degree d - 1 table."""
+        f = self.field
+        p = f.characteristic
+        d = len(self._tables)
+        if d < 2:
+            # degree 0 is the empty minor; degree 1 is phi itself
+            entries = [[f.one]] if d == 0 else [[f(x) for x in row]
+                                                for row in self.matrix]
+            self._tables.append(np.array(entries, dtype=row_dtype(f)))
+            return
+        phi, prev = self._tables[1], self._tables[-1]
+        drop, row = laplace_table(self.n, d)
+        last, rest = row[:, -1], drop[:, -1]
+
+        def term(i):
+            t = phi[row[:, i, None], last] * prev[drop[:, i, None], rest]
+            if fits_int64(f):
+                # int64 then holds a sum of d reduced products
+                t %= p
+            return t
+
+        # the last row's term has sign +1; the signs alternate from there
+        acc = term(d - 1)
+        for i in range(d - 2, -1, -1):
+            if (d - i) % 2:
+                acc += term(i)
+            else:
+                acc -= term(i)
+        if p:
+            acc %= p
+        self._tables.append(acc)
 
     # -- action on monomials --------------------------------------------
 
@@ -172,16 +248,18 @@ class CoordinateChange:
 
     def _apply_ext(self, m: ExtMonomial) -> dict:
         n = self.n
-        if m.degree > n:
-            raise InvalidInputError(f"degree {m.degree} exceeds n={n}")
+        if m.n != n:
+            raise InvalidInputError(
+                f"monomial in {m.n} variables, coordinate change in {n}")
         if n > MAX_EXT_VARIABLES:
             raise SizeLimitError(f"exterior action refused for n={n} > {MAX_EXT_VARIABLES}")
-        f = self.field
+        minor = self.minor
+        zero = self.field.zero
         out = {}
         src = m.support
         for tgt in basis_table(EXT, n, m.degree):
-            c = self.minor(tgt.support, src)
-            if c != f.zero:
+            c = minor(tgt.support, src)
+            if c != zero:
                 out[tgt] = c
         return out
 

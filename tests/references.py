@@ -74,6 +74,30 @@ def compare(order, u, v) -> int:
     return _cmp_same_degree(order, u, v)
 
 
+# -- minors, by Laplace expansion ----------------------------------------
+# The specification the degree tables of ``CoordinateChange.minor`` are
+# tested against.
+
+
+def _laplace(matrix, rows, cols):
+    """det of matrix[rows, cols] (1-based) by Laplace expansion along the
+    first column, in the entries' own arithmetic: nothing is reduced."""
+    if not rows:
+        return 1
+    acc = 0
+    for k, r in enumerate(rows):
+        term = matrix[r - 1][cols[0] - 1] * _laplace(
+            matrix, rows[:k] + rows[k + 1:], cols[1:])
+        acc = acc + term if k % 2 == 0 else acc - term
+    return acc
+
+
+def minor(phi, rows, cols):
+    """``phi.minor(rows, cols)`` as specified: the Laplace expansion summed
+    with operators, reduced by the field once."""
+    return phi.field(_laplace(phi.matrix, rows, cols))
+
+
 # -- initial spaces -------------------------------------------------------
 
 

@@ -6,7 +6,10 @@ from ginshift.changes import (MAX_EXT_VARIABLES, CoordinateChange,
                               SingularMatrixError, SizeLimitError, mult_table)
 from ginshift.fields import GFP, QQ, InvalidInputError, PrimeField
 from ginshift.linalg import vector_rank
-from ginshift.monomials import POLY, basis_table, ext_monomial, poly_monomial
+from ginshift.monomials import (EXT, POLY, basis_table, ext_monomial,
+                                poly_monomial)
+
+import references
 
 
 def test_singular_matrix_rejected():
@@ -77,6 +80,75 @@ def test_minor_matches_numpy_det():
     assert type(got) is int and got == f(expected.numerator)
 
 
+def test_minor_validates_its_arguments_before_any_table():
+    phi = CoordinateChange.random_dense(3, GFP, np.random.default_rng(4))
+    for rows, cols in [((1, 2), (1,)), ((), (1,)), ((1,), ()),
+                       ((2, 1), (1, 2)), ((1, 2), (2, 1)), ((1, 1), (1, 2)),
+                       ((0, 1), (1, 2)), ((1, 4), (1, 2)), ((1,), (4,))]:
+        with pytest.raises(InvalidInputError):
+            phi.minor(rows, cols)
+    assert phi._tables == [] and phi._minors == {}
+    assert phi.minor((1, 2), (2, 3)) == references.minor(phi, (1, 2), (2, 3))
+    # with the tables filled, a read out of order is refused all the same
+    for rows, cols in [((2, 1), (2, 3)), ((1, 2), (3, 2)), ((1, 3), (3,)),
+                       ((3,), (1, 3))]:
+        with pytest.raises(InvalidInputError):
+            phi.minor(rows, cols)
+
+
+#: an int64 prime (products of two reduced elements fit, sums of many do
+#: not), a prime whose tables are object arrays of python ints, and Q
+MINOR_FIELDS = [GFP, PrimeField(2 ** 40 + 15), QQ]
+
+
+@pytest.mark.parametrize("field", MINOR_FIELDS, ids=str)
+def test_every_degree_table_matches_laplace_expansion(field):
+    rng = np.random.default_rng(23)
+    for n in range(1, 7):
+        # permutations have minors of +-1 and 0 only: they check the signs
+        phis = _changes(n, field, rng) + [
+            CoordinateChange.permutation(tuple(rng.permutation(n) + 1), field)
+            for _ in range(3)]
+        for phi in phis:
+            # highest degree first: each read fills the tables below it;
+            # degree 0 is the empty minor, field.one
+            for d in range(n, -1, -1):
+                basis = basis_table(EXT, n, d)
+                for s in basis:
+                    expected = {t: references.minor(phi, t.support, s.support)
+                                for t in basis}
+                    for t in basis:
+                        got = phi.minor(t.support, s.support)
+                        assert got == expected[t], (phi.kind, n, t, s)
+                        assert type(got) is type(field.one)
+                    assert phi.apply(s) == {t: c for t, c in expected.items()
+                                            if c != field.zero}, (phi.kind, s)
+
+
+def test_int64_tables_are_the_rational_tables_reduced():
+    # at n = 8 a sum of unreduced int64 products passes 2**63 in a few
+    # entries of a typical random change's tables; at n <= 6 it rarely does
+    rng = np.random.default_rng(29)
+    n = 8
+    for _ in range(3):
+        phi = CoordinateChange.random_dense(n, GFP, rng)
+        exact = CoordinateChange(
+            tuple(tuple(map(Fraction, row)) for row in phi.matrix), QQ)
+        for d in range(n + 1):
+            basis = [m.support for m in basis_table(EXT, n, d)]
+            for s in basis:
+                for t in basis:
+                    assert phi.minor(t, s) == GFP(exact.minor(t, s)), (t, s)
+
+
+def test_exterior_action_rejects_wrong_variable_count():
+    phi = CoordinateChange.random_dense(3, GFP, np.random.default_rng(8))
+    # in range of the change, and past it
+    for support in ([1, 2], [1, 4]):
+        with pytest.raises(InvalidInputError):
+            phi.apply(ext_monomial(support, 4))
+
+
 def test_random_changes_are_invertible_and_deterministic():
     rng = np.random.default_rng(11)
     phi = CoordinateChange.random_dense(4, GFP, rng)
@@ -121,6 +193,12 @@ def test_exterior_size_limit():
     phi = CoordinateChange.identity(n, GFP)
     with pytest.raises(SizeLimitError):
         phi.apply(ext_monomial([1, 2], n))
+    # no minor table is filled past the limit either
+    with pytest.raises(SizeLimitError):
+        phi.minor((1, 2), (1, 2))
+    assert phi._tables == [] and phi._minors == {}
+    assert CoordinateChange.identity(n - 1, GFP).minor((1, n - 1),
+                                                       (1, n - 1)) == 1
 
 
 def test_poly_action_preserves_degree_and_is_cached():
