@@ -1,23 +1,29 @@
 """Invertible coordinate changes and their action on degree-d components.
 
-The exterior action sends e_S to the vector of d x d minors det(phi[T, S])
-over target supports T; the polynomial action expands the product of linear
-forms.  Minors come from degree tables: on its first read in degree d a
-change fills its whole exterior power, the C(n,d) x C(n,d) array of every
-minor det(phi[T, S]), from the degree d - 1 table in one gathered array
-product, Laplace along the last column vectorized over every (T, S) through
-the cached index table ``laplace_table(n, d)``.  A minor is then read from a
-per-column-set dict keyed by target support, built from the table on the
-column set's first read.  A polynomial image is a coefficient row against
-``basis_table(POLY, n, d)``: with x_i the largest variable of m,
-row(m) = sum_k phi[k][i] * row(m / x_i) scattered through the cached
-multiplication table of ``mult_table(n, d)``, and rows are memoized per
-monomial so shared prefixes are expanded once.  A row is one numpy array of
-dtype ``fields.row_dtype(field)`` over every field: int64 over a prime below
-2**31, python ints over larger primes and ``Fraction``s over Q, and so is
-a degree table, each of whose entries is reduced mod p once over GF(p).
+The image of a monomial of degree d is a coefficient row against
+``basis_table(ring, n, d)``: the one image type from the action to the
+trial stack of ``linalg.Subspace``, with no monomial-keyed vector between
+them.  A row is one numpy array of dtype ``fields.row_dtype(field)`` over
+every field: int64 over a prime below 2**31, python ints over larger
+primes and ``Fraction``s over Q, and so is a degree table, each of whose
+entries is reduced mod p once over GF(p).
+
+The exterior action sends e_S to the row of d x d minors det(phi[T, S])
+over the target supports T of the table.  Minors come from degree tables:
+on its first read in degree d a change fills its whole exterior power, the
+C(n,d) x C(n,d) array of every minor det(phi[T, S]), from the degree d - 1
+table in one gathered array product, Laplace along the last column
+vectorized over every (T, S) through the cached index table
+``laplace_table(n, d)``.  A minor is then read from a per-column-set dict
+keyed by target support, built from the table on the column set's first
+read.  The polynomial action expands the product of linear forms: with x_i
+the largest variable of m, row(m) = sum_k phi[k][i] * row(m / x_i)
+scattered through the cached multiplication table of ``mult_table(n, d)``.
+Polynomial rows are memoized per monomial, so shared prefixes are expanded
+once, and ``apply`` hands out the memoized row itself, read-only.
+
 The gin engine applies a change once to each monomial of a degree component
-and assembles the images into one matrix that serves every term order, so
+and stacks the image rows into one matrix that serves every term order, so
 the action costs the same however many orders are certified.  A random
 change drawn by the engine is shared, with its minor table and polynomial
 rows, by every gin that draws the same trial set (``gin._trial_changes``),
@@ -240,13 +246,15 @@ class CoordinateChange:
 
     # -- action on monomials --------------------------------------------
 
-    def apply(self, m: Monomial) -> dict:
-        """Image of a monomial as a dict vector (monomial -> coefficient)."""
+    def apply(self, m: Monomial) -> np.ndarray:
+        """Image of a monomial as a coefficient row against
+        ``basis_table(m.ring, n, m.degree)``, of dtype ``row_dtype(field)``.
+        A polynomial row is the memoized one and is read-only."""
         if isinstance(m, ExtMonomial):
             return self._apply_ext(m)
         return self._apply_poly(m)
 
-    def _apply_ext(self, m: ExtMonomial) -> dict:
+    def _apply_ext(self, m: ExtMonomial) -> np.ndarray:
         n = self.n
         if m.n != n:
             raise InvalidInputError(
@@ -254,27 +262,20 @@ class CoordinateChange:
         if n > MAX_EXT_VARIABLES:
             raise SizeLimitError(f"exterior action refused for n={n} > {MAX_EXT_VARIABLES}")
         minor = self.minor
-        zero = self.field.zero
-        out = {}
         src = m.support
-        for tgt in basis_table(EXT, n, m.degree):
-            c = minor(tgt.support, src)
-            if c != zero:
-                out[tgt] = c
-        return out
+        return np.array([minor(tgt.support, src)
+                         for tgt in basis_table(EXT, n, m.degree)],
+                        dtype=row_dtype(self.field))
 
-    def _apply_poly(self, m: PolyMonomial) -> dict:
+    def _apply_poly(self, m: PolyMonomial) -> np.ndarray:
         if m.n != self.n:
             raise InvalidInputError(
                 f"monomial in {m.n} variables, coordinate change in {self.n}")
-        row = self._poly_row(m.exponents).tolist()
-        zero = self.field.zero
-        return {u: c for u, c in zip(basis_table(POLY, self.n, m.degree), row)
-                if c != zero}
+        return self._poly_row(m.exponents)
 
     def _poly_row(self, e: tuple[int, ...]) -> np.ndarray:
         """Coefficient row of the image of x^e against the basis table of
-        its degree, of dtype ``row_dtype(field)``; cached, never mutated."""
+        its degree, of dtype ``row_dtype(field)``; cached and read-only."""
         row = self._poly_cache.get(e)
         if row is not None:
             return row
@@ -299,5 +300,6 @@ class CoordinateChange:
             np.add.at(row, mult_table(self.n, d), terms)
             if p:
                 row %= p
+        row.flags.writeable = False
         self._poly_cache[e] = row
         return row

@@ -19,7 +19,8 @@ from .changes import SizeLimitError
 from .complexes import read_complex, shifted_complex, write_complex
 from .fields import InvalidInputError, PrimeField, parse_field
 from .gin import (CertificationError, DualityViolationError,
-                  combinatorial_shift, gin, gin_adaptive, trans_search)
+                  combinatorial_shift, default_degree_cap, gin, gin_adaptive,
+                  trans_search)
 from .graphs import base_form, condition_v, condition_vi, is_chordal, read_graph
 from .ideals import read_ideal
 from .invariants import (SQUAREFREE, STABLE_POLY, betti_stable,
@@ -145,7 +146,8 @@ def run(args) -> int:
         else:
             g, cert = gin(order, ideal, cap=args.degree_cap,
                           trials=args.trials, seed=args.seed, field=field)
-            cap = args.degree_cap
+            cap = (default_degree_cap(ideal) if args.degree_cap is None
+                   else args.degree_cap)
         _emit({"generators": [str(u) for u in g.generators],
                "certificate": cert.to_dict(), "degree_cap": cap,
                "seed": args.seed}, args)

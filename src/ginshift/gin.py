@@ -229,9 +229,9 @@ def gin_adaptive(order: TermOrder, ideal: MonomialIdeal, trials: int = 3,
 
 def gin_multi(orders, ideal: MonomialIdeal, cap: int | None = None,
               trials: int = 3, seed: int = 0, field=GFP) -> list[MonomialIdeal]:
-    """Certified gins under several orders at once, sharing the transformed
-    image vectors across orders (the coordinate change is order-independent,
-    so one application per trial serves every order)."""
+    """Certified gins under several orders at once, sharing the image rows
+    across orders (the coordinate change is order-independent, so one
+    application per trial serves every order)."""
     cap = _degree_cap(ideal, cap)
     return _certified(lambda t: [t.initial_ideal(order, cap)
                                  for order in orders],

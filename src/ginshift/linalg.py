@@ -23,7 +23,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .fields import row_dtype
+from .fields import InvalidInputError, row_dtype
 from .monomials import Monomial
 
 
@@ -156,18 +156,16 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, vectors, columns, field) -> "Subspace":
-        """Build from dict-vectors (monomial -> coefficient) against the
-        basis ``columns``, which must hold every monomial of their
-        supports."""
-        index = {m: j for j, m in enumerate(columns)}
-        rows = []
+        """Build from coefficient rows against the basis ``columns``, such
+        as the images of ``CoordinateChange.apply``: one row per vector,
+        each of length len(columns)."""
+        width = len(columns)
         for v in vectors:
-            row = [field.zero] * len(columns)
-            for m, c in v.items():
-                row[index[m]] = c
-            rows.append(row)
-        rows = np.array(rows, dtype=row_dtype(field)).reshape(len(rows),
-                                                              len(columns))
+            if len(v) != width:
+                raise InvalidInputError(
+                    f"a row of {len(v)} entries against {width} columns")
+        rows = np.array(vectors, dtype=row_dtype(field)).reshape(
+            len(vectors), width)
         return cls(list(columns), rows, field)
 
     @classmethod

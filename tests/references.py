@@ -4,7 +4,7 @@ module: pytest collects no tests from it."""
 from ginshift.changes import CoordinateChange
 from ginshift.fields import GFP, InvalidInputError
 from ginshift.gin import _of_degree, _Trials
-from ginshift.monomials import ExtMonomial
+from ginshift.monomials import ExtMonomial, basis_table
 from ginshift.orders import (EQUAL, GREATER, LESS, Inverse, Lex, RevLex,
                              WeightOrder)
 
@@ -96,6 +96,29 @@ def minor(phi, rows, cols):
     """``phi.minor(rows, cols)`` as specified: the Laplace expansion summed
     with operators, reduced by the field once."""
     return phi.field(_laplace(phi.matrix, rows, cols))
+
+
+# -- images as dict vectors ----------------------------------------------
+# ``CoordinateChange.apply`` returns a coefficient row against the basis
+# table of the monomial's degree; tests that state an image term by term
+# read it, and build rows, through these two.
+
+
+def image(phi, m) -> dict:
+    """``phi.apply(m)`` as a dict vector: monomial -> non-zero coefficient."""
+    zero = phi.field.zero
+    return {u: c for u, c in zip(basis_table(m.ring, phi.n, m.degree),
+                                 phi.apply(m).tolist()) if c != zero}
+
+
+def row(vector, columns, field) -> list:
+    """The coefficient row of a dict vector against ``columns``, which
+    must hold every monomial of its support."""
+    index = {m: j for j, m in enumerate(columns)}
+    out = [field.zero] * len(columns)
+    for m, c in vector.items():
+        out[index[m]] = c
+    return out
 
 
 # -- initial spaces -------------------------------------------------------

@@ -50,6 +50,18 @@ def test_gin_polynomial_adaptive(edges_file, capsys):
     assert doc["generators"] == ["x1^2", "x1*x2", "x1*x3^2", "x2^4"]
 
 
+def test_gin_prints_the_degree_cap_it_used(tmp_path, rei_file, capsys):
+    empty = tmp_path / "empty.ideal"
+    empty.write_text("ring=ext n=3\n")
+    # without --degree-cap an exterior gin is certified up to n
+    for path, n in ((empty, 3), (rei_file, 4)):
+        code, out = run(capsys, ["gin", str(path)])
+        assert code == EXIT_PASS
+        assert json.loads(out)["degree_cap"] == n
+    _, out = run(capsys, ["gin", rei_file, "--degree-cap", "2"])
+    assert json.loads(out)["degree_cap"] == 2
+
+
 def test_gin_deterministic_output(rei_file, capsys):
     _, out1 = run(capsys, ["gin", rei_file, "--seed", "7"])
     _, out2 = run(capsys, ["gin", rei_file, "--seed", "7"])

@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 from ginshift.changes import CoordinateChange
-from ginshift.fields import GFP, QQ, PrimeField
+from ginshift.fields import GFP, QQ, PrimeField, row_dtype
 from ginshift.gin import CertificationError, _Trials
 from ginshift.ideals import MonomialIdeal
 from ginshift.linalg import Subspace, rref
-from ginshift.monomials import (EXT, POLY, all_monomials, ext_monomial,
-                                poly_monomial)
+from ginshift.monomials import (EXT, POLY, all_monomials, basis_table,
+                                ext_monomial, poly_monomial)
 from ginshift.orders import LEX, REVLEX, Inverse, WeightOrder
+import references
 from references import compare, initial_space
 
 
@@ -27,19 +28,13 @@ def _old_pivots(vectors, order, field):
         return frozenset()
     by_order = functools.cmp_to_key(functools.partial(compare, order))
     columns = sorted(set().union(*vectors), key=by_order, reverse=True)
-    index = {m: j for j, m in enumerate(columns)}
-    rows = []
-    for v in vectors:
-        row = [field.zero] * len(columns)
-        for m, c in v.items():
-            row[index[m]] = c
-        rows.append(row)
+    rows = [references.row(v, columns, field) for v in vectors]
     return frozenset(columns[j] for j in rref(rows, field)[1])
 
 
 def _old_component(order, monomials, phis):
-    results = [_old_pivots([phi.apply(u) for u in monomials], order,
-                           phi.field) for phi in phis]
+    results = [_old_pivots([references.image(phi, u) for u in monomials],
+                           order, phi.field) for phi in phis]
     if any(r != results[0] for r in results) \
             or len(results[0]) != len(monomials):
         raise CertificationError("disagreement")
@@ -101,6 +96,49 @@ def test_component_route_matches_the_dict_route(ring, kind, field):
     assert {"empty", "full"} < seen
 
 
+#: int64 rows, object rows of python ints, and Q
+ROW_FIELDS = [GFP, PrimeField(2 ** 40 + 15), QQ]
+
+
+@pytest.mark.parametrize("field", ROW_FIELDS, ids=str)
+@pytest.mark.parametrize("ring", [EXT, POLY])
+def test_images_are_rows_and_stack_as_the_dict_route(ring, field):
+    rng = np.random.default_rng([len(ring), field.characteristic % 1000])
+    stacks = 0
+    for n in range(1, 6):
+        phis = [CoordinateChange.random_dense(n, field, rng) for _ in range(3)]
+        top = n if ring == EXT else 4
+        for d in range(top + 1):
+            basis = basis_table(ring, n, d)
+            for phi in phis:
+                for u in basis:
+                    img = phi.apply(u)
+                    assert img.dtype == row_dtype(field), (n, u)
+                    assert img.shape == (len(basis),), (n, u)
+        # a few ideals, each generated by random monomials of degree 1 to 3
+        for _ in range(3):
+            ambient = all_monomials(ring, n, int(rng.integers(1, min(top, 3)
+                                                              + 1)))
+            gens = [ambient[j] for j in rng.choice(
+                len(ambient), size=int(rng.integers(1, 3)))]
+            ideal = MonomialIdeal.make(ring, n, gens)
+            trials = _Trials(ring, n, ideal.degree_component, phis)
+            for d in range(top + 1):
+                _outcome(lambda: trials.component(REVLEX, d))
+                sources, basis = trials._sources[d], basis_table(ring, n, d)
+                if not 0 < len(sources) < len(basis):
+                    assert d not in trials._spaces
+                    continue
+                want = [[references.row(references.image(phi, u), basis,
+                                        field) for u in sources]
+                        for phi in phis]
+                got = trials._spaces[d].rows
+                assert got.dtype == row_dtype(field)
+                assert got.tolist() == want, (n, d, ideal)
+                stacks += 1
+    assert stacks > 10
+
+
 @pytest.mark.parametrize("ring,n,d", [(EXT, 5, 2), (EXT, 4, 4), (POLY, 3, 2)])
 def test_exact_components_need_no_images(ring, n, d):
     ambient = all_monomials(ring, n, d)
@@ -157,7 +195,8 @@ def test_subspace_rows_and_initial_space_on_both_row_kinds(field):
     e = lambda s: ext_monomial(s, n)
     vecs = [{e([1, 4]): field(1), e([2, 3]): field(1)}]
     basis = all_monomials(EXT, n, 2)
-    sp = Subspace.from_vectors(vecs, basis, field)
+    sp = Subspace.from_vectors([references.row(v, basis, field)
+                                for v in vecs], basis, field)
     assert sp.rows.dtype == (np.int64 if field == GFP else object)
     assert initial_space(LEX, sp) == {e([1, 4])}
     assert initial_space(REVLEX, sp) == {e([2, 3])}

@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ginshift import linalg
-from ginshift.fields import GFP, QQ, PrimeField, fits_int64, row_dtype
+from ginshift.fields import (GFP, QQ, InvalidInputError, PrimeField,
+                             fits_int64, row_dtype)
 from ginshift.gin import gin
 from ginshift.ideals import MonomialIdeal
 from ginshift.linalg import (CertificationError, Subspace, rref, rref_exact,
                              rref_prime, vector_rank)
 from ginshift.monomials import EXT, all_monomials, ext_monomial
 from ginshift.orders import LEX, REVLEX
+import references
 from references import initial_space
 
 
@@ -160,12 +162,35 @@ def test_rref_is_deterministic_under_row_permutation():
     assert red1.tolist() == red2.tolist()
 
 
+def _from_dicts(vectors, columns, field) -> Subspace:
+    """A subspace spanned by dict vectors (monomial -> coefficient)."""
+    return Subspace.from_vectors(
+        [references.row(v, columns, field) for v in vectors], columns, field)
+
+
+@pytest.mark.parametrize("field", [GFP, PrimeField(2 ** 40 + 15), QQ],
+                         ids=str)
+def test_from_vectors_checks_its_rows(field):
+    columns = all_monomials(EXT, 4, 2)
+    empty = Subspace.from_vectors([], columns, field)
+    assert empty.rows.shape == (0, len(columns))
+    assert empty.rows.dtype == row_dtype(field)
+    rows = [[field(j + k) for j in range(len(columns))] for k in range(2)]
+    sp = Subspace.from_vectors(rows, columns, field)
+    assert sp.rows.shape == (2, len(columns)) and sp.rows.tolist() == rows
+    # a short row, a long one, and ragged rows
+    for bad in ([rows[0][:-1]], [rows[0] + [field.one]],
+                [rows[0], rows[1][:-1]]):
+        with pytest.raises(InvalidInputError):
+            Subspace.from_vectors(bad, columns, field)
+
+
 def test_initial_space_picks_leading_pivots():
     n = 4
     e = lambda s: ext_monomial(s, n)
     # span of e12 + e34 and e13 + e24
     vecs = [{e([1, 2]): 1, e([3, 4]): 1}, {e([1, 3]): 1, e([2, 4]): 1}]
-    sp = Subspace.from_vectors(vecs, all_monomials(EXT, n, 2), GFP)
+    sp = _from_dicts(vecs, all_monomials(EXT, n, 2), GFP)
     assert initial_space(LEX, sp) == {e([1, 2]), e([1, 3])}
     # re-sorting the same rows under revlex changes the leading terms
     assert initial_space(REVLEX, sp) == {e([1, 2]), e([1, 3])}
@@ -175,13 +200,13 @@ def test_initial_space_order_sensitive():
     n = 4
     e = lambda s: ext_monomial(s, n)
     vecs = [{e([1, 4]): 1, e([2, 3]): 1}]
-    sp_lex = Subspace.from_vectors(vecs, all_monomials(EXT, n, 2), GFP)
+    sp_lex = _from_dicts(vecs, all_monomials(EXT, n, 2), GFP)
     assert initial_space(LEX, sp_lex) == {e([1, 4])}
     assert initial_space(REVLEX, sp_lex) == {e([2, 3])}
 
 
 def test_initial_space_of_zero_rows_is_empty():
-    sp = Subspace.from_vectors([{}, {}], all_monomials(EXT, 3, 2), GFP)
+    sp = _from_dicts([{}, {}], all_monomials(EXT, 3, 2), GFP)
     assert initial_space(LEX, sp) == initial_space(REVLEX, sp) == set()
 
 
@@ -189,7 +214,7 @@ def test_full_component_span():
     n, d = 5, 2
     ms = all_monomials(EXT, n, d)
     vecs = [{m: 1} for m in ms]
-    sp = Subspace.from_vectors(vecs, ms, GFP)
+    sp = _from_dicts(vecs, ms, GFP)
     assert initial_space(REVLEX, sp) == set(ms)
 
 
@@ -205,7 +230,7 @@ def test_primes_above_int64_range_are_exact():
     assert not fits_int64(field) and fits_int64(GFP) and not fits_int64(QQ)
     vecs = [{m: field.random(rng) for m in all_monomials(EXT, 4, 2)}
             for _ in range(3)]
-    sp = Subspace.from_vectors(vecs, all_monomials(EXT, 4, 2), field)
+    sp = _from_dicts(vecs, all_monomials(EXT, 4, 2), field)
     assert sp.rows.dtype == object
     assert len(sp.leading_columns(range(6))) == 3
 
