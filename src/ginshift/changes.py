@@ -113,9 +113,10 @@ class CoordinateChange:
     matrix: tuple[tuple, ...]
     field: object
     kind: str = "dense"
-    _minors: dict = dc_field(default_factory=dict, repr=False)
-    _tables: list = dc_field(default_factory=list, repr=False)
-    _poly_cache: dict = dc_field(default_factory=dict, repr=False)
+    _minors: dict = dc_field(default_factory=dict, repr=False, compare=False)
+    _tables: list = dc_field(default_factory=list, repr=False, compare=False)
+    _poly_cache: dict = dc_field(default_factory=dict, repr=False,
+                                 compare=False)
 
     def __post_init__(self):
         n = len(self.matrix)
@@ -250,15 +251,15 @@ class CoordinateChange:
         """Image of a monomial as a coefficient row against
         ``basis_table(m.ring, n, m.degree)``, of dtype ``row_dtype(field)``.
         A polynomial row is the memoized one and is read-only."""
+        if m.n != self.n:
+            raise InvalidInputError(
+                f"monomial in {m.n} variables, coordinate change in {self.n}")
         if isinstance(m, ExtMonomial):
             return self._apply_ext(m)
         return self._apply_poly(m)
 
     def _apply_ext(self, m: ExtMonomial) -> np.ndarray:
         n = self.n
-        if m.n != n:
-            raise InvalidInputError(
-                f"monomial in {m.n} variables, coordinate change in {n}")
         if n > MAX_EXT_VARIABLES:
             raise SizeLimitError(f"exterior action refused for n={n} > {MAX_EXT_VARIABLES}")
         minor = self.minor
@@ -268,9 +269,6 @@ class CoordinateChange:
                         dtype=row_dtype(self.field))
 
     def _apply_poly(self, m: PolyMonomial) -> np.ndarray:
-        if m.n != self.n:
-            raise InvalidInputError(
-                f"monomial in {m.n} variables, coordinate change in {self.n}")
         return self._poly_row(m.exponents)
 
     def _poly_row(self, e: tuple[int, ...]) -> np.ndarray:

@@ -8,6 +8,7 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
+from .families import family_of, family_supports, minimal_family, up_closure
 from .fields import GFP, InvalidInputError
 from .gin import gin
 from .graphs import Graph
@@ -18,9 +19,11 @@ from .orders import TermOrder
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Downward-closed face set on [1, n] containing every singleton.
+    """Downward-closed face set on [1, n].
 
     Faces are stored as sorted tuples; the empty face is always present.
+    ``make`` adds every singleton; ``complex_from_ideal`` of an ideal that
+    contains a variable x_i leaves out the vertex i.
     """
 
     n: int
@@ -73,16 +76,24 @@ class SimplicialComplex:
         return f"Complex(n={self.n}, facets={self.facets()})"
 
 
+def _every_support(n: int) -> int:
+    """The family of all 2**n supports of [n]."""
+    return (1 << (1 << n)) - 1
+
+
+def _avoiding(family: int, n: int) -> SimplicialComplex:
+    """The complex of every support of [n] containing no support of the
+    family, the empty face always kept: the complement of the family's
+    up-closure among the 2**n supports."""
+    faces = (_every_support(n) & ~up_closure(family, n)) | 1
+    return SimplicialComplex(n, frozenset(family_supports(faces, n)))
+
+
 def flag_complex(g: Graph) -> SimplicialComplex:
-    """Faces are exactly the cliques of g."""
-    cliques = [()]
-    for k in range(1, g.n + 1):
-        layer = [s for s in combinations(range(1, g.n + 1), k)
-                 if all(g.has_edge(i, j) for i, j in combinations(s, 2))]
-        if not layer:
-            break
-        cliques.extend(layer)
-    return SimplicialComplex(g.n, frozenset(cliques))
+    """Faces are exactly the cliques of g: the supports containing no
+    non-edge."""
+    return _avoiding(family_of(e for e in combinations(range(1, g.n + 1), 2)
+                               if not g.has_edge(*e)), g.n)
 
 
 def cone(gamma: SimplicialComplex) -> SimplicialComplex:
@@ -96,14 +107,13 @@ def cone(gamma: SimplicialComplex) -> SimplicialComplex:
 
 
 def face_ideal(gamma: SimplicialComplex, ring: str = EXT) -> MonomialIdeal:
-    """Exterior face ideal / Stanley-Reisner ideal: generated by non-faces."""
-    gens = []
-    for d in range(1, gamma.n + 1):
-        for s in combinations(range(1, gamma.n + 1), d):
-            if s not in gamma.faces:
-                gens.append(ext_monomial(s, gamma.n) if ring == EXT
-                            else squarefree_poly(s, gamma.n))
-    return MonomialIdeal.make(ring, gamma.n, gens)
+    """Exterior face ideal / Stanley-Reisner ideal: generated by the
+    minimal non-faces."""
+    n = gamma.n
+    minimal = minimal_family(_every_support(n) & ~family_of(gamma.faces), n)
+    monomial = ext_monomial if ring == EXT else squarefree_poly
+    return MonomialIdeal.make(ring, n, [monomial(s, n)
+                                        for s in family_supports(minimal, n)])
 
 
 def edge_ideal(g: Graph) -> MonomialIdeal:
@@ -127,19 +137,10 @@ def combinatorial_ideal(source, ring: str) -> MonomialIdeal:
 
 def complex_from_ideal(ideal: MonomialIdeal) -> SimplicialComplex:
     """Complex whose non-faces are exactly the (squarefree) members of the
-    ideal; inverse of face_ideal."""
-    n = ideal.n
-    faces = [()]
-    for d in range(1, n + 1):
-        layer = []
-        for s in combinations(range(1, n + 1), d):
-            u = ext_monomial(s, n) if ideal.ring == EXT else squarefree_poly(s, n)
-            if not ideal.contains(u):
-                layer.append(s)
-        if not layer:
-            break
-        faces.extend(layer)
-    return SimplicialComplex(n, frozenset(faces))
+    ideal, the empty face always kept; inverse of face_ideal. Only the
+    squarefree generators divide a squarefree monomial."""
+    return _avoiding(family_of(g.support for g in ideal.generators
+                               if len(g.support) == g.degree), ideal.n)
 
 
 # -- algebraic shifting -------------------------------------------------

@@ -9,8 +9,11 @@ field gives only its characteristic, ``zero``, ``one`` and uniform random
 elements.
 
 The prime-field mode is the default work horse (dense generic matrices over Q
-blow up badly under elimination); the rational mode is available everywhere
-for certification runs.
+blow up badly under elimination). The rational mode is exact everywhere but
+reaches less far: both sweeps at n = 6 and the revlex gin of the 5-cycle's
+edge ideal finish over Q in seconds, while the lex gin of that ideal did not
+finish within 100 s of CPU, nor the shifted complex of a 12-vertex flag
+complex within 300 s.
 """
 
 from __future__ import annotations

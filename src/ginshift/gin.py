@@ -154,8 +154,9 @@ class _Trials:
                       stable: bool = True) -> MonomialIdeal:
         """in_order(phi(V)), exact up to ``cap``; with ``stable`` it must be
         strongly stable."""
-        g = MonomialIdeal.from_components(self.ring, self.n, {
-            d: set(self.component(order, d)) for d in range(self.top(cap) + 1)})
+        g = MonomialIdeal.make(self.ring, self.n, (
+            u for d in range(self.top(cap) + 1)
+            for u in self.component(order, d)))
         if stable and not is_strongly_stable(g)[0]:
             raise CertificationError(f"unstable gin candidate under {order}")
         return g

@@ -8,9 +8,8 @@ serialize identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations
-from operator import add, attrgetter, or_
+from operator import add, attrgetter
 
 from .changes import MAX_EXT_VARIABLES
 from .families import (family_of, is_stable_family, minimal_family,
@@ -28,21 +27,11 @@ def _canonical_sort(gens) -> tuple:
 
 
 def minimalize(gens) -> tuple:
-    """Drop generators divisible by another generator; exterior monomials
-    are compared as support bitmasks, h dividing m when h & m == h."""
-    by_deg = sorted(set(gens), key=attrgetter("degree"))
+    """Drop generators divisible by another generator."""
     minimal: list = []
-    if all(isinstance(g, ExtMonomial) for g in by_deg):
-        masks: list[int] = []
-        for g in by_deg:
-            m = support_mask(g.support)
-            if not any(h & m == h for h in masks):
-                masks.append(m)
-                minimal.append(g)
-    else:
-        for g in by_deg:
-            if not any(h.divides(g) for h in minimal):
-                minimal.append(g)
+    for g in sorted(set(gens), key=attrgetter("degree")):
+        if not any(h.divides(g) for h in minimal):
+            minimal.append(g)
     return _canonical_sort(minimal)
 
 
@@ -63,23 +52,16 @@ class MonomialIdeal:
 
     @classmethod
     def make(cls, ring: str, n: int, gens) -> "MonomialIdeal":
-        return cls(ring, n, minimalize(_living_in(ring, n, gens)))
-
-    @classmethod
-    def from_components(cls, ring: str, n: int, components: dict[int, set]) -> "MonomialIdeal":
-        """Recover minimal generators from degree components: the monomials
-        listed with no proper divisor listed. Exterior components on up to
-        ``MAX_EXT_VARIABLES`` variables are read off their subset-bitset
-        family, whose minimal supports are a few int operations and are
-        already the minimal generators."""
-        monomials = [u for d in components for u in components[d]]
-        if ring == EXT and n <= MAX_EXT_VARIABLES:
-            masks = [support_mask(u.support) for u in monomials]
-            minimal = minimal_family(
-                reduce(or_, (1 << m for m in masks), 0), n)
-            return cls(ring, n, _canonical_sort(_living_in(ring, n, (
-                u for u, m in zip(monomials, masks) if minimal >> m & 1))))
-        return cls.make(ring, n, monomials)
+        """The ideal of the generators, which must live in (ring, n), by its
+        minimal generators: read off the subset family of exterior
+        generators on up to ``MAX_EXT_VARIABLES`` variables (past that a
+        family needs 2**n-bit ints), by divisibility otherwise."""
+        gens = _living_in(ring, n, gens)
+        if ring != EXT or n > MAX_EXT_VARIABLES:
+            return cls(ring, n, minimalize(gens))
+        minimal = minimal_family(family_of(u.support for u in gens), n)
+        return cls(ring, n, _canonical_sort(
+            u for u in set(gens) if minimal >> support_mask(u.support) & 1))
 
     @property
     def max_generator_degree(self) -> int:

@@ -1,10 +1,17 @@
 """References that several test modules check the engine against. A plain
 module: pytest collects no tests from it."""
 
+from itertools import combinations
+from operator import attrgetter
+
 from ginshift.changes import CoordinateChange
+from ginshift.complexes import SimplicialComplex
+from ginshift.families import support_mask
 from ginshift.fields import GFP, InvalidInputError
 from ginshift.gin import _of_degree, _Trials
-from ginshift.monomials import ExtMonomial, basis_table
+from ginshift.ideals import MonomialIdeal, _canonical_sort
+from ginshift.monomials import (EXT, ExtMonomial, basis_table, ext_monomial,
+                                squarefree_poly)
 from ginshift.orders import (EQUAL, GREATER, LESS, Inverse, Lex, RevLex,
                              WeightOrder)
 
@@ -138,3 +145,69 @@ def elementary_shift_space(order, monomials, ring, n, degree, a, b,
     phi = CoordinateChange.elementary(a, b, n, field)
     monomials = _of_degree(monomials, ring, n, degree)
     return _Trials(ring, n, lambda d: monomials, [phi]).component(order, degree)
+
+
+# -- squarefree sets, subset by subset -----------------------------------
+# The specification the subset-bitset families of ``MonomialIdeal.make``
+# and of ``ginshift.complexes`` are tested against.
+
+
+def minimalize(gens) -> tuple:
+    """Minimal generators in canonical order: exterior monomials compared
+    as support bitmasks, h dividing m when h & m == h, any other input by
+    ``Monomial.divides``."""
+    by_deg = sorted(set(gens), key=attrgetter("degree"))
+    minimal: list = []
+    if all(isinstance(g, ExtMonomial) for g in by_deg):
+        masks: list[int] = []
+        for g in by_deg:
+            m = support_mask(g.support)
+            if not any(h & m == h for h in masks):
+                masks.append(m)
+                minimal.append(g)
+    else:
+        for g in by_deg:
+            if not any(h.divides(g) for h in minimal):
+                minimal.append(g)
+    return _canonical_sort(minimal)
+
+
+def flag_complex(g) -> SimplicialComplex:
+    """The cliques of g, subset by subset."""
+    cliques = [()]
+    for k in range(1, g.n + 1):
+        layer = [s for s in combinations(range(1, g.n + 1), k)
+                 if all(g.has_edge(i, j) for i, j in combinations(s, 2))]
+        if not layer:
+            break
+        cliques.extend(layer)
+    return SimplicialComplex(g.n, frozenset(cliques))
+
+
+def face_ideal(gamma, ring=EXT) -> MonomialIdeal:
+    """The ideal of every non-empty non-face, minimalized by ``minimalize``
+    above."""
+    gens = []
+    for d in range(1, gamma.n + 1):
+        for s in combinations(range(1, gamma.n + 1), d):
+            if s not in gamma.faces:
+                gens.append(ext_monomial(s, gamma.n) if ring == EXT
+                            else squarefree_poly(s, gamma.n))
+    return MonomialIdeal(ring, gamma.n, minimalize(gens))
+
+
+def complex_from_ideal(ideal) -> SimplicialComplex:
+    """The empty face and every support whose squarefree monomial the
+    ideal does not contain, subset by subset."""
+    n = ideal.n
+    faces = [()]
+    for d in range(1, n + 1):
+        layer = []
+        for s in combinations(range(1, n + 1), d):
+            u = ext_monomial(s, n) if ideal.ring == EXT else squarefree_poly(s, n)
+            if not ideal.contains(u):
+                layer.append(s)
+        if not layer:
+            break
+        faces.extend(layer)
+    return SimplicialComplex(n, frozenset(faces))

@@ -151,6 +151,20 @@ def test_exterior_action_rejects_wrong_variable_count():
             phi.apply(ext_monomial(support, 4))
 
 
+def test_equality_ignores_the_caches():
+    # the caches hold numpy arrays and depend on what has been applied, so
+    # == reads the matrix, the field and the kind only
+    for m in (ext_monomial([1, 2], 4), poly_monomial((1, 1, 0, 0))):
+        phi, psi, other = (CoordinateChange.random_dense(
+            4, GFP, np.random.default_rng(seed)) for seed in (1, 1, 2))
+        assert phi == psi and phi != other
+        phi.apply(m)
+        assert phi == psi and psi == phi and phi != other
+        psi.apply(m)
+        other.apply(m)
+        assert phi == psi and phi != other and other != psi
+
+
 def test_random_changes_are_invertible_and_deterministic():
     rng = np.random.default_rng(11)
     phi = CoordinateChange.random_dense(4, GFP, rng)

@@ -1,5 +1,7 @@
+import importlib
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from ginshift.complexes import (SimplicialComplex, combinatorial_ideal,
@@ -10,8 +12,11 @@ from ginshift.fields import InvalidInputError
 from ginshift.graphs import (Graph, complete_bipartite, complete_graph,
                              cycle_graph, path_graph)
 from ginshift.ideals import MonomialIdeal, is_strongly_stable
-from ginshift.monomials import EXT, POLY, ext_monomial, squarefree_poly
+from ginshift.monomials import (EXT, POLY, ext_monomial, poly_monomial,
+                                squarefree_poly)
 from ginshift.orders import LEX, REVLEX
+
+import references
 
 
 def _is_shifted(gamma):
@@ -121,3 +126,66 @@ def test_shifted_complex_preserves_f_vector():
 def test_serialization_round_trip():
     gamma = SimplicialComplex.make(4, [(1, 2, 3), (3, 4)])
     assert read_complex(write_complex(gamma)) == gamma
+
+
+def _random_supports(rng, n, p):
+    return [s for d in range(n + 1) for s in combinations(range(1, n + 1), d)
+            if rng.random() < p / (d + 1)]
+
+
+def _check_family_routes(ideal):
+    """``make`` and ``complex_from_ideal`` against the subset loops."""
+    assert ideal.generators == references.minimalize(ideal.generators)
+    gamma = complex_from_ideal(ideal)
+    assert gamma == references.complex_from_ideal(ideal), ideal
+    return gamma
+
+
+def test_family_routes_match_the_subset_loops(monkeypatch):
+    rng = np.random.default_rng(2027)
+    for _ in range(150):
+        n = int(rng.integers(0, 10))
+        g = Graph.make(n, [e for e in combinations(range(1, n + 1), 2)
+                           if rng.random() < 0.6])
+        assert flag_complex(g) == references.flag_complex(g), g
+        gamma = SimplicialComplex.make(n, _random_supports(rng, n, 0.3))
+        for ring in (EXT, POLY):
+            for delta in (gamma, flag_complex(g)):
+                j = face_ideal(delta, ring)
+                assert j == references.face_ideal(delta, ring), (delta, ring)
+                assert _check_family_routes(j) == delta
+            # any squarefree generators, a few x_i^2 among the polynomial ones
+            supports = _random_supports(rng, n, 0.15)
+            gens = ([ext_monomial(s, n) for s in supports] if ring == EXT
+                    else [squarefree_poly(s, n) for s in supports]
+                    + [poly_monomial([2 * (i == v) for i in range(1, n + 1)])
+                       for v in range(1, n + 1) if rng.random() < 0.2])
+            ideal = MonomialIdeal.make(ring, n, gens)
+            assert ideal.generators == references.minimalize(gens)
+            _check_family_routes(ideal)
+
+    for ring, unit in ((EXT, ext_monomial((), 4)), (POLY, squarefree_poly((), 4))):
+        # the unit ideal keeps the empty face
+        gamma = _check_family_routes(MonomialIdeal.make(ring, 4, [unit]))
+        assert gamma.faces == {()}
+        # a variable in the ideal drops its vertex
+        var = ext_monomial((3,), 4) if ring == EXT else squarefree_poly((3,), 4)
+        gamma = _check_family_routes(MonomialIdeal.make(ring, 4, [var]))
+        assert gamma.facets() == [(1, 2, 4)]
+        for n in (0, 1):
+            empty = MonomialIdeal.make(ring, n, [])
+            assert _check_family_routes(empty).faces == (
+                {()} if n == 0 else {(), (1,)})
+            assert face_ideal(SimplicialComplex.make(n, []), ring) == empty
+    # x1^2 divides no squarefree monomial
+    square = MonomialIdeal.make(POLY, 3, [poly_monomial((2, 0, 0)),
+                                          squarefree_poly((2, 3), 3)])
+    assert _check_family_routes(square).facets() == [(1, 2), (1, 3)]
+
+    # past MAX_EXT_VARIABLES make minimalizes by divisibility, no bitset
+    ideals = importlib.import_module("ginshift.ideals")
+    monkeypatch.setattr(ideals, "minimal_family", None)
+    n = 13
+    gens = [ext_monomial(s, n) for s in _random_supports(rng, n, 0.02)]
+    assert MonomialIdeal.make(EXT, n, gens).generators == \
+        references.minimalize(gens)

@@ -45,8 +45,8 @@ def test_membership_and_components():
 
 def test_from_components_round_trip():
     ideal = E([[1, 2], [2, 3, 4]], 4)
-    comps = {d: ideal.degree_component(d) for d in range(5)}
-    assert MonomialIdeal.from_components(EXT, 4, comps) == ideal
+    comps = [u for d in range(5) for u in ideal.degree_component(d)]
+    assert MonomialIdeal.make(EXT, 4, comps) == ideal
 
 
 def test_containment_partial_order():
@@ -183,6 +183,11 @@ def _scan_from_components(ring, n, components):
     return MonomialIdeal.make(ring, n, gens)
 
 
+def _listed(components):
+    """The monomials of degree components, in one list."""
+    return [u for d in components for u in components[d]]
+
+
 def _random_exterior_ideal(rng, n):
     gens = [ext_monomial(s, n) for d in range(n + 1)
             for s in combinations(range(1, n + 1), d)
@@ -222,12 +227,12 @@ def test_exterior_bitset_rules_match_the_scans():
         flags.add(got[0])
         dense = {d: ideal.degree_component(d)
                  for d in range(int(rng.integers(0, n + 1)) + 1)}
-        assert MonomialIdeal.from_components(EXT, n, dense).generators == \
+        assert MonomialIdeal.make(EXT, n, _listed(dense)).generators == \
             _scan_from_components(EXT, n, dense).generators
         # any listed monomials, not only an ideal's components
         loose = {d: {u for u in all_monomials(EXT, n, d)
                      if rng.random() < 0.3} for d in range(n + 1)}
-        assert MonomialIdeal.from_components(EXT, n, loose).generators == \
+        assert MonomialIdeal.make(EXT, n, _listed(loose)).generators == \
             _scan_from_components(EXT, n, loose).generators
     assert flags == {True, False}
 

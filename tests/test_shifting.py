@@ -76,10 +76,10 @@ def _algebraic_shift_space(order, component, n, d, a, b):
 def _algebraic_shift(order, ideal, a, b, cap):
     """in_order(phi_{a,b}(I)) degree by degree, by elimination."""
     top = min(cap, ideal.n)
-    return MonomialIdeal.from_components(EXT, ideal.n, {
-        d: set(_algebraic_shift_space(order, _components(ideal)[d], ideal.n,
-                                      d, a, b))
-        for d in range(top + 1)})
+    return MonomialIdeal.make(EXT, ideal.n, [
+        u for d in range(top + 1)
+        for u in _algebraic_shift_space(order, _components(ideal)[d],
+                                        ideal.n, d, a, b)])
 
 
 def _old_shift_bfs(ideal, budget, order, cap=None):
