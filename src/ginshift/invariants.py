@@ -2,8 +2,10 @@
 (closed formulas plus an exact oracle that reads each multidegree b off the
 smaller of its Taylor-complex strand and its upper Koszul simplicial complex:
 one pass over the 2^r generator subsets plus min(|strand_b|, 2^|supp b|)
-cells per b), the alpha map, regularity, and the closed-form shifted-graph
-profiles with their independent summation-based derivation.
+cells per b), the alpha map, regularity, the closed-form shifted-graph
+profiles with their independent summation-based derivation, and the
+hyperplane rank oracle, whose ranks for every restriction width come from
+one elimination.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .fields import GFP, QQ, InvalidInputError
 from .gin import gin_adaptive, gin
 from .graphs import Graph
 from .ideals import MonomialIdeal, is_strongly_stable
-from .linalg import rref_exact, vector_rank
+from .linalg import rref, rref_exact
 from .monomials import EXT, POLY, Monomial, PolyMonomial, squarefree_poly
 from .orders import REVLEX, TermOrder
 
@@ -340,29 +342,28 @@ def shifted_graph_edges(g: Graph, order: TermOrder, seed: int = 0,
 # -- hyperplane rank oracle --------------------------------------------
 
 
-def hyperplane_span_rank(pairs, n: int, width: int,
-                         phi: CoordinateChange) -> int:
-    """Rank of the stacked hyperplane-restriction vectors over a set of index
-    pairs: pair {i,j} maps to the exterior (a_{tj} e_i - a_{ti} e_j) for
-    t = 1..width.
-    """
+def hyperplane_rank_profile(monomials, n: int,
+                            phi: CoordinateChange) -> list[int]:
+    """For k = 1..n, the dim span of the width-(n+1-k) hyperplane
+    restriction vectors over the degree-2 monomials *not* in W: pair {i,j}
+    maps to the exterior (a_{tj} e_i - a_{ti} e_j) for t = 1..width.
+    Matches |{u not in gin(W) : max(u) >= k}| for generic phi.
+
+    Columns are ordered t-major, so the width-w matrix is the first w*n
+    columns of the width-n one. The pivots of a reduced echelon form are
+    the greedy column basis, so its rank is the number of pivots of the
+    width-n matrix below w*n, and one elimination serves every width."""
     f = phi.field
+    supports = {tuple(sorted(u.support)) for u in monomials}
     rows = []
-    for i, j in pairs:
-        i, j = (i, j) if i < j else (j, i)
-        row = [f.zero] * (width * n)
-        for t in range(width):
+    for i, j in combinations(range(1, n + 1), 2):
+        if (i, j) in supports:
+            continue
+        row = [f.zero] * (n * n)
+        for t in range(n):
             row[t * n + (i - 1)] = phi.matrix[t][j - 1]
             row[t * n + (j - 1)] = f(-phi.matrix[t][i - 1])
         rows.append(row)
-    return vector_rank(rows, f)
-
-
-def hyperplane_rank_oracle(monomials, n: int, k: int,
-                           phi: CoordinateChange) -> int:
-    """dim span of the width-(n+1-k) restriction vectors over the degree-2
-    monomials *not* in W; matches |{u not in gin(W) : max(u) >= k}| for
-    generic phi."""
-    supports = {tuple(sorted(u.support)) for u in monomials}
-    pairs = [p for p in combinations(range(1, n + 1), 2) if p not in supports]
-    return hyperplane_span_rank(pairs, n, n + 1 - k, phi)
+    _, pivots = rref(rows, f)
+    return [sum(1 for c in pivots if c < (n + 1 - k) * n)
+            for k in range(1, n + 1)]

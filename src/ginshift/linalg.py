@@ -9,7 +9,8 @@ over a prime below 2**31, python objects otherwise (ints for larger primes,
 ``Fraction``s over Q). Every prime field is eliminated by the one column
 loop of ``rref_prime`` and Q by ``rref_exact``. The k trial images of one
 span are stacked and eliminated together: over GF(p) in one column loop
-for all k, which raises at the first column where they part. A term order
+for all k, which raises at the first column where they part and inverts
+the k pivots of a column with one modular inverse. A term order
 enters as a ranking of the columns (``Subspace.leading_columns``), and
 rankings under which a kept echelon basis still fits share its
 elimination.
@@ -31,6 +32,22 @@ class CertificationError(RuntimeError):
     """Trials disagreed or the candidate failed stability / Hilbert checks."""
 
 
+def _inverses(xs: list[int], p: int) -> list[int]:
+    """Inverses mod p of non-zero residues, with one ``pow``: Montgomery's
+    batch inversion (Math. Comp. 48, 1987). The prefix products are
+    inverted once, and each inverse is backed out of that inverse and the
+    prefix before it."""
+    prefix = [1]
+    for x in xs:
+        prefix.append(prefix[-1] * x % p)
+    inv = pow(prefix[-1], -1, p)
+    out = [0] * len(xs)
+    for i in range(len(xs) - 1, -1, -1):
+        out[i] = inv * prefix[i] % p
+        inv = inv * xs[i] % p
+    return out
+
+
 def _rref_lockstep(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """RREF mod p, in place, of a (k, rows, cols) stack of k matrices with
     reduced entries, in one column loop for all of them: int64 entries
@@ -45,7 +62,8 @@ def _rref_lockstep(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         if r == m:
             break
         # a non-zero at row r in every matrix makes c a pivot of all of them
-        if not a[:, r, c].all():
+        heads = a[:, r, c].tolist()
+        if 0 in heads:
             nz = a[:, r:, c] != 0
             found = nz.any(axis=1)
             if not found.any():
@@ -55,8 +73,8 @@ def _rref_lockstep(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
                     f"trials disagree on pivot column {c}")
             i = r + nz.argmax(axis=1)
             a[stack, r], a[stack, i] = a[stack, i], a[stack, r]
-        inv = np.array([pow(x, -1, p) for x in a[:, r, c].tolist()],
-                       dtype=a.dtype)
+            heads = a[:, r, c].tolist()
+        inv = np.array(_inverses(heads, p), dtype=a.dtype)
         # entries left of c are 0 in row r, so only columns c: change;
         # row r itself is reduced to 0 and then set to the pivot row
         rest = a[:, :, c:]
@@ -118,12 +136,16 @@ def rref(rows, field) -> tuple[np.ndarray, list[int]]:
     columns (CertificationError otherwise). The one dispatch on the field:
     every prime field runs one column loop, a matrix through ``rref_prime``
     and a stack in lockstep, so no result over GF(p) is computed over Q;
-    Q runs ``rref_exact`` matrix by matrix."""
+    Q runs ``rref_exact`` matrix by matrix. No rows at all (``[]``) is a
+    0 x 0 matrix, and a matrix or stack with no rows or no columns has no
+    pivots."""
     a = np.asarray(rows, dtype=row_dtype(field))
+    if a.ndim == 1 and not a.size:
+        a = a.reshape(0, 0)
     p = field.characteristic
     if p and a.ndim == 2:
         return rref_prime(a, p)
-    stack = a.reshape((-1,) + a.shape[-2:])
+    stack = a if a.ndim == 3 else a[None]
     if p:
         red, pivots = _rref_lockstep(np.mod(stack, p), p)
     else:
@@ -203,9 +225,7 @@ class Subspace:
         return ranking[piv].tolist()
 
 
-def vector_rank(vectors: list[list], field) -> int:
-    """Rank of raw coefficient vectors (no monomial labels)."""
-    if not vectors:
-        return 0
-    _, piv = rref(vectors, field)
-    return len(piv)
+def vector_rank(vectors, field) -> int:
+    """Rank of raw coefficient vectors (no monomial labels), given as lists
+    or as an array."""
+    return len(rref(vectors, field)[1])

@@ -26,7 +26,7 @@ from .gin import (CertificationError, DualityViolationError, complement_dual,
 from .graphs import (SEMI_BIPARTITE, Graph, base_form, condition_v,
                      condition_vi)
 from .ideals import MonomialIdeal
-from .invariants import hyperplane_rank_oracle, m_count
+from .invariants import hyperplane_rank_profile, m_count
 from .monomials import EXT, POLY, all_monomials, poly_monomial
 from .orders import LEX, REVLEX, WeightOrder
 
@@ -421,10 +421,10 @@ def property_suite(seed: int = 0, samples: int = 200) -> dict:
         phi = CoordinateChange.random_dense(n, GFP, rng)
         ambient = set(all_monomials(EXT, n, 2))
         ginw = gin_space(REVLEX, w, EXT, n, 2, seed=seed + k) if w else set()
+        oracle = hyperplane_rank_profile(w, n, phi)
         for kk in range(1, n + 1):
             engine = sum(1 for u in ambient - ginw if u.max_index() >= kk)
-            oracle = hyperplane_rank_oracle(w, n, kk, phi)
-            if engine != oracle:
+            if engine != oracle[kk - 1]:
                 violations += 1
     results["hyperplane-rank-oracle"] = {"samples": oracle_samples,
                                          "violations": violations}

@@ -10,6 +10,7 @@ from ginshift.families import support_mask
 from ginshift.fields import GFP, InvalidInputError
 from ginshift.gin import _of_degree, _Trials
 from ginshift.ideals import MonomialIdeal, _canonical_sort
+from ginshift.linalg import vector_rank
 from ginshift.monomials import (EXT, ExtMonomial, basis_table, ext_monomial,
                                 squarefree_poly)
 from ginshift.orders import (EQUAL, GREATER, LESS, Inverse, Lex, RevLex,
@@ -211,3 +212,27 @@ def complex_from_ideal(ideal) -> SimplicialComplex:
             break
         faces.extend(layer)
     return SimplicialComplex(n, frozenset(faces))
+
+
+# -- the hyperplane rank oracle, width by width ----------------------------
+# The specification ``invariants.hyperplane_rank_profile`` is tested
+# against: one restriction matrix and one elimination per width.
+
+
+def hyperplane_rank_oracle(monomials, n: int, k: int, phi) -> int:
+    """dim span of the width-(n+1-k) hyperplane-restriction vectors over the
+    degree-2 monomials *not* in W: pair {i,j} maps to the exterior
+    (a_{tj} e_i - a_{ti} e_j) for t = 1..width."""
+    f = phi.field
+    width = n + 1 - k
+    supports = {tuple(sorted(u.support)) for u in monomials}
+    rows = []
+    for i, j in combinations(range(1, n + 1), 2):
+        if (i, j) in supports:
+            continue
+        row = [f.zero] * (width * n)
+        for t in range(width):
+            row[t * n + (i - 1)] = phi.matrix[t][j - 1]
+            row[t * n + (j - 1)] = f(-phi.matrix[t][i - 1])
+        rows.append(row)
+    return vector_rank(rows, f)

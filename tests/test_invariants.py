@@ -7,7 +7,7 @@ from itertools import combinations
 from math import comb
 
 from ginshift.changes import CoordinateChange, SizeLimitError
-from ginshift.fields import GFP, InvalidInputError
+from ginshift.fields import GFP, InvalidInputError, PrimeField
 from ginshift.gin import gin_space
 from ginshift.graphs import (Graph, complete_bipartite, cycle_graph,
                              disjoint_cliques, path_graph)
@@ -16,7 +16,7 @@ from ginshift import invariants
 from ginshift.invariants import (SQUAREFREE, STABLE_POLY, BettiTable, alpha,
                                  alpha_monomial, betti_stable,
                                  bipartite_profile, closed_form_profiles,
-                                 edge_stat, h_values, hyperplane_rank_oracle,
+                                 edge_stat, h_values, hyperplane_rank_profile,
                                  index_profile, m_count,
                                  regularity_from_gin, resolution_oracle,
                                  shifted_graph_edges, two_cliques_profile,
@@ -25,6 +25,7 @@ from ginshift.linalg import rref_exact
 from ginshift.monomials import (EXT, POLY, all_monomials, ext_monomial,
                                 poly_monomial, squarefree_poly)
 from ginshift.orders import LEX, REVLEX
+import references
 
 
 def P(exps, n):
@@ -360,7 +361,23 @@ def test_hyperplane_rank_oracle_matches_engine():
         ambient = all_monomials(EXT, n, 2)
         w = {m for m in ambient if rng.random() < 0.5}
         phi = CoordinateChange.random_dense(n, GFP, rng)
-        for k in range(1, n + 1):
-            oracle = hyperplane_rank_oracle(w, n, k, phi)
-            engine = _gin_profile_max_ge(REVLEX, w, EXT, n, k, seed=trial)
-            assert oracle == engine
+        profile = hyperplane_rank_profile(w, n, phi)
+        assert profile == [_gin_profile_max_ge(REVLEX, w, EXT, n, k, seed=trial)
+                           for k in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("field", [GFP, PrimeField(618970019642690137449562111)],
+                         ids=str)
+def test_hyperplane_rank_profile_matches_the_per_width_elimination(field):
+    # one elimination of the width-n matrix against one per width; W of
+    # every pair leaves no rows at all
+    rng = np.random.default_rng(19)
+    for n in range(3, 9):
+        ambient = all_monomials(EXT, n, 2)
+        for w in (set(), {m for m in ambient if rng.random() < 0.5},
+                  set(ambient)):
+            phi = CoordinateChange.random_dense(n, field, rng)
+            assert hyperplane_rank_profile(w, n, phi) == [
+                references.hyperplane_rank_oracle(w, n, k, phi)
+                for k in range(1, n + 1)]
+    assert hyperplane_rank_profile(set(ambient), n, phi) == [0] * n

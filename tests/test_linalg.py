@@ -142,6 +142,25 @@ def test_rank_helpers():
     assert vector_rank([[1, 2], [2, 4], [0, 1]], GFP) == 2
 
 
+#: int64 rows, object rows past 2**63, and Q
+EDGE_FIELDS = [GFP, PrimeField(618970019642690137449562111), QQ]
+
+
+@pytest.mark.parametrize("field", EDGE_FIELDS, ids=str)
+def test_inputs_without_rows_or_columns_have_no_pivots(field):
+    dtype = row_dtype(field)
+    for rows, shape in (([], (0, 0)), ([[]], (0, 0)), ([[], []], (0, 0)),
+                        (np.zeros((0, 4), dtype), (0, 4)),
+                        (np.zeros((3, 0, 4), dtype), (3, 0, 4)),
+                        (np.zeros((2, 3, 0), dtype), (2, 0, 0))):
+        red, piv = rref(rows, field)
+        assert (red.shape, red.dtype, piv) == (shape, dtype, [])
+    # numpy arrays as well as lists
+    mat = np.array([[1, 2], [2, 4], [0, 1]], dtype=dtype)
+    assert vector_rank(mat, field) == 2
+    assert vector_rank(mat[:0], field) == vector_rank(mat[:, :0], field) == 0
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.integers(0, 10 ** 6))
 def test_prime_and_rational_pivots_agree(seed):
@@ -295,14 +314,50 @@ def test_a_stack_raises_where_one_trial_parts(field):
     agree = f([[1, 2, 0, 3], [0, 0, 1, 4]])
     deficient = f([[1, 2, 0, 3], [2, 4, 0, 6]])
     other_pivot = f([[1, 2, 0, 3], [0, 1, 1, 4]])
-    for odd in (deficient, other_pivot):
-        with pytest.raises(CertificationError):
+    for odd, column in ((deficient, 2), (other_pivot, 1)):
+        # the column loop names the column where the trials part
+        match = (f"pivot column {column}$" if field.characteristic
+                 else "pivot columns")
+        with pytest.raises(CertificationError, match=match):
             rref(np.array([agree, odd, agree], dtype=row_dtype(field)), field)
     # a stack of one is its matrix
     red, piv = rref(np.array([agree], dtype=row_dtype(field)), field)
     alone = rref(agree, field)
     assert piv == alone[1] == [0, 2]
     assert red.tolist() == [alone[0].tolist()]
+
+
+@pytest.mark.parametrize("p", [GFP.p, 618970019642690137449562111, 7])
+def test_batch_inverses_match_pow(p):
+    rng = np.random.default_rng(3)
+    field = PrimeField(p)
+    assert linalg._inverses([], p) == []
+    for size in range(9):
+        xs = [1, p - 1] + [field.random(rng) or 1 for _ in range(size)]
+        rng.shuffle(xs)
+        assert linalg._inverses(xs, p) == [pow(x, -1, p) for x in xs]
+
+
+@pytest.mark.parametrize("field", EDGE_FIELDS[:2], ids=str)
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_lockstep_stacks_match_the_fraction_loop(field, k):
+    # the head (0, 0) is zero in no trial, in the first only (a row swap in
+    # that trial alone) or in all of them; a dependent row and a zero
+    # column leave non-pivot columns
+    rng = np.random.default_rng(k)
+    p = field.characteristic
+    for zero_heads in (0, 1, k):
+        mats = [[[field.random(rng) or 1 for _ in range(6)]
+                 for _ in range(4)] for _ in range(k)]
+        for t, mat in enumerate(mats):
+            if t < zero_heads:
+                mat[0][0] = 0
+            mat[3] = [(2 * x + 3 * y) % p for x, y in zip(mat[1], mat[2])]
+            for row in mat:
+                row[4] = 0
+        red, piv = rref(np.array(mats, dtype=row_dtype(field)), field)
+        assert red.shape == (k, 3, 6) and piv == [0, 1, 2]
+        assert red.tolist() == [_fraction_rref(mat, field)[0] for mat in mats]
 
 
 def test_a_stack_keeps_one_echelon_basis_for_all_its_trials(monkeypatch):
