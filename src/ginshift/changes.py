@@ -40,7 +40,7 @@ import numpy as np
 from .fields import InvalidInputError, fits_int64, row_dtype
 from .linalg import vector_rank
 from .monomials import (EXT, POLY, ExtMonomial, Monomial, PolyMonomial,
-                        basis_table)
+                        basis_index, basis_table)
 
 #: beyond this the C(n,d)^2 minor table is no longer a desk-scale object
 MAX_EXT_VARIABLES = 12
@@ -50,7 +50,7 @@ MAX_EXT_VARIABLES = 12
 def mult_table(n: int, d: int) -> np.ndarray:
     """T[j, k] = position in ``basis_table(POLY, n, d)`` of the product
     basis_table(POLY, n, d - 1)[j] * x_{k+1}; read-only, d >= 1."""
-    index = {m.exponents: j for j, m in enumerate(basis_table(POLY, n, d))}
+    index = basis_index(POLY, n, d)
     prev = basis_table(POLY, n, d - 1)
     table = np.empty((len(prev), n), dtype=np.intp)
     for j, m in enumerate(prev):
@@ -64,19 +64,13 @@ def mult_table(n: int, d: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _support_index(n: int, d: int) -> dict:
-    """Position of each support in ``basis_table(EXT, n, d)``."""
-    return {m.support: j for j, m in enumerate(basis_table(EXT, n, d))}
-
-
-@lru_cache(maxsize=256)
 def laplace_table(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """(drop, row) for the j-th support T of ``basis_table(EXT, n, d)`` and
     each i < d: drop[j, i] is the position in ``basis_table(EXT, n, d - 1)``
     of T without its i-th index t_i, and row[j, i] = t_i - 1, the 0-based
     row of the change that Laplace expansion pairs with it; read-only,
     d >= 1."""
-    index = _support_index(n, d - 1)
+    index = basis_index(EXT, n, d - 1)
     basis = basis_table(EXT, n, d)
     drop = np.empty((len(basis), d), dtype=np.intp)
     row = np.empty((len(basis), d), dtype=np.intp)
@@ -205,7 +199,7 @@ class CoordinateChange:
         d = len(cols)
         while len(self._tables) <= d:
             self._fill()
-        index = _support_index(n, d)
+        index = basis_index(EXT, n, d)
         column = self._tables[d][:, index[cols]].tolist()
         self._minors[cols] = dict(zip(index, column))
         return self._minors[cols][rows]

@@ -8,6 +8,7 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
+from .changes import SizeLimitError
 from .families import family_of, family_supports, minimal_family, up_closure
 from .fields import GFP, InvalidInputError
 from .gin import gin
@@ -76,24 +77,34 @@ class SimplicialComplex:
         return f"Complex(n={self.n}, facets={self.facets()})"
 
 
+#: a family of [n] is a 2**n-bit int: 128 KB at 20 vertices, 128 MB at 30
+MAX_COMPLEX_VERTICES = 20
+
+
 def _every_support(n: int) -> int:
-    """The family of all 2**n supports of [n]."""
+    """The family of all 2**n supports of [n]; past
+    ``MAX_COMPLEX_VERTICES`` refused before any family is built."""
+    if n > MAX_COMPLEX_VERTICES:
+        raise SizeLimitError(f"complexes on n={n} > {MAX_COMPLEX_VERTICES} "
+                             f"vertices refused")
     return (1 << (1 << n)) - 1
 
 
-def _avoiding(family: int, n: int) -> SimplicialComplex:
-    """The complex of every support of [n] containing no support of the
-    family, the empty face always kept: the complement of the family's
+def _avoiding(supports, n: int) -> SimplicialComplex:
+    """The complex of every support of [n] containing none of the given
+    supports, the empty face always kept: the complement of their family's
     up-closure among the 2**n supports."""
-    faces = (_every_support(n) & ~up_closure(family, n)) | 1
+    # first, so that a refusal comes before any family is built
+    everything = _every_support(n)
+    faces = (everything & ~up_closure(family_of(supports), n)) | 1
     return SimplicialComplex(n, frozenset(family_supports(faces, n)))
 
 
 def flag_complex(g: Graph) -> SimplicialComplex:
     """Faces are exactly the cliques of g: the supports containing no
     non-edge."""
-    return _avoiding(family_of(e for e in combinations(range(1, g.n + 1), 2)
-                               if not g.has_edge(*e)), g.n)
+    return _avoiding((e for e in combinations(range(1, g.n + 1), 2)
+                      if not g.has_edge(*e)), g.n)
 
 
 def cone(gamma: SimplicialComplex) -> SimplicialComplex:
@@ -128,8 +139,7 @@ def combinatorial_ideal(source, ring: str) -> MonomialIdeal:
     if isinstance(source, Graph):
         if ring == POLY:
             return edge_ideal(source)
-        source = SimplicialComplex.make(
-            source.n, list(source.edges) + [(v,) for v in range(1, source.n + 1)])
+        source = SimplicialComplex.make(source.n, source.edges)
     if ring not in (EXT, POLY):
         raise InvalidInputError(f"bad ring {ring!r}")
     return face_ideal(source, ring)
@@ -139,8 +149,8 @@ def complex_from_ideal(ideal: MonomialIdeal) -> SimplicialComplex:
     """Complex whose non-faces are exactly the (squarefree) members of the
     ideal, the empty face always kept; inverse of face_ideal. Only the
     squarefree generators divide a squarefree monomial."""
-    return _avoiding(family_of(g.support for g in ideal.generators
-                               if len(g.support) == g.degree), ideal.n)
+    return _avoiding((g.support for g in ideal.generators
+                      if len(g.support) == g.degree), ideal.n)
 
 
 # -- algebraic shifting -------------------------------------------------
@@ -177,4 +187,6 @@ def read_complex(text: str) -> SimplicialComplex:
     except (KeyError, TypeError) as exc:
         raise InvalidInputError(
             'complex JSON needs "n" and a list of "facets"') from exc
+    if n < 0:
+        raise InvalidInputError(f"complex file has negative n={n}")
     return SimplicialComplex.make(n, facets)

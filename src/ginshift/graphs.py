@@ -332,10 +332,12 @@ def read_graph(text: str) -> Graph:
         except (KeyError, TypeError) as exc:
             raise InvalidInputError(
                 'graph JSON needs "n" and a list of "edges"') from exc
-        return Graph.make(n, edges)
-    lines = [ln.split() for ln in text.splitlines() if ln.strip()]
-    if not lines or len(lines[0]) != 2 or lines[0][0] != "n":
-        raise InvalidInputError("graph file must start with 'n <int>'")
-    n = int(lines[0][1])
-    edges = [(int(a), int(b)) for a, b in lines[1:]]
+    else:
+        lines = [ln.split() for ln in text.splitlines() if ln.strip()]
+        if not lines or len(lines[0]) != 2 or lines[0][0] != "n":
+            raise InvalidInputError("graph file must start with 'n <int>'")
+        n = int(lines[0][1])
+        edges = [(int(a), int(b)) for a, b in lines[1:]]
+    if n < 0:
+        raise InvalidInputError(f"graph file has negative n={n}")
     return Graph.make(n, edges)

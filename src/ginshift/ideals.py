@@ -1,5 +1,6 @@
 """Monomial ideals with canonical minimal generators and exact degree
-components, in either ring.
+components, in either ring. A degree component is a set of entries of the
+degree's ``basis_table``: no monomial is built for it.
 
 Generators are stored sorted by (degree, lex-descending) so that equal ideals
 serialize identically.
@@ -8,14 +9,13 @@ serialize identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from operator import add, attrgetter
 
 from .changes import MAX_EXT_VARIABLES
 from .families import (family_of, is_stable_family, minimal_family,
                        support_mask, up_closure)
 from .fields import InvalidInputError
-from .monomials import (EXT, POLY, ExtMonomial, Monomial, PolyMonomial,
+from .monomials import (EXT, POLY, ExtMonomial, Monomial, basis_index,
                         basis_table, ext_monomial, parse_monomial)
 from .orders import LEX
 
@@ -71,25 +71,19 @@ class MonomialIdeal:
         return any(g.divides(m) for g in self.generators)
 
     def degree_component(self, d: int) -> set[Monomial]:
-        """All degree-d monomials divisible by some generator, enumerated as
-        generator multiples: S u T for T outside S in the exterior ring, g * m
-        in the polynomial ring."""
+        """All degree-d monomials divisible by some generator, as entries of
+        ``basis_table(ring, n, d)``: in the exterior ring the entries the
+        ideal contains, in the polynomial ring each multiple g * m found in
+        the table by its exponent vector."""
         if d < 0 or (self.ring == EXT and d > self.n):
             raise InvalidInputError(f"degree {d} out of range")
-        n, out = self.n, set()
-        for g in self.generators:
-            k = d - g.degree
-            if k < 0:
-                continue
-            if self.ring == EXT:
-                rest = [i for i in range(1, n + 1) if i not in g.support]
-                out.update(ext_monomial(g.support + t, n)
-                           for t in combinations(rest, k))
-            else:
-                out.update(PolyMonomial(tuple(map(add, g.exponents,
-                                                  m.exponents)))
-                           for m in basis_table(POLY, n, k))
-        return out
+        table = basis_table(self.ring, self.n, d)
+        if self.ring == EXT:
+            return {u for u in table if self.contains(u)}
+        index = basis_index(POLY, self.n, d)
+        return {table[index[tuple(map(add, g.exponents, m.exponents))]]
+                for g in self.generators if g.degree <= d
+                for m in basis_table(POLY, self.n, d - g.degree)}
 
     def hilbert(self, max_degree: int) -> list[int]:
         return [len(self.degree_component(d)) for d in range(max_degree + 1)]
@@ -183,5 +177,7 @@ def read_ideal(text: str) -> MonomialIdeal:
         raise InvalidInputError(f"bad ideal header {lines[0]!r}") from exc
     if ring not in (EXT, POLY):
         raise InvalidInputError(f"bad ring {ring!r}")
+    if n < 0:
+        raise InvalidInputError(f"ideal header has negative n={n}")
     gens = [parse_monomial(ln, ring, n) for ln in lines[1:]]
     return MonomialIdeal.make(ring, n, gens)

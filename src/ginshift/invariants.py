@@ -72,7 +72,11 @@ class BettiTable:
 
 
 def index_profile(ideal: MonomialIdeal, d: int) -> tuple[list[int], list[int]]:
-    """(min_le, max_le) over k = 1..n for the degree-d component."""
+    """(min_le, max_le) over k = 1..n for the degree-d component: the
+    counts of its monomials whose least (greatest) index is at most k. The
+    monomial 1 has no index, so d >= 1."""
+    if d < 1:
+        raise InvalidInputError(f"index profile needs degree >= 1, not {d}")
     comp = ideal.degree_component(d)
     n = ideal.n
     min_le = [sum(1 for u in comp if u.min_index() <= k) for k in range(1, n + 1)]
@@ -115,7 +119,11 @@ def betti_stable(ideal: MonomialIdeal, flavor: str = STABLE_POLY) -> BettiTable:
     table: dict[tuple[int, int], int] = {}
     for u in ideal.generators:
         j = u.degree
-        top = u.max_index() - j if squarefree else u.max_index() - 1
+        if not j:
+            # the unit ideal is R itself: beta_{0,0} = 1
+            top = 0
+        else:
+            top = u.max_index() - j if squarefree else u.max_index() - 1
         for i in range(top + 1):
             table[(i, j)] = table.get((i, j), 0) + comb(top, i)
     return BettiTable.make(table)
@@ -333,8 +341,7 @@ def closed_form_profiles(a: int, b: int) -> tuple[list[int], list[int]]:
 def shifted_graph_edges(g: Graph, order: TermOrder, seed: int = 0,
                         field=GFP) -> set[tuple[int, int]]:
     """Edge set of the shifted complex of g viewed as a 1-dim complex."""
-    gamma = SimplicialComplex.make(
-        g.n, list(g.edges) + [(v,) for v in range(1, g.n + 1)])
+    gamma = SimplicialComplex.make(g.n, g.edges)
     delta = shifted_complex(order, gamma, seed=seed, field=field)
     return {tuple(f) for f in delta.faces_of_size(2)}
 

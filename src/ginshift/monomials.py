@@ -2,6 +2,9 @@
 
 Exterior monomials are strictly increasing index tuples (1-based); polynomial
 monomials are exponent tuples of length n.  Both are hashable value types.
+The monomials of a degree are enumerated once, into ``basis_table``, and
+positioned once, by ``basis_index``; every other layer selects from the
+table or indexes into it.
 """
 
 from __future__ import annotations
@@ -9,7 +12,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
+from operator import attrgetter
 
 from .fields import InvalidInputError
 
@@ -126,31 +130,34 @@ def squarefree_poly(indices, n: int) -> PolyMonomial:
 
 
 def all_monomials(ring: str, n: int, d: int) -> list:
-    """Every degree-d monomial of the ambient ring, in a fixed ascending order."""
-    if ring == EXT:
-        if d > n:
-            return []
-        return [ExtMonomial(c, n) for c in combinations(range(1, n + 1), d)]
-    out = []
-
-    def rec(prefix, remaining, pos):
-        if pos == n - 1:
-            out.append(PolyMonomial(tuple(prefix + [remaining])))
-            return
-        for e in range(remaining, -1, -1):
-            rec(prefix + [e], remaining - e, pos + 1)
-
-    if n == 0:
-        return []
-    rec([], d, 0)
-    return out
+    """Every degree-d monomial, lex-descending: ``basis_table`` as a list."""
+    return list(basis_table(ring, n, d))
 
 
 @lru_cache(maxsize=256)
 def basis_table(ring: str, n: int, d: int) -> tuple:
-    """The degree-d monomials in ``all_monomials`` order: the one basis, shared
-    and immutable, against which every degree-d component is stored."""
-    return tuple(all_monomials(ring, n, d))
+    """The degree-d monomials of (ring, n), lex-descending (the d-subsets or
+    d-multisets of the variables, in order): the one basis, shared and
+    immutable, against which every degree-d component is stored."""
+    if ring == EXT:
+        return tuple(ExtMonomial(c, n) for c in combinations(range(1, n + 1), d))
+    if n == 0:
+        # a polynomial ring on no variables has empty tables, degree 0 too
+        return ()
+    return tuple(PolyMonomial(tuple(map(c.count, range(1, n + 1))))
+                 for c in combinations_with_replacement(range(1, n + 1), d))
+
+
+#: what ``basis_index`` keys a monomial of each ring by
+COORDINATES = {EXT: attrgetter("support"), POLY: attrgetter("exponents")}
+
+
+@lru_cache(maxsize=256)
+def basis_index(ring: str, n: int, d: int) -> dict:
+    """The position in ``basis_table(ring, n, d)`` of each support
+    (exterior) or exponent vector (polynomial), in table order."""
+    coordinates = COORDINATES[ring]
+    return {coordinates(m): j for j, m in enumerate(basis_table(ring, n, d))}
 
 
 _EXT_RE = re.compile(r"^e\{([0-9,\s]*)\}$")

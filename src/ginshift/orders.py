@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .fields import InvalidInputError
-from .monomials import ExtMonomial, Monomial, basis_table
+from .monomials import (COORDINATES, ExtMonomial, Monomial, basis_index,
+                        basis_table)
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -121,9 +122,9 @@ class Inverse(TermOrder):
 #: sweeps draw fresh weight orders per class, so old rankings are dropped
 @lru_cache(maxsize=256)
 def _ranking(order: TermOrder, ring: str, n: int, d: int) -> tuple[int, ...]:
-    basis = basis_table(ring, n, d)
-    index = {m: j for j, m in enumerate(basis)}
-    return tuple(index[m] for m in order.sort_descending(basis))
+    index, coordinates = basis_index(ring, n, d), COORDINATES[ring]
+    return tuple(index[coordinates(m)]
+                 for m in order.sort_descending(basis_table(ring, n, d)))
 
 
 LEX = Lex()

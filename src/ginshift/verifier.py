@@ -26,7 +26,7 @@ from .gin import (CertificationError, DualityViolationError, complement_dual,
 from .graphs import (SEMI_BIPARTITE, Graph, base_form, condition_v,
                      condition_vi)
 from .ideals import MonomialIdeal
-from .invariants import hyperplane_rank_profile, m_count
+from .invariants import hyperplane_rank_profile, index_profile, m_count
 from .monomials import EXT, POLY, all_monomials, poly_monomial
 from .orders import LEX, REVLEX, WeightOrder
 
@@ -315,11 +315,6 @@ def _random_complex(rng, n: int) -> SimplicialComplex:
     return SimplicialComplex.make(n, faces)
 
 
-def _max_le_profile(monomials, n: int) -> list[int]:
-    return [sum(1 for u in monomials if u.max_index() <= k)
-            for k in range(1, n + 1)]
-
-
 def property_suite(seed: int = 0, samples: int = 200) -> dict:
     """Randomized checks of the supporting lemmas; returns a report whose
     payload is seed-independent when every property holds."""
@@ -381,12 +376,11 @@ def property_suite(seed: int = 0, samples: int = 200) -> dict:
         jg = combinatorial_ideal(g, EXT)
         lex2 = gin_space(LEX, jg.degree_component(2), EXT, n, 2, seed=seed)
         rev2 = gin_space(REVLEX, jg.degree_component(2), EXT, n, 2, seed=seed)
-        lo = _max_le_profile(lex2, n)
-        hi = _max_le_profile(rev2, n)
         glex = MonomialIdeal.make(EXT, n, lex2)
         grev = MonomialIdeal.make(EXT, n, rev2)
+        lo, hi = index_profile(glex, 2)[1], index_profile(grev, 2)[1]
         for witness in trans_witnesses(jg, budget=4000):
-            mid = _max_le_profile(witness.degree_component(2), n)
+            mid = index_profile(witness, 2)[1]
             if not all(x <= y <= z for x, y, z in zip(lo, mid, hi)):
                 violations += 1
             for u in all_monomials(EXT, n, 2):

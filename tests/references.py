@@ -2,7 +2,7 @@
 module: pytest collects no tests from it."""
 
 from itertools import combinations
-from operator import attrgetter
+from operator import add, attrgetter
 
 from ginshift.changes import CoordinateChange
 from ginshift.complexes import SimplicialComplex
@@ -11,8 +11,8 @@ from ginshift.fields import GFP, InvalidInputError
 from ginshift.gin import _of_degree, _Trials
 from ginshift.ideals import MonomialIdeal, _canonical_sort
 from ginshift.linalg import vector_rank
-from ginshift.monomials import (EXT, ExtMonomial, basis_table, ext_monomial,
-                                squarefree_poly)
+from ginshift.monomials import (EXT, POLY, ExtMonomial, PolyMonomial,
+                                basis_table, ext_monomial, squarefree_poly)
 from ginshift.orders import (EQUAL, GREATER, LESS, Inverse, Lex, RevLex,
                              WeightOrder)
 
@@ -80,6 +80,53 @@ def compare(order, u, v) -> int:
     if u.degree != v.degree:
         return GREATER if u.degree > v.degree else LESS
     return _cmp_same_degree(order, u, v)
+
+
+# -- a degree's monomials, by recursion and by generator multiples ---------
+# The specification ``basis_table``, ``basis_index`` and
+# ``MonomialIdeal.degree_component`` are tested against.
+
+
+def all_monomials(ring, n, d) -> list:
+    """Every degree-d monomial, lex-descending: exterior supports by
+    ``combinations``, polynomial exponent vectors by recursion on the
+    leading exponent, from d down to 0."""
+    if ring == EXT:
+        if d > n:
+            return []
+        return [ExtMonomial(c, n) for c in combinations(range(1, n + 1), d)]
+    out = []
+
+    def rec(prefix, remaining, pos):
+        if pos == n - 1:
+            out.append(PolyMonomial(tuple(prefix + [remaining])))
+            return
+        for e in range(remaining, -1, -1):
+            rec(prefix + [e], remaining - e, pos + 1)
+
+    if n == 0:
+        return []
+    rec([], d, 0)
+    return out
+
+
+def degree_component(ideal, d) -> set:
+    """The degree-d monomials of the ideal as generator multiples: S u T
+    for T outside S in the exterior ring, g * m in the polynomial ring,
+    each built as a new monomial."""
+    n, out = ideal.n, set()
+    for g in ideal.generators:
+        k = d - g.degree
+        if k < 0:
+            continue
+        if ideal.ring == EXT:
+            rest = [i for i in range(1, n + 1) if i not in g.support]
+            out.update(ext_monomial(g.support + t, n)
+                       for t in combinations(rest, k))
+        else:
+            out.update(PolyMonomial(tuple(map(add, g.exponents, m.exponents)))
+                       for m in all_monomials(POLY, n, k))
+    return out
 
 
 # -- minors, by Laplace expansion ----------------------------------------

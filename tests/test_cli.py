@@ -223,6 +223,46 @@ def test_malformed_graph_and_complex_files_exit_2(command, text, tmp_path,
     assert (code, out) == (EXIT_INVALID_INPUT, "")
 
 
+@pytest.mark.parametrize("command,text,n", [
+    ("gin", "ring=poly n=-1\n1\n", -1),
+    ("gin", "ring=ext n=-2\n", -2),
+    ("classify", "n -2\n", -2),
+    ("classify", '{"n": -1, "edges": []}', -1),
+    ("shifted-complex", '{"n": -3, "facets": []}', -3),
+], ids=["poly-ideal", "ext-ideal", "graph", "graph-json", "complex"])
+def test_a_negative_n_in_a_file_exits_2(command, text, n, tmp_path, capsys):
+    path = tmp_path / "input"
+    path.write_text(text)
+    assert main([command, str(path)]) == EXIT_INVALID_INPUT
+    out, err = capsys.readouterr()
+    assert out == "" and f"n={n}" in err
+
+
+def test_the_unit_ideal_and_degree_0_profiles(tmp_path, capsys):
+    path = tmp_path / "unit.ideal"
+    path.write_text("ring=poly n=3\n1\n")
+    code, out = run(capsys, ["betti", str(path), "--oracle"])
+    assert code == EXIT_PASS
+    doc = json.loads(out)
+    assert doc["betti"]["entries"] == doc["oracle"]["entries"] == [[0, 0, 1]]
+    assert doc["oracle_matches"] is True
+    code, out = run(capsys, ["betti", str(path)])
+    assert (code, json.loads(out)["betti"]) == (EXIT_PASS, doc["betti"])
+    stable = tmp_path / "stable.ideal"
+    stable.write_text("ring=poly n=2\nx1^2\nx1*x2\nx2^3\n")
+    for ideal in (path, stable):
+        code, out = run(capsys, ["profile", str(ideal), "--degree", "0"])
+        assert (code, out) == (EXIT_INVALID_INPUT, "")
+
+
+def test_a_complex_past_the_vertex_limit_exits_4(tmp_path, capsys):
+    path = tmp_path / "c21.complex"
+    path.write_text(json.dumps(
+        {"n": 21, "facets": [[i, i + 1] for i in range(1, 21)]}))
+    code, out = run(capsys, ["shifted-complex", str(path)])
+    assert (code, out) == (EXIT_SIZE_LIMIT, "")
+
+
 def test_a_prime_past_int64_gives_the_default_prime_results(
         rei_file, edges_file, tmp_path, capsys):
     # 2**89 - 1: numpy cannot draw its elements in one call

@@ -4,10 +4,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from ginshift.complexes import (SimplicialComplex, combinatorial_ideal,
-                                complex_from_ideal, cone, edge_ideal,
-                                face_ideal, flag_complex, read_complex,
-                                shifted_complex, write_complex)
+from ginshift.changes import SizeLimitError
+from ginshift.complexes import (MAX_COMPLEX_VERTICES, SimplicialComplex,
+                                combinatorial_ideal, complex_from_ideal, cone,
+                                edge_ideal, face_ideal, flag_complex,
+                                read_complex, shifted_complex, write_complex)
 from ginshift.fields import InvalidInputError
 from ginshift.graphs import (Graph, complete_bipartite, complete_graph,
                              cycle_graph, path_graph)
@@ -126,6 +127,28 @@ def test_shifted_complex_preserves_f_vector():
 def test_serialization_round_trip():
     gamma = SimplicialComplex.make(4, [(1, 2, 3), (3, 4)])
     assert read_complex(write_complex(gamma)) == gamma
+    with pytest.raises(InvalidInputError, match="n=-3"):
+        read_complex('{"n": -3, "facets": []}')
+
+
+def test_complexes_past_the_vertex_limit_are_refused(monkeypatch):
+    # at the limit the cycle's flag complex goes to its face ideals and back
+    n = MAX_COMPLEX_VERTICES
+    gamma = flag_complex(cycle_graph(n))
+    assert gamma.f_vector() == [1, n, n]
+    for ring in (EXT, POLY):
+        assert complex_from_ideal(face_ideal(gamma, ring)) == gamma
+    # one past it, refused before any family is built
+    complexes = importlib.import_module("ginshift.complexes")
+    for name in ("family_of", "up_closure", "minimal_family"):
+        monkeypatch.setattr(complexes, name, None)
+    g = cycle_graph(n + 1)
+    gamma = SimplicialComplex.make(n + 1, g.edges)
+    for call in (lambda: flag_complex(g), lambda: face_ideal(gamma, EXT),
+                 lambda: face_ideal(gamma, POLY),
+                 lambda: complex_from_ideal(edge_ideal(g))):
+        with pytest.raises(SizeLimitError, match=f"n={n + 1}"):
+            call()
 
 
 def _random_supports(rng, n, p):

@@ -160,6 +160,9 @@ def test_serialization_round_trip():
     assert read_graph('{"n": 3, "edges": [[1, 2]]}') == Graph.make(3, [(1, 2)])
     with pytest.raises(InvalidInputError):
         read_graph("edges only\n")
+    for text in ("n -2\n", '{"n": -1, "edges": []}'):
+        with pytest.raises(InvalidInputError, match="n=-"):
+            read_graph(text)
 
 
 def _brute_force_contains_induced(g, h):

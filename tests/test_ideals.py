@@ -10,8 +10,10 @@ from math import comb
 from ginshift.fields import InvalidInputError
 from ginshift.ideals import (MonomialIdeal, is_strongly_stable, minimalize,
                              read_ideal, stable_closure, write_ideal)
-from ginshift.monomials import (EXT, POLY, all_monomials, ext_monomial,
-                                poly_monomial, squarefree_poly)
+from ginshift.monomials import (EXT, POLY, all_monomials, basis_table,
+                                ext_monomial, poly_monomial, squarefree_poly)
+
+import references
 
 
 def E(supports, n):
@@ -112,6 +114,9 @@ def test_serialization_round_trip():
         read_ideal("")
     with pytest.raises(InvalidInputError):
         read_ideal("ring=clifford n=3\n")
+    for text in ("ring=poly n=-1\n1\n", "ring=ext n=-2\n"):
+        with pytest.raises(InvalidInputError, match="n=-"):
+            read_ideal(text)
 
 
 @st.composite
@@ -130,14 +135,50 @@ def _ideals(draw):
 @settings(deadline=None, max_examples=150)
 @given(_ideals(), st.integers(0, 6))
 def test_degree_component_matches_the_divisibility_scan(ideal, d):
-    # generator multiples against testing every monomial for membership
+    # table entries against testing every monomial for membership, and
+    # against the generator multiples
     if ideal.ring == EXT and d > ideal.n:
         with pytest.raises(InvalidInputError):
             ideal.degree_component(d)
         return
     scan = {u for u in all_monomials(ideal.ring, ideal.n, d)
             if ideal.contains(u)}
-    assert ideal.degree_component(d) == scan
+    assert ideal.degree_component(d) == scan == \
+        references.degree_component(ideal, d)
+
+
+def test_degree_component_selects_the_generator_multiples():
+    # (ideal, top degree checked)
+    rng = np.random.default_rng(2028)
+    cases = []
+    for _ in range(150):
+        n = int(rng.integers(0, 8))
+        cases.append((_random_exterior_ideal(rng, n), n))
+        cases.append((_random_polynomial_ideal(rng, min(n, 5)), 4))
+    # past MAX_EXT_VARIABLES, where make minimalizes by divisibility
+    n = 13
+    for _ in range(20):
+        gens = [ext_monomial((rng.choice(n, size=k, replace=False) + 1)
+                             .tolist(), n)
+                for k in rng.integers(1, 4, size=int(rng.integers(0, 6)))]
+        cases.append((MonomialIdeal.make(EXT, n, gens), 3))
+    zero = [MonomialIdeal.make(ring, 4, []) for ring in (EXT, POLY)]
+    unit = [MonomialIdeal.make(EXT, 4, [ext_monomial((), 4)]),
+            MonomialIdeal.make(POLY, 4, [poly_monomial((0,) * 4)])]
+    cases += [(ideal, 4) for ideal in zero + unit]
+    for ideal, top in cases:
+        for d in range(top + 1):
+            component = ideal.degree_component(d)
+            assert component == references.degree_component(ideal, d), \
+                (ideal, d)
+            # entries of the table itself, not equal copies
+            table = {id(u) for u in basis_table(ideal.ring, ideal.n, d)}
+            assert {id(u) for u in component} <= table
+    for ideal in zero:
+        assert ideal.hilbert(4) == [0] * 5
+    for ideal in unit:
+        assert ideal.hilbert(4) == [len(basis_table(ideal.ring, 4, d))
+                                    for d in range(5)]
 
 
 # -- the bitset rules against the scans they replaced --------------------

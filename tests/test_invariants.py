@@ -200,6 +200,16 @@ def test_resolution_oracle_of_zero_ideal_is_empty():
     assert resolution_oracle(MonomialIdeal.make(POLY, 3, [])).entries == ()
 
 
+def test_the_unit_ideal_has_one_betti_number_in_both_flavours():
+    unit = MonomialIdeal.make(POLY, 3, [poly_monomial((0, 0, 0))])
+    oracle = resolution_oracle(unit)
+    assert oracle.as_dict() == {(0, 0): 1}
+    for flavor in (STABLE_POLY, SQUAREFREE):
+        assert betti_stable(unit, flavor) == oracle
+    ext = MonomialIdeal.make(EXT, 3, [ext_monomial((), 3)])
+    assert betti_stable(ext, SQUAREFREE) == oracle
+
+
 # -- the alpha map ------------------------------------------------------
 
 
@@ -259,6 +269,11 @@ def test_index_profile():
     min_le, max_le = index_profile(ideal, 2)
     assert min_le == [2, 3, 3, 3]
     assert max_le == [0, 1, 3, 3]
+    # the monomial 1 has neither a least nor a greatest index
+    unit = MonomialIdeal.make(POLY, 3, [poly_monomial((0, 0, 0))])
+    for i, d in ((ideal, 0), (unit, 0), (unit, -1)):
+        with pytest.raises(InvalidInputError, match="degree >= 1"):
+            index_profile(i, d)
 
 
 def test_m_count():

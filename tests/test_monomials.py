@@ -4,7 +4,11 @@ from math import comb
 
 from ginshift.fields import InvalidInputError
 from ginshift.monomials import (EXT, POLY, ExtMonomial, all_monomials,
-                                ext_monomial, parse_monomial, poly_monomial)
+                                basis_index, basis_table, ext_monomial,
+                                parse_monomial, poly_monomial)
+from ginshift.orders import LEX
+
+import references
 
 
 def test_ext_monomial_validation():
@@ -48,6 +52,23 @@ def test_all_monomials_distinct_and_correct_degree():
     ms = all_monomials(POLY, 3, 4)
     assert len(set(ms)) == len(ms)
     assert all(m.degree == 4 for m in ms)
+
+
+def test_basis_table_and_index_match_the_recursive_enumerator():
+    for ring in (EXT, POLY):
+        for n in range(8):
+            for d in range(8):
+                table = basis_table(ring, n, d)
+                spec = references.all_monomials(ring, n, d)
+                assert list(table) == all_monomials(ring, n, d) == spec, \
+                    (ring, n, d)
+                keys = [LEX.key(u) for u in table]
+                assert all(a > b for a, b in zip(keys, keys[1:]))
+                # positions in table order: minor tables iterate the map
+                index = basis_index(ring, n, d)
+                assert list(index) == [u.support if ring == EXT
+                                       else u.exponents for u in spec]
+                assert list(index.values()) == list(range(len(spec)))
 
 
 def test_parse_round_trip():
