@@ -8,32 +8,36 @@ every field: int64 over a prime below 2**31, python ints over larger
 primes and ``Fraction``s over Q, and so is a degree table, each of whose
 entries is reduced mod p once over GF(p).
 
-The exterior action sends e_S to the row of d x d minors det(phi[T, S])
-over the target supports T of the table.  Minors come from degree tables:
-on its first read in degree d a change fills its whole exterior power, the
-C(n,d) x C(n,d) array of every minor det(phi[T, S]), from the degree d - 1
-table in one gathered array product, Laplace along the last column
-vectorized over every (T, S) through the cached index table
-``laplace_table(n, d)``.  A minor is then read from a per-column-set dict
-keyed by target support, built from the table on the column set's first
-read.  The polynomial action expands the product of linear forms: with x_i
-the largest variable of m, row(m) = sum_k phi[k][i] * row(m / x_i)
-scattered through the cached multiplication table of ``mult_table(n, d)``.
-Polynomial rows are memoized per monomial, so shared prefixes are expanded
-once, and ``apply`` hands out the memoized row itself, read-only.
+A change acts on a degree through one read-only table per (ring, d),
+whose column S is the image of S against the degree's basis table: the
+exterior power Lambda^d phi, the d x d minors det(phi[T, S]), in the
+exterior ring, and the symmetric power Sym^d phi in the polynomial ring.
+On its first read in degree d a ring's table is filled from the degree
+d - 1 table in one gathered array product over every (T, S) at once,
+peeling the largest index s of S:
+
+    table_d[T, S] = sum_{t in T} eps * phi[t, s] * table_{d-1}[T - t, S - s]
+
+through the cached index table ``peel_table(ring, n, d)``, with eps the
+Laplace sign (-1)^(i+d) of the i-th index of T in the exterior ring and 1
+in the polynomial ring; that sign is the only difference between the two
+powers.  A minor is read from a per-column-set dict keyed by target
+support, built from the table on the column set's first read; a
+polynomial image is the table's column itself.
 
 The gin engine applies a change once to each monomial of a degree component
 and stacks the image rows into one matrix that serves every term order, so
 the action costs the same however many orders are certified.  A random
-change drawn by the engine is shared, with its minor table and polynomial
-rows, by every gin that draws the same trial set (``gin._trial_changes``),
-so each minor and row is computed once per trial set, not once per ideal.
+change drawn by the engine is shared, with its degree tables, by every gin
+that draws the same trial set (``gin._trial_changes``), exterior and
+polynomial alike, so each table is filled once per trial set and ring, not
+once per ideal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -47,38 +51,29 @@ MAX_EXT_VARIABLES = 12
 
 
 @lru_cache(maxsize=256)
-def mult_table(n: int, d: int) -> np.ndarray:
-    """T[j, k] = position in ``basis_table(POLY, n, d)`` of the product
-    basis_table(POLY, n, d - 1)[j] * x_{k+1}; read-only, d >= 1."""
-    index = basis_index(POLY, n, d)
-    prev = basis_table(POLY, n, d - 1)
-    table = np.empty((len(prev), n), dtype=np.intp)
-    for j, m in enumerate(prev):
-        e = list(m.exponents)
-        for k in range(n):
-            e[k] += 1
-            table[j, k] = index[tuple(e)]
-            e[k] -= 1
-    table.flags.writeable = False
-    return table
-
-
-@lru_cache(maxsize=256)
-def laplace_table(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(drop, row) for the j-th support T of ``basis_table(EXT, n, d)`` and
-    each i < d: drop[j, i] is the position in ``basis_table(EXT, n, d - 1)``
-    of T without its i-th index t_i, and row[j, i] = t_i - 1, the 0-based
-    row of the change that Laplace expansion pairs with it; read-only,
-    d >= 1."""
-    index = basis_index(EXT, n, d - 1)
-    basis = basis_table(EXT, n, d)
-    drop = np.empty((len(basis), d), dtype=np.intp)
-    row = np.empty((len(basis), d), dtype=np.intp)
+def peel_table(ring: str, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(drop, row) for the j-th monomial T of ``basis_table(ring, n, d)``
+    and its w = min(n, d) columns, d >= 1: the distinct indices t of T sit,
+    increasing, in the last columns, where drop[j, i] is the position in
+    ``basis_table(ring, n, d - 1)`` of T with one t removed and
+    row[j, i] = t - 1 is the 0-based row of the change paired with it.  A
+    polynomial T with fewer than w distinct indices is left-padded with
+    drop 0 and row n, the zero row appended to the change, so the last
+    column is always T's largest index; read-only."""
+    index = basis_index(ring, n, d - 1)
+    basis = basis_table(ring, n, d)
+    w = min(n, d)
+    drop = np.zeros((len(basis), w), dtype=np.intp)
+    row = np.full((len(basis), w), n, dtype=np.intp)
     for j, m in enumerate(basis):
         s = m.support
-        for i, t in enumerate(s):
-            drop[j, i] = index[s[:i] + s[i + 1:]]
-            row[j, i] = t - 1
+        for i, t in enumerate(s, w - len(s)):
+            if ring == EXT:
+                key = tuple(x for x in s if x != t)
+            else:
+                e = m.exponents
+                key = e[:t - 1] + (e[t - 1] - 1,) + e[t:]
+            drop[j, i], row[j, i] = index[key], t - 1
     drop.flags.writeable = row.flags.writeable = False
     return drop, row
 
@@ -108,9 +103,7 @@ class CoordinateChange:
     field: object
     kind: str = "dense"
     _minors: dict = dc_field(default_factory=dict, repr=False, compare=False)
-    _tables: list = dc_field(default_factory=list, repr=False, compare=False)
-    _poly_cache: dict = dc_field(default_factory=dict, repr=False,
-                                 compare=False)
+    _tables: dict = dc_field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.matrix)
@@ -197,54 +190,78 @@ class CoordinateChange:
             raise SizeLimitError(
                 f"minor tables refused for n={n} > {MAX_EXT_VARIABLES}")
         d = len(cols)
-        while len(self._tables) <= d:
-            self._fill()
         index = basis_index(EXT, n, d)
-        column = self._tables[d][:, index[cols]].tolist()
+        column = self._table(EXT, d)[:, index[cols]].tolist()
         self._minors[cols] = dict(zip(index, column))
         return self._minors[cols][rows]
 
-    def _fill(self) -> None:
-        """Append the table of the next degree d: det phi[T, S] = sum_i
-        (-1)^(i+d) phi[t_i, s_d] det phi[T - t_i, S - s_d] (i 1-based), for
-        every (T, S) at once, from the degree d - 1 table."""
+    # -- degree tables --------------------------------------------------
+
+    @cached_property
+    def _phi(self) -> np.ndarray:
+        """The matrix in the field's row dtype, with the zero row appended
+        that the padding of ``peel_table`` reads."""
+        f = self.field
+        return np.array([[f(x) for x in row] for row in self.matrix]
+                        + [[f.zero] * self.n], dtype=row_dtype(f))
+
+    def _table(self, ring: str, d: int) -> np.ndarray:
+        """The ring's degree-d table, filling the degrees below it first;
+        read-only."""
+        tables = self._tables.setdefault(ring, [])
+        while len(tables) <= d:
+            table = self._fill(ring, tables)
+            table.flags.writeable = False
+            tables.append(table)
+        return tables[d]
+
+    def _fill(self, ring: str, tables: list) -> np.ndarray:
+        """The ring's table of the next degree d, from the degree d - 1
+        table: table_d[T, S] = sum_i eps phi[t_i, s] table_{d-1}[T - t_i,
+        S - s], s the largest index of S, for every (T, S) at once; eps is
+        (-1)^(i+d) (i 1-based) in the exterior ring and 1 in the polynomial
+        ring."""
         f = self.field
         p = f.characteristic
-        d = len(self._tables)
+        d = len(tables)
         if d < 2:
-            # degree 0 is the empty minor; degree 1 is phi itself
-            entries = [[f.one]] if d == 0 else [[f(x) for x in row]
-                                                for row in self.matrix]
-            self._tables.append(np.array(entries, dtype=row_dtype(f)))
-            return
-        phi, prev = self._tables[1], self._tables[-1]
-        drop, row = laplace_table(self.n, d)
-        last, rest = row[:, -1], drop[:, -1]
+            # degree 0 is the empty product; degree 1 is phi itself
+            return (np.array([[f.one]], dtype=row_dtype(f)) if d == 0
+                    else self._phi[:-1])
+        drop, row = peel_table(ring, self.n, d)
+        # column S of each: phi[:, s] and table_{d-1}[:, S - s]
+        phi = self._phi.take(row[:, -1], axis=1)
+        prev = tables[-1].take(drop[:, -1], axis=1)
 
         def term(i):
-            t = phi[row[:, i, None], last] * prev[drop[:, i, None], rest]
+            t = phi.take(row[:, i], axis=0)
+            t *= prev.take(drop[:, i], axis=0)
             if fits_int64(f):
-                # int64 then holds a sum of d reduced products
+                # int64 then holds a sum of min(n, d) reduced products
                 t %= p
             return t
 
-        # the last row's term has sign +1; the signs alternate from there
-        acc = term(d - 1)
-        for i in range(d - 2, -1, -1):
-            if (d - i) % 2:
-                acc += term(i)
+        # eps is +1 at the last index and, in the exterior ring only,
+        # alternates below it
+        w = row.shape[1]
+        table = term(w - 1)
+        for i in range(w - 2, -1, -1):
+            if ring == POLY or (w - i) % 2:
+                table += term(i)
             else:
-                acc -= term(i)
+                table -= term(i)
         if p:
-            acc %= p
-        self._tables.append(acc)
+            table %= p
+        return table
 
     # -- action on monomials --------------------------------------------
 
     def apply(self, m: Monomial) -> np.ndarray:
         """Image of a monomial as a coefficient row against
-        ``basis_table(m.ring, n, m.degree)``, of dtype ``row_dtype(field)``.
-        A polynomial row is the memoized one and is read-only."""
+        ``basis_table(m.ring, n, m.degree)``, of dtype ``row_dtype(field)``:
+        the column of m in the ring's degree table, read from its minors
+        in the exterior ring and as the read-only column itself in the
+        polynomial ring."""
         if m.n != self.n:
             raise InvalidInputError(
                 f"monomial in {m.n} variables, coordinate change in {self.n}")
@@ -263,35 +280,6 @@ class CoordinateChange:
                         dtype=row_dtype(self.field))
 
     def _apply_poly(self, m: PolyMonomial) -> np.ndarray:
-        return self._poly_row(m.exponents)
-
-    def _poly_row(self, e: tuple[int, ...]) -> np.ndarray:
-        """Coefficient row of the image of x^e against the basis table of
-        its degree, of dtype ``row_dtype(field)``; cached and read-only."""
-        row = self._poly_cache.get(e)
-        if row is not None:
-            return row
-        f = self.field
-        p = f.characteristic
-        dtype = row_dtype(f)
-        d = sum(e)
-        if d == 0:
-            row = np.full(1, f.one, dtype=dtype)
-        else:
-            # peel the largest variable so prefixes are shared via the cache
-            i = max(k for k, x in enumerate(e) if x)
-            prev = self._poly_row(e[:i] + (e[i] - 1,) + e[i + 1:])
-            column = np.array([self.matrix[k][i] for k in range(self.n)],
-                              dtype=dtype)
-            terms = np.outer(prev, column)
-            if p:
-                # int64 then holds a sum of min(n, d) reduced products
-                terms %= p
-            row = np.full(len(basis_table(POLY, self.n, d)), f.zero,
-                          dtype=dtype)
-            np.add.at(row, mult_table(self.n, d), terms)
-            if p:
-                row %= p
-        row.flags.writeable = False
-        self._poly_cache[e] = row
-        return row
+        d = m.degree
+        column = basis_index(POLY, self.n, d)[m.exponents]
+        return self._table(POLY, d)[:, column]

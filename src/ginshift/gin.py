@@ -64,8 +64,8 @@ def _trial_changes(n: int, field, trials: int, seed: int, salt: int,
                    upper_triangular: bool) -> tuple[CoordinateChange, ...]:
     """The random changes of (seed, trials, salt) on n variables over the
     field. They depend on nothing else, so every certified gin drawing the
-    same set shares these objects and, with them, their minor tables and
-    polynomial rows; the key holds the field, so no change serves another."""
+    same set shares these objects and, with them, their degree tables in
+    both rings; the key holds the field, so no change serves another."""
     change = (CoordinateChange.random_upper_triangular if upper_triangular
               else CoordinateChange.random_dense)
     return tuple(change(n, field, rng)

@@ -72,14 +72,18 @@ class MonomialIdeal:
 
     def degree_component(self, d: int) -> set[Monomial]:
         """All degree-d monomials divisible by some generator, as entries of
-        ``basis_table(ring, n, d)``: in the exterior ring the entries the
-        ideal contains, in the polynomial ring each multiple g * m found in
-        the table by its exponent vector."""
+        ``basis_table(ring, n, d)``: in the exterior ring the entries whose
+        support bitmask m covers a generator's mask h (h & m == h), in the
+        polynomial ring each multiple g * m found in the table by its
+        exponent vector."""
         if d < 0 or (self.ring == EXT and d > self.n):
             raise InvalidInputError(f"degree {d} out of range")
         table = basis_table(self.ring, self.n, d)
         if self.ring == EXT:
-            return {u for u in table if self.contains(u)}
+            masks = [support_mask(g.support) for g in self.generators]
+            return {u for u, m in zip(table, (support_mask(u.support)
+                                              for u in table))
+                    if any(h & m == h for h in masks)}
         index = basis_index(POLY, self.n, d)
         return {table[index[tuple(map(add, g.exponents, m.exponents))]]
                 for g in self.generators if g.degree <= d

@@ -141,9 +141,6 @@ def basis_table(ring: str, n: int, d: int) -> tuple:
     immutable, against which every degree-d component is stored."""
     if ring == EXT:
         return tuple(ExtMonomial(c, n) for c in combinations(range(1, n + 1), d))
-    if n == 0:
-        # a polynomial ring on no variables has empty tables, degree 0 too
-        return ()
     return tuple(PolyMonomial(tuple(map(c.count, range(1, n + 1))))
                  for c in combinations_with_replacement(range(1, n + 1), d))
 

@@ -105,7 +105,8 @@ def all_monomials(ring, n, d) -> list:
             rec(prefix + [e], remaining - e, pos + 1)
 
     if n == 0:
-        return []
+        # the ring on no variables has the one monomial 1, in degree 0
+        return [PolyMonomial(())] if d == 0 else []
     rec([], d, 0)
     return out
 

@@ -3,7 +3,7 @@ import pytest
 from fractions import Fraction
 
 from ginshift.changes import (MAX_EXT_VARIABLES, CoordinateChange,
-                              SingularMatrixError, SizeLimitError, mult_table)
+                              SingularMatrixError, SizeLimitError, peel_table)
 from ginshift.fields import GFP, QQ, InvalidInputError, PrimeField
 from ginshift.linalg import vector_rank
 from ginshift.monomials import (EXT, POLY, basis_table, ext_monomial,
@@ -88,7 +88,7 @@ def test_minor_validates_its_arguments_before_any_table():
                        ((0, 1), (1, 2)), ((1, 4), (1, 2)), ((1,), (4,))]:
         with pytest.raises(InvalidInputError):
             phi.minor(rows, cols)
-    assert phi._tables == [] and phi._minors == {}
+    assert phi._tables == {} and phi._minors == {}
     assert phi.minor((1, 2), (2, 3)) == references.minor(phi, (1, 2), (2, 3))
     # with the tables filled, a read out of order is refused all the same
     for rows, cols in [((2, 1), (2, 3)), ((1, 2), (3, 2)), ((1, 3), (3,)),
@@ -212,7 +212,7 @@ def test_exterior_size_limit():
     # no minor table is filled past the limit either
     with pytest.raises(SizeLimitError):
         phi.minor((1, 2), (1, 2))
-    assert phi._tables == [] and phi._minors == {}
+    assert phi._tables == {} and phi._minors == {}
     assert CoordinateChange.identity(n - 1, GFP).minor((1, n - 1),
                                                        (1, n - 1)) == 1
 
@@ -225,7 +225,7 @@ def test_poly_action_preserves_degree_and_is_cached():
     assert references.image(phi, m) == img
 
 
-# -- the polynomial action on the multiplication table ------------------
+# -- the polynomial action on the degree tables -------------------------
 
 
 def _old_apply_poly(phi, m, cache):
@@ -293,7 +293,7 @@ def test_cached_poly_rows_are_read_only(field):
     expected = img.tolist()
     with pytest.raises(ValueError):
         img[0] = 5
-    # the rows of the prefixes it was expanded from are read-only as well
+    # so is every other column of the same degree table
     with pytest.raises(ValueError):
         phi.apply(poly_monomial((0, 1, 1)))[-1] += 1
     assert phi.apply(m).tolist() == expected
@@ -305,12 +305,43 @@ def test_poly_action_rejects_wrong_variable_count():
         phi.apply(poly_monomial((1, 1)))
 
 
-def test_mult_table_entries_are_products():
-    for n in range(1, 6):
-        for d in range(1, 5):
-            table = mult_table(n, d)
-            prev, basis = basis_table(POLY, n, d - 1), basis_table(POLY, n, d)
-            assert table.shape == (len(prev), n)
-            for j, m in enumerate(prev):
-                for k in range(n):
-                    assert basis[table[j, k]] == m.times_var(k + 1)
+def test_peel_table_entries_remove_one_index():
+    for ring in (EXT, POLY):
+        for n in range(1, 6):
+            for d in range(1, (n if ring == EXT else 4) + 1):
+                drop, row = peel_table(ring, n, d)
+                prev = basis_table(ring, n, d - 1)
+                basis = basis_table(ring, n, d)
+                w = min(n, d)
+                assert drop.shape == row.shape == (len(basis), w)
+                for j, m in enumerate(basis):
+                    s = m.support
+                    pad = w - len(s)
+                    # padded entries read the zero row appended to phi
+                    assert list(row[j, :pad]) == [n] * pad, (ring, m)
+                    # the distinct indices, increasing, end at the largest
+                    assert list(row[j, pad:] + 1) == list(s), (ring, m)
+                    assert row[j, -1] + 1 == s[-1]
+                    for i, t in zip(range(pad, w), s):
+                        u = prev[drop[j, i]]
+                        if ring == EXT:
+                            assert u.support == tuple(x for x in s if x != t)
+                        else:
+                            assert u == m.div_var(t)
+
+
+@pytest.mark.parametrize("field", MINOR_FIELDS, ids=str)
+def test_one_change_serves_both_rings_in_either_order(field):
+    n = 4
+    monomials = {ring: [m for d in range(n + 1)
+                        for m in basis_table(ring, n, d)]
+                 for ring in (EXT, POLY)}
+    for first, second in ((EXT, POLY), (POLY, EXT)):
+        rng = np.random.default_rng(31)
+        phi = CoordinateChange.random_dense(n, field, rng)
+        rows = {ring: [phi.apply(m).tolist() for m in monomials[ring]]
+                for ring in (first, second)}
+        for ring in (EXT, POLY):
+            fresh = CoordinateChange(phi.matrix, field)
+            assert rows[ring] == [fresh.apply(m).tolist()
+                                  for m in monomials[ring]], (first, ring)

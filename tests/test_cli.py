@@ -255,6 +255,19 @@ def test_the_unit_ideal_and_degree_0_profiles(tmp_path, capsys):
         assert (code, out) == (EXIT_INVALID_INPUT, "")
 
 
+@pytest.mark.parametrize("text,unit", [("ring=poly n=0\n1\n", "1"),
+                                       ("ring=ext n=0\ne{}\n", "e{}")],
+                         ids=["poly", "ext"])
+def test_the_unit_ideal_on_no_variables_is_its_own_gin(text, unit, tmp_path,
+                                                       capsys):
+    path = tmp_path / "unit.ideal"
+    path.write_text(text)
+    code, out = run(capsys, ["gin", str(path)])
+    doc = json.loads(out)
+    assert (code, doc["generators"]) == (EXIT_PASS, [unit])
+    assert doc["certificate"]["accepted"] is True
+
+
 def test_a_complex_past_the_vertex_limit_exits_4(tmp_path, capsys):
     path = tmp_path / "c21.complex"
     path.write_text(json.dumps(
