@@ -1,15 +1,19 @@
-"""Simplicial complexes, the ideals attached to graphs and complexes, and
+"""Simplicial complexes as face families (the subset bitsets of
+``families.py``), the ideals attached to graphs and complexes, and
 algebraic shifting (the shifted complex of a certified exterior gin).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 from .changes import SizeLimitError
-from .families import family_of, family_supports, minimal_family, up_closure
+from .families import (down_closure, family_of, family_supports,
+                       maximal_family, minimal_family, support_mask,
+                       up_closure)
 from .fields import GFP, InvalidInputError
 from .gin import gin
 from .graphs import Graph
@@ -17,57 +21,59 @@ from .ideals import MonomialIdeal, is_strongly_stable
 from .monomials import EXT, POLY, ext_monomial, squarefree_poly
 from .orders import TermOrder
 
-
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Downward-closed face set on [1, n].
-
-    Faces are stored as sorted tuples; the empty face is always present.
-    ``make`` adds every singleton; ``complex_from_ideal`` of an ideal that
-    contains a variable x_i leaves out the vertex i.
+    """Downward-closed face family on [1, n]: bit S of ``family`` is set
+    when the support with bitmask S is a face; the empty face is always
+    present. ``make`` adds every singleton; ``complex_from_ideal`` of an
+    ideal that contains a variable x_i leaves out the vertex i.
     """
 
     n: int
-    faces: frozenset[tuple[int, ...]]
+    family: int = field(repr=False)
 
     @classmethod
     def make(cls, n: int, faces) -> "SimplicialComplex":
-        closed: set[tuple[int, ...]] = {()}
+        """The down-closure of the faces, with the empty face and every
+        singleton; past ``MAX_COMPLEX_VERTICES`` refused first."""
+        points = _sized(n, 0, 1)
+        faces = [tuple(sorted(set(f))) for f in faces]
         for f in faces:
-            f = tuple(sorted(set(f)))
             if f and not (1 <= f[0] and f[-1] <= n):
                 raise InvalidInputError(f"face {f} out of range 1..{n}")
-            for k in range(len(f) + 1):
-                closed.update(combinations(f, k))
-        for v in range(1, n + 1):
-            closed.add((v,))
-        return cls(n, frozenset(closed))
+        return cls(n, points | down_closure(family_of(faces), n))
+
+    @cached_property
+    def faces(self) -> frozenset[tuple[int, ...]]:
+        """The faces as sorted tuples, a read-only view of the family."""
+        return frozenset(family_supports(self.family, self.n))
 
     @property
     def dimension(self) -> int:
-        return max(len(f) for f in self.faces) - 1
+        return len(self.f_vector()) - 2
 
     def has_face(self, s) -> bool:
-        return tuple(sorted(s)) in self.faces
+        s = tuple(sorted(s))
+        return (len(set(s)) == len(s) and all(1 <= i <= self.n for i in s)
+                and bool(self.family >> support_mask(s) & 1))
 
     def faces_of_size(self, k: int) -> set[tuple[int, ...]]:
-        return {f for f in self.faces if len(f) == k}
+        return set(family_supports(self.family & _sized(self.n, k, k), self.n))
 
     def f_vector(self) -> list[int]:
-        """(f_{-1}, f_0, f_1, ...): face counts by dimension."""
-        out = [0] * (self.dimension + 2)
-        for f in self.faces:
-            out[len(f)] += 1
-        return out
+        """(f_{-1}, f_0, f_1, ...): face counts by dimension, each the bit
+        count of the faces of one size."""
+        counts = [(self.family & _sized(self.n, k, k)).bit_count()
+                  for k in range(self.n + 1)]
+        return counts[:max(k for k, c in enumerate(counts) if c) + 1]
 
     def facets(self) -> list[tuple[int, ...]]:
-        return sorted(f for f in self.faces
-                      if not any(f != g and set(f) <= set(g) for g in self.faces))
+        return sorted(family_supports(maximal_family(self.family, self.n),
+                                      self.n))
 
     def skeleton(self, k: int) -> "SimplicialComplex":
         """All faces of dimension <= k."""
-        return SimplicialComplex(self.n,
-                                 frozenset(f for f in self.faces if len(f) <= k + 1))
+        return SimplicialComplex(self.n, self.family & _sized(self.n, 0, k + 1))
 
     def graph(self) -> Graph:
         """The 1-skeleton as a graph."""
@@ -81,13 +87,25 @@ class SimplicialComplex:
 MAX_COMPLEX_VERTICES = 20
 
 
-def _every_support(n: int) -> int:
-    """The family of all 2**n supports of [n]; past
-    ``MAX_COMPLEX_VERTICES`` refused before any family is built."""
+def _check_vertices(n: int) -> None:
     if n > MAX_COMPLEX_VERTICES:
         raise SizeLimitError(f"complexes on n={n} > {MAX_COMPLEX_VERTICES} "
                              f"vertices refused")
-    return (1 << (1 << n)) - 1
+
+
+@lru_cache(maxsize=None)
+def _sized(n: int, low: int, high: int) -> int:
+    """The family of every support of [n] with low to high elements: those
+    of [n - 1], then those of [n - 1] one smaller with n added. Past
+    ``MAX_COMPLEX_VERTICES`` refused before any family is built. The
+    bounds are clamped to [0, n], so the recursion reaches finitely many
+    keys."""
+    _check_vertices(n)
+    low, high = max(low, 0), min(high, n)
+    if n <= 0:
+        return int(low <= 0 <= high)
+    return _sized(n - 1, low, high) | _sized(n - 1, low - 1, high - 1) << (
+        1 << (n - 1))
 
 
 def _avoiding(supports, n: int) -> SimplicialComplex:
@@ -95,9 +113,9 @@ def _avoiding(supports, n: int) -> SimplicialComplex:
     supports, the empty face always kept: the complement of their family's
     up-closure among the 2**n supports."""
     # first, so that a refusal comes before any family is built
-    everything = _every_support(n)
-    faces = (everything & ~up_closure(family_of(supports), n)) | 1
-    return SimplicialComplex(n, frozenset(family_supports(faces, n)))
+    everything = _sized(n, 0, n)
+    return SimplicialComplex(
+        n, (everything & ~up_closure(family_of(supports), n)) | 1)
 
 
 def flag_complex(g: Graph) -> SimplicialComplex:
@@ -108,10 +126,11 @@ def flag_complex(g: Graph) -> SimplicialComplex:
 
 
 def cone(gamma: SimplicialComplex) -> SimplicialComplex:
-    """Cone with apex n+1: faces S and S + {n+1} for every face S."""
-    n = gamma.n + 1
-    faces = set(gamma.faces) | {f + (n,) for f in gamma.faces}
-    return SimplicialComplex(n, frozenset(faces))
+    """Cone with apex n+1: faces S and S + {n+1} for every face S, the
+    family and its copy shifted past the 2**n supports of [n]."""
+    _check_vertices(gamma.n + 1)
+    return SimplicialComplex(gamma.n + 1,
+                             gamma.family | gamma.family << (1 << gamma.n))
 
 
 # -- ideals from combinatorics -----------------------------------------
@@ -121,7 +140,7 @@ def face_ideal(gamma: SimplicialComplex, ring: str = EXT) -> MonomialIdeal:
     """Exterior face ideal / Stanley-Reisner ideal: generated by the
     minimal non-faces."""
     n = gamma.n
-    minimal = minimal_family(_every_support(n) & ~family_of(gamma.faces), n)
+    minimal = minimal_family(_sized(n, 0, n) & ~gamma.family, n)
     monomial = ext_monomial if ring == EXT else squarefree_poly
     return MonomialIdeal.make(ring, n, [monomial(s, n)
                                         for s in family_supports(minimal, n)])

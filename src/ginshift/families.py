@@ -3,14 +3,16 @@
 A family of exterior monomials of [n], in any mix of degrees, is one int:
 bit S is set when e_S is in it, S being the support bitmask sum of 2^(i-1)
 over i in S. With Y_i the family of every support containing i, Kalai's
-shifting operator, strong stability, upward closure and minimal elements
-are each a few int operations per variable, in every degree at once.
+shifting operator, strong stability, closure upward and downward, and
+minimal and maximal elements are each a few int operations per variable.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, reduce
 from operator import or_
+
+import numpy as np
 
 from .changes import MAX_EXT_VARIABLES, SizeLimitError
 from .fields import InvalidInputError
@@ -94,17 +96,32 @@ def minimal_family(family: int, n: int) -> int:
     return family & ~up_closure(above, n)
 
 
+def down_closure(family: int, n: int) -> int:
+    """Every subset of a support of the family: after the step for i,
+    every S - T with S in the family and T within [i]."""
+    for i, y in enumerate(_containing(n)):
+        family |= (family & y) >> (1 << i)
+    return family
+
+
+def maximal_family(family: int, n: int) -> int:
+    """The supports of the family with no proper superset in it: the
+    facets of the complex the family spans."""
+    below = 0
+    for i, y in enumerate(_containing(n)):
+        below |= (family & y) >> (1 << i)
+    return family & ~down_closure(below, n)
+
+
 def family_of(supports) -> int:
     """The family of the given supports (index sequences)."""
     return reduce(or_, (1 << support_mask(tuple(s)) for s in supports), 0)
 
 
 def family_supports(family: int, n: int) -> list[tuple[int, ...]]:
-    """The supports in a family of [n], in bitmask order."""
-    out = []
-    while family:
-        low = family & -family
-        s = low.bit_length() - 1
-        out.append(tuple(i + 1 for i in range(n) if s >> i & 1))
-        family ^= low
-    return out
+    """The supports in a family of [n], in bitmask order: its set bits,
+    read off its bytes in one pass."""
+    data = family.to_bytes((family.bit_length() + 7) // 8, "little")
+    bits = np.unpackbits(np.frombuffer(data, np.uint8), bitorder="little")
+    return [tuple(i + 1 for i in range(n) if s >> i & 1)
+            for s in np.flatnonzero(bits).tolist()]

@@ -1,5 +1,6 @@
 """Graphs: constructors, induced-subgraph tests, and the two combinatorial
-classifiers (forbidden subgraphs; iterated near-cone peeling).
+classifiers (forbidden subgraphs; iterated near-cone peeling), which read
+adjacency bitmasks and vertex masks instead of building subgraphs.
 """
 
 from __future__ import annotations
@@ -186,13 +187,29 @@ def condition_forbidden(g: Graph):
 # -- near cones and peeling --------------------------------------------
 
 
+def _vertices(mask: int) -> list[int]:
+    """The vertices of a vertex mask, ascending."""
+    return [v for v in range(1, mask.bit_length() + 1) if mask >> (v - 1) & 1]
+
+
+def _core(adj, vertices: int) -> int:
+    """The vertices of the mask with a neighbour in it."""
+    return sum(1 << (v - 1) for v in _vertices(vertices) if adj[v] & vertices)
+
+
+def _apexes(adj, vertices: int) -> list[int]:
+    """The apexes of the subgraph induced on a vertex mask, ascending: the
+    vertices adjacent to every other vertex of its core."""
+    core = _core(adj, vertices)
+    return [v for v in _vertices(vertices)
+            if not core & ~adj[v] & ~(1 << (v - 1))]
+
+
 def is_near_cone(g: Graph, v: int) -> bool:
     """Every non-isolated vertex other than v is adjacent to v."""
     if not 1 <= v <= g.n:
         raise InvalidInputError(f"vertex {v} out of range")
-    nv = g.neighbors(v)
-    return all(t in nv for t in range(1, g.n + 1)
-               if t != v and g.degree(t) > 0)
+    return v in _apexes(g.adjacency, (1 << g.n) - 1)
 
 
 SEMI_BIPARTITE = "semi-complete-bipartite"
@@ -200,77 +217,61 @@ TWO_CLIQUES = "two-semi-complete-cliques"
 NEITHER = "neither"
 
 
+def _base_form(adj, vertices: int) -> str:
+    """``base_form`` of the subgraph induced on a vertex mask. With B the
+    neighbours of the first core vertex, the core is complete bipartite when
+    each vertex of B has the rest of the core as its neighbours and each
+    other core vertex has B, and at most two cliques when the closed
+    neighbourhoods (shared by adjacent vertices) split it in at most two."""
+    core = _core(adj, vertices)
+    if not core:
+        return SEMI_BIPARTITE
+    b = adj[(core & -core).bit_length()] & core
+    rest = core & ~b
+    if all(adj[v] & core == rest for v in _vertices(b)) \
+            and all(adj[v] & core == b for v in _vertices(rest)):
+        return SEMI_BIPARTITE
+    hoods = {adj[v] & core | 1 << (v - 1) for v in _vertices(core)}
+    return TWO_CLIQUES if len(hoods) <= 2 and sum(hoods) == core else NEITHER
+
+
 def base_form(g: Graph) -> str:
     """Classify g after deleting isolated vertices: complete bipartite,
     disjoint union of at most two complete graphs, or neither.
 
-    The edgeless graph is accepted as (degenerate) complete bipartite.
+    The edgeless graph is accepted as (degenerate) complete bipartite; a
+    connected core that is both (K_2) is complete bipartite.
     """
-    core = g.delete_vertices(g.isolated_vertices())
-    if core.n == 0:
-        return SEMI_BIPARTITE
-    comps = core.components()
-    if all(core.induced(c).edge_count == len(c) * (len(c) - 1) // 2 for c in comps) \
-            and len(comps) <= 2:
-        # note K_1 and K_2 are also complete bipartite; bipartite wins below
-        two_cliques = True
-    else:
-        two_cliques = False
-    if len(comps) == 1 and _is_complete_bipartite(core):
-        return SEMI_BIPARTITE
-    if two_cliques:
-        return TWO_CLIQUES
-    return NEITHER
-
-
-def _is_complete_bipartite(g: Graph) -> bool:
-    color = {1: 0}
-    stack = [1]
-    while stack:
-        u = stack.pop()
-        for w in g.neighbors(u):
-            if w not in color:
-                color[w] = 1 - color[u]
-                stack.append(w)
-            elif color[w] == color[u]:
-                return False
-    if len(color) < g.n:
-        return False
-    part0 = {v for v, c in color.items() if c == 0}
-    part1 = set(color) - part0
-    return g.edge_count == len(part0) * len(part1)
+    return _base_form(g.adjacency, (1 << g.n) - 1)
 
 
 def condition_peelable(g: Graph):
     """Is g a k-near cone of a semi-complete bipartite graph or of a
     disjoint union of two semi-complete graphs, for some k >= 0?
 
-    Exhaustive branching over peelable vertices with memoization on the
-    residual vertex set (greedy peeling is not obviously confluent).
-    Returns (flag, peel_sequence, base_label).
+    Exhaustive branching over peelable vertices in ascending order, with
+    memoization on the residual vertex mask (greedy peeling is not
+    obviously confluent). Returns (flag, peel_sequence, base_label).
     """
-    memo: dict[frozenset, tuple] = {}
+    adj, memo = g.adjacency, {}
 
-    def search(vertices: frozenset):
+    def search(vertices: int):
         if vertices in memo:
             return memo[vertices]
-        sub = g.induced(vertices)
-        vs = sorted(vertices)
-        label = base_form(sub)
+        label = _base_form(adj, vertices)
         if label != NEITHER:
             memo[vertices] = (True, (), label)
             return memo[vertices]
         result = (False, None, NEITHER)
-        for k, v in enumerate(vs, start=1):
-            if is_near_cone(sub, k):
-                ok, seq, lab = search(vertices - {v})
-                if ok:
-                    result = (True, (v,) + seq, lab)
-                    break
+        for v in _apexes(adj, vertices):
+            ok, seq, lab = search(vertices & ~(1 << (v - 1)))
+            if ok:
+                result = (True, (v,) + seq, lab)
+                break
         memo[vertices] = result
         return result
 
-    return search(frozenset(range(1, g.n + 1)))
+    return search((1 << g.n) - 1)
 
 
 # public contract names for the two classifiers

@@ -76,7 +76,7 @@ class MonomialIdeal:
         support bitmask m covers a generator's mask h (h & m == h), in the
         polynomial ring each multiple g * m found in the table by its
         exponent vector."""
-        if d < 0 or (self.ring == EXT and d > self.n):
+        if d < 0:
             raise InvalidInputError(f"degree {d} out of range")
         table = basis_table(self.ring, self.n, d)
         if self.ring == EXT:

@@ -99,6 +99,9 @@ class WeightOrder(TermOrder):
     tiebreak: str = "lex"  # "lex" | "revlex"
 
     def key(self, u):
+        if len(self.weights) != u.n:
+            raise InvalidInputError(
+                f"{len(self.weights)} weights for {u.n} variables")
         tiebreak = _lex_key(u) if self.tiebreak == "lex" else _revlex_key(u)
         return (_weight(u, self.weights),) + tiebreak
 

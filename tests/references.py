@@ -6,8 +6,9 @@ from operator import add, attrgetter
 
 from ginshift.changes import CoordinateChange
 from ginshift.complexes import SimplicialComplex
-from ginshift.families import support_mask
+from ginshift.families import family_of, support_mask
 from ginshift.fields import GFP, InvalidInputError
+from ginshift.graphs import NEITHER, SEMI_BIPARTITE, TWO_CLIQUES
 from ginshift.gin import _of_degree, _Trials
 from ginshift.ideals import MonomialIdeal, _canonical_sort
 from ginshift.linalg import vector_rank
@@ -230,7 +231,7 @@ def flag_complex(g) -> SimplicialComplex:
         if not layer:
             break
         cliques.extend(layer)
-    return SimplicialComplex(g.n, frozenset(cliques))
+    return SimplicialComplex(g.n, family_of(cliques))
 
 
 def face_ideal(gamma, ring=EXT) -> MonomialIdeal:
@@ -259,7 +260,110 @@ def complex_from_ideal(ideal) -> SimplicialComplex:
         if not layer:
             break
         faces.extend(layer)
-    return SimplicialComplex(n, frozenset(faces))
+    return SimplicialComplex(n, family_of(faces))
+
+
+# -- complexes as sets of face tuples -------------------------------------
+# The specification the face families of ``SimplicialComplex`` are tested
+# against: the tuple closure and the pairwise facet scan.
+
+
+def closure(n, faces) -> set:
+    """The faces of ``SimplicialComplex.make(n, faces)`` as sorted tuples:
+    every subset of a face, every singleton and the empty face."""
+    closed = {()}
+    for f in faces:
+        f = tuple(sorted(set(f)))
+        for k in range(len(f) + 1):
+            closed.update(combinations(f, k))
+    closed.update((v,) for v in range(1, n + 1))
+    return closed
+
+
+def facets(faces) -> list:
+    """The faces contained in no other face, sorted."""
+    return sorted(f for f in faces
+                  if not any(f != g and set(f) <= set(g) for g in faces))
+
+
+def f_vector(faces) -> list:
+    out = [0] * max(len(f) + 1 for f in faces)
+    for f in faces:
+        out[len(f)] += 1
+    return out
+
+
+def cone(n, faces) -> set:
+    return set(faces) | {f + (n + 1,) for f in faces}
+
+
+# -- graph classifiers on relabelled subgraphs ---------------------------
+# The specification the adjacency-mask classifiers of ``ginshift.graphs``
+# are tested against: every peel state is built as an induced subgraph.
+
+
+def is_near_cone(g, v) -> bool:
+    nv = g.neighbors(v)
+    return all(t in nv for t in range(1, g.n + 1)
+               if t != v and g.degree(t) > 0)
+
+
+def _is_complete_bipartite(g) -> bool:
+    color = {1: 0}
+    stack = [1]
+    while stack:
+        u = stack.pop()
+        for w in g.neighbors(u):
+            if w not in color:
+                color[w] = 1 - color[u]
+                stack.append(w)
+            elif color[w] == color[u]:
+                return False
+    if len(color) < g.n:
+        return False
+    part0 = {v for v, c in color.items() if c == 0}
+    return g.edge_count == len(part0) * (len(color) - len(part0))
+
+
+def base_form(g) -> str:
+    """Isolated vertices deleted: connected and complete bipartite, else
+    at most two components each complete, else neither."""
+    core = g.delete_vertices(g.isolated_vertices())
+    if core.n == 0:
+        return SEMI_BIPARTITE
+    comps = core.components()
+    if len(comps) == 1 and _is_complete_bipartite(core):
+        return SEMI_BIPARTITE
+    if len(comps) <= 2 and all(core.induced(c).edge_count
+                               == len(c) * (len(c) - 1) // 2 for c in comps):
+        return TWO_CLIQUES
+    return NEITHER
+
+
+def condition_peelable(g):
+    """(flag, peel sequence, base label), peeling near-cone apexes in
+    ascending order with memoization on the residual vertex set."""
+    memo = {}
+
+    def search(vertices):
+        if vertices in memo:
+            return memo[vertices]
+        sub = g.induced(vertices)
+        label = base_form(sub)
+        if label != NEITHER:
+            memo[vertices] = (True, (), label)
+            return memo[vertices]
+        result = (False, None, NEITHER)
+        for k, v in enumerate(sorted(vertices), start=1):
+            if is_near_cone(sub, k):
+                ok, seq, lab = search(vertices - {v})
+                if ok:
+                    result = (True, (v,) + seq, lab)
+                    break
+        memo[vertices] = result
+        return result
+
+    return search(frozenset(range(1, g.n + 1)))
 
 
 # -- the hyperplane rank oracle, width by width ----------------------------

@@ -1,5 +1,7 @@
+import dataclasses
 import importlib
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from ginshift.complexes import (MAX_COMPLEX_VERTICES, SimplicialComplex,
                                 combinatorial_ideal, complex_from_ideal, cone,
                                 edge_ideal, face_ideal, flag_complex,
                                 read_complex, shifted_complex, write_complex)
+from ginshift.families import (down_closure, family_of, family_supports,
+                               maximal_family)
 from ginshift.fields import InvalidInputError
 from ginshift.graphs import (Graph, complete_bipartite, complete_graph,
                              cycle_graph, path_graph)
@@ -140,15 +144,83 @@ def test_complexes_past_the_vertex_limit_are_refused(monkeypatch):
         assert complex_from_ideal(face_ideal(gamma, ring)) == gamma
     # one past it, refused before any family is built
     complexes = importlib.import_module("ginshift.complexes")
-    for name in ("family_of", "up_closure", "minimal_family"):
+    for name in ("family_of", "up_closure", "minimal_family", "down_closure"):
         monkeypatch.setattr(complexes, name, None)
     g = cycle_graph(n + 1)
-    gamma = SimplicialComplex.make(n + 1, g.edges)
-    for call in (lambda: flag_complex(g), lambda: face_ideal(gamma, EXT),
-                 lambda: face_ideal(gamma, POLY),
-                 lambda: complex_from_ideal(edge_ideal(g))):
+    path = ", ".join(f"[{i}, {i + 1}]" for i in range(1, n + 1))
+    for call in (lambda: flag_complex(g),
+                 lambda: complex_from_ideal(edge_ideal(g)),
+                 lambda: SimplicialComplex.make(n + 1, g.edges),
+                 lambda: read_complex(f'{{"n": {n + 1}, "facets": [{path}]}}'),
+                 lambda: cone(gamma),
+                 lambda: face_ideal(SimplicialComplex(n + 1, 1), EXT),
+                 lambda: face_ideal(SimplicialComplex(n + 1, 1), POLY)):
         with pytest.raises(SizeLimitError, match=f"n={n + 1}"):
             call()
+
+
+def test_a_complex_is_its_face_family():
+    # the fields are n and the family; the family is left out of the repr,
+    # which would otherwise pass Python's int-to-str digit limit
+    n = MAX_COMPLEX_VERTICES
+    simplex = SimplicialComplex.make(n, [range(1, n + 1)])
+    assert [f.name for f in dataclasses.fields(simplex)] == ["n", "family"]
+    assert simplex.family == (1 << (1 << n)) - 1
+    assert repr(simplex) == f"SimplicialComplex(n={n})"
+    assert simplex.facets() == [tuple(range(1, n + 1))]
+    assert simplex.f_vector() == [comb(n, k) for k in range(n + 1)]
+    assert simplex.dimension == n - 1
+    assert simplex.has_face(range(1, n + 1)) and not simplex.has_face((0,))
+    assert str(flag_complex(cycle_graph(4))) == \
+        "Complex(n=4, facets=[(1, 2), (1, 4), (2, 3), (3, 4)])"
+    gamma = SimplicialComplex.make(3, [(1, 2)])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        gamma.family = 0
+    assert isinstance(gamma.faces, frozenset)
+
+
+def test_down_closure_and_maximal_family_of_any_family():
+    # families that need not be closed in either direction
+    rng = np.random.default_rng(2031)
+    for _ in range(150):
+        n = int(rng.integers(0, 8))
+        supports = [frozenset(s) for s in _random_supports(
+            rng, n, float(rng.uniform(0.05, 0.5)))]
+        family = family_of(sorted(s) for s in supports)
+        below = {t for s in supports for k in range(len(s) + 1)
+                 for t in map(frozenset, combinations(sorted(s), k))}
+        assert down_closure(family, n) == family_of(sorted(t) for t in below)
+        assert maximal_family(family, n) == family_of(
+            sorted(s) for s in supports if not any(s < t for t in supports))
+        assert family_supports(family, n) == sorted(
+            (tuple(sorted(s)) for s in supports),
+            key=lambda s: sum(1 << (i - 1) for i in s))
+
+
+def test_complex_operations_match_the_tuple_closure():
+    rng = np.random.default_rng(2029)
+    for _ in range(200):
+        n = int(rng.integers(0, 11))
+        faces = _random_supports(rng, n, float(rng.uniform(0.05, 0.6)))
+        faces = [rng.permutation(f).tolist() for f in faces]
+        closed = references.closure(n, faces)
+        gamma = SimplicialComplex.make(n, faces)
+        assert gamma.faces == closed, (n, faces)
+        assert gamma.facets() == references.facets(closed)
+        assert gamma.f_vector() == references.f_vector(closed)
+        assert gamma.dimension == max(map(len, closed)) - 1
+        assert cone(gamma).faces == references.cone(n, closed)
+        assert cone(gamma).facets() == [f + (n + 1,) for f in gamma.facets()]
+        for k in range(-1, n + 1):
+            assert gamma.skeleton(k).faces == {f for f in closed
+                                               if len(f) <= k + 1}
+            assert gamma.faces_of_size(k + 1) == {f for f in closed
+                                                  if len(f) == k + 1}
+        for d in range(min(n + 2, 4)):
+            for s in combinations(range(n + 2), d):
+                assert gamma.has_face(s) == (s in closed), (gamma, s)
+                assert gamma.has_face(reversed(s)) == (s in closed)
+        assert not gamma.has_face((1, 1))
 
 
 def _random_supports(rng, n, p):

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from ginshift.fields import InvalidInputError
@@ -11,6 +12,8 @@ from ginshift.graphs import (GRAPH_A, GRAPH_B, GRAPH_C, NEITHER,
                              cycle_graph, disjoint_cliques, is_chordal,
                              is_near_cone, path_graph, read_graph,
                              write_graph)
+
+import references
 
 
 def test_graph_basics():
@@ -199,3 +202,25 @@ def test_adjacency_masks_agree_with_the_edge_set():
     assert g.neighbors(5) == {2, 3} and g.neighbors(9) == set()
     assert not g.has_edge(0, 1) and not g.has_edge(5, 6)
     assert not g.has_edge(2, 2)
+
+
+def test_classifiers_on_vertex_masks_match_the_relabelled_subgraphs():
+    # every class on up to 7 vertices, then random graphs on up to 9
+    from ginshift.verifier import enumerate_graphs
+    rng = np.random.default_rng(2030)
+    graphs = [g for n in range(1, 8) for g in enumerate_graphs(n)]
+    assert len(graphs) == 1252
+    for _ in range(600):
+        n = int(rng.integers(0, 10))
+        p = rng.uniform(0.1, 0.95)
+        graphs.append(Graph.make(n, [e for e in itertools.combinations(
+            range(1, n + 1), 2) if rng.random() < p]))
+    labels = set()
+    for g in graphs:
+        assert base_form(g) == references.base_form(g), g
+        assert condition_peelable(g) == references.condition_peelable(g), g
+        assert [is_near_cone(g, v) for v in range(1, g.n + 1)] == \
+            [references.is_near_cone(g, v) for v in range(1, g.n + 1)], g
+        labels.add((base_form(g), condition_peelable(g)[0]))
+    assert labels == {(label, True) for label in (SEMI_BIPARTITE, TWO_CLIQUES,
+                                                  NEITHER)} | {(NEITHER, False)}

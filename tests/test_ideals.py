@@ -43,6 +43,11 @@ def test_membership_and_components():
     # degree 3: everything containing {1,2} or {1,3}
     assert len(ideal.degree_component(3)) == 3
     assert ideal.hilbert(2) == [0, 0, 2]
+    # exterior components past n are empty, negative degrees are refused
+    assert read_ideal("ring=ext n=3\ne{1,2}\n").hilbert(4) == [0, 0, 1, 1, 0]
+    assert E([], 0).hilbert(2) == [0, 0, 0]
+    with pytest.raises(InvalidInputError, match="degree -1"):
+        ideal.degree_component(-1)
 
 
 def test_from_components_round_trip():
@@ -136,15 +141,14 @@ def _ideals(draw):
 @given(_ideals(), st.integers(0, 6))
 def test_degree_component_matches_the_divisibility_scan(ideal, d):
     # table entries against testing every monomial for membership, and
-    # against the generator multiples
-    if ideal.ring == EXT and d > ideal.n:
-        with pytest.raises(InvalidInputError):
-            ideal.degree_component(d)
-        return
+    # against the generator multiples; past n an exterior component is
+    # empty, not refused
     scan = {u for u in all_monomials(ideal.ring, ideal.n, d)
             if ideal.contains(u)}
     assert ideal.degree_component(d) == scan == \
         references.degree_component(ideal, d)
+    if ideal.ring == EXT and d > ideal.n:
+        assert scan == set()
 
 
 def test_degree_component_selects_the_generator_multiples():

@@ -114,6 +114,24 @@ def test_parse_order_errors():
         parse_order("grevlex", 3)
 
 
+def test_weight_orders_refuse_monomials_of_another_variable_count():
+    # too many weights were dropped or read silently, too few ran off the end
+    from ginshift.gin import gin
+    from ginshift.ideals import MonomialIdeal
+    for weights in ((3, 2, 1, 0), (3, 2)):
+        order = WeightOrder(weights, "lex")
+        for u in (e([1, 2], 3), poly_monomial((1, 0, 1))):
+            with pytest.raises(InvalidInputError, match="weights for 3"):
+                order.key(u)
+            with pytest.raises(InvalidInputError, match="weights for 3"):
+                order.compare(u, u)
+        with pytest.raises(InvalidInputError, match="weights for 3"):
+            gin(order, MonomialIdeal.make(EXT, 3, [e([1, 2], 3)]))
+    with pytest.raises(InvalidInputError, match="3 weights for 4"):
+        WeightOrder((3, 2, 1)).sort_descending(all_monomials(EXT, 4, 2))
+    assert WeightOrder((3, 2, 1)).key(e([1, 3], 3)) == (4, -1, -3)
+
+
 def test_sort_descending_rejects_mixed_rings():
     # the ring check of ``compare`` survives the sort keys
     with pytest.raises(InvalidInputError):
