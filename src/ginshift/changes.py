@@ -25,6 +25,13 @@ powers.  A minor is read from a per-column-set dict keyed by target
 support, built from the table on the column set's first read; a
 polynomial image is the table's column itself.
 
+Over Q both rings' tables are filled over python ints, on the integer
+matrix D phi with D the lcm of phi's denominators (1 for every random
+change), and each entry of a degree-d table is divided by D^d once, on
+its first read, into the ``Fraction`` the field's rows hold.  Integer
+products and sums are several times cheaper than ``Fraction`` ones, which
+normalize by a gcd at every step.
+
 The gin engine applies a change once to each monomial of a degree component
 and stacks the image rows into one matrix that serves every term order, so
 the action costs the same however many orders are certified.  A random
@@ -37,7 +44,9 @@ once per ideal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 
 import numpy as np
 
@@ -104,6 +113,8 @@ class CoordinateChange:
     kind: str = "dense"
     _minors: dict = dc_field(default_factory=dict, repr=False, compare=False)
     _tables: dict = dc_field(default_factory=dict, repr=False, compare=False)
+    _fractions: dict = dc_field(default_factory=dict, repr=False,
+                                compare=False)
 
     def __post_init__(self):
         n = len(self.matrix)
@@ -198,35 +209,57 @@ class CoordinateChange:
     # -- degree tables --------------------------------------------------
 
     @cached_property
+    def _denominator(self) -> int:
+        """D, the lcm of the entries' denominators over Q and 1 over GF(p):
+        the tables are filled on D phi, whose entries are integers."""
+        if self.field.characteristic:
+            return 1
+        return lcm(*(Fraction(x).denominator
+                     for row in self.matrix for x in row))
+
+    @cached_property
     def _phi(self) -> np.ndarray:
-        """The matrix in the field's row dtype, with the zero row appended
-        that the padding of ``peel_table`` reads."""
-        f = self.field
-        return np.array([[f(x) for x in row] for row in self.matrix]
-                        + [[f.zero] * self.n], dtype=row_dtype(f))
+        """The matrix in the field's row dtype, over Q the integer matrix
+        D phi as python ints, with the zero row appended that the padding
+        of ``peel_table`` reads."""
+        f, D = self.field, self._denominator
+        rows = ([[f(x) for x in row] for row in self.matrix]
+                if f.characteristic else
+                [[(Fraction(x) * D).numerator for x in row]
+                 for row in self.matrix])
+        return np.array(rows + [[0] * self.n], dtype=row_dtype(f))
 
     def _table(self, ring: str, d: int) -> np.ndarray:
         """The ring's degree-d table, filling the degrees below it first;
-        read-only."""
+        read-only. Over Q the integer table of D phi, filled once, is read
+        as ``Fraction``s by dividing each entry by D^d once."""
         tables = self._tables.setdefault(ring, [])
         while len(tables) <= d:
             table = self._fill(ring, tables)
             table.flags.writeable = False
             tables.append(table)
-        return tables[d]
+        if self.field.characteristic:
+            return tables[d]
+        if (ring, d) not in self._fractions:
+            scale = self._denominator ** d
+            table = (np.frompyfunc(Fraction, 1, 1)(tables[d]) if scale == 1
+                     else np.frompyfunc(Fraction, 2, 1)(tables[d], scale))
+            table.flags.writeable = False
+            self._fractions[ring, d] = table
+        return self._fractions[ring, d]
 
     def _fill(self, ring: str, tables: list) -> np.ndarray:
         """The ring's table of the next degree d, from the degree d - 1
         table: table_d[T, S] = sum_i eps phi[t_i, s] table_{d-1}[T - t_i,
         S - s], s the largest index of S, for every (T, S) at once; eps is
         (-1)^(i+d) (i 1-based) in the exterior ring and 1 in the polynomial
-        ring."""
+        ring. Over Q the entries are the python ints of D phi's table."""
         f = self.field
         p = f.characteristic
         d = len(tables)
         if d < 2:
             # degree 0 is the empty product; degree 1 is phi itself
-            return (np.array([[f.one]], dtype=row_dtype(f)) if d == 0
+            return (np.ones((1, 1), dtype=self._phi.dtype) if d == 0
                     else self._phi[:-1])
         drop, row = peel_table(ring, self.n, d)
         # column S of each: phi[:, s] and table_{d-1}[:, S - s]

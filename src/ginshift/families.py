@@ -118,10 +118,33 @@ def family_of(supports) -> int:
     return reduce(or_, (1 << support_mask(tuple(s)) for s in supports), 0)
 
 
+@lru_cache(maxsize=None)
+def _byte_supports(k: int) -> tuple[tuple[int, ...], ...]:
+    """The support of each value b of byte k of a support bitmask: the
+    indices 8k + i + 1 of the set bits i of b, increasing."""
+    return tuple(tuple(8 * k + i + 1 for i in range(8) if b >> i & 1)
+                 for b in range(256))
+
+
+def _masks_supports(masks: np.ndarray, n: int, k: int = 0) -> list:
+    """The supports of increasing bitmasks over the indices 8k + 1, ..., n,
+    bit i standing for index 8k + i + 1: each is the cached support of its
+    low byte joined to that of its other bits, found once per distinct
+    value of those."""
+    table = _byte_supports(k)
+    if n <= 8 * (k + 1) or not masks.size:
+        return [table[s] for s in masks.tolist()]
+    rest = np.unique(masks >> 8)
+    upper = [()] * (int(rest[-1]) + 1)
+    for r, u in zip(rest.tolist(), _masks_supports(rest, n, k + 1)):
+        upper[r] = u
+    return [table[s & 255] + upper[s >> 8] for s in masks.tolist()]
+
+
 def family_supports(family: int, n: int) -> list[tuple[int, ...]]:
     """The supports in a family of [n], in bitmask order: its set bits,
-    read off its bytes in one pass."""
+    read off its bytes in one pass, each support built from the cached
+    supports of its mask's bytes (``_byte_supports``)."""
     data = family.to_bytes((family.bit_length() + 7) // 8, "little")
     bits = np.unpackbits(np.frombuffer(data, np.uint8), bitorder="little")
-    return [tuple(i + 1 for i in range(n) if s >> i & 1)
-            for s in np.flatnonzero(bits).tolist()]
+    return _masks_supports(np.flatnonzero(bits), n)

@@ -101,6 +101,13 @@ class _Trials:
     in_order(phi(V))_d is certified when every phi gives the same one and it
     has |V_d| monomials; for a single invertible phi both always hold. When
     V_d is 0 or all of R_d, so is every phi(V_d), and no image is needed.
+
+    One candidate per component sequence: a gin candidate is the sequence
+    of its certified components up to the cap, and the ideal of a sequence
+    is built and checked for strong stability once; every later order or
+    call yielding the same sequence gets that ideal back. Only candidates
+    that pass are kept, so a sequence that fails raises for every order
+    yielding it.
     """
 
     def __init__(self, ring: str, n: int, source, phis, seed=None, salt=0):
@@ -109,6 +116,7 @@ class _Trials:
         self._sources: dict[int, list] = {}
         self._spaces: dict[int, Subspace] = {}
         self._pivots: dict[tuple, frozenset] = {}
+        self._stable: dict[tuple, MonomialIdeal] = {}
 
     @classmethod
     def draw(cls, ring, n, source, trials, seed, field, salt=0,
@@ -153,12 +161,20 @@ class _Trials:
     def initial_ideal(self, order: TermOrder, cap: int,
                       stable: bool = True) -> MonomialIdeal:
         """in_order(phi(V)), exact up to ``cap``; with ``stable`` it must be
-        strongly stable."""
-        g = MonomialIdeal.make(self.ring, self.n, (
-            u for d in range(self.top(cap) + 1)
-            for u in self.component(order, d)))
-        if stable and not is_strongly_stable(g)[0]:
-            raise CertificationError(f"unstable gin candidate under {order}")
+        strongly stable. The candidate is keyed by its component sequence
+        up to the cap: one that passed the check before, under any order,
+        is returned as it is, and one that fails is never kept."""
+        key = tuple(self.component(order, d)
+                    for d in range(self.top(cap) + 1))
+        g = self._stable.get(key)
+        if g is None:
+            g = MonomialIdeal.make(self.ring, self.n,
+                                   (u for c in key for u in c))
+            if stable:
+                if not is_strongly_stable(g)[0]:
+                    raise CertificationError(
+                        f"unstable gin candidate under {order}")
+                self._stable[key] = g
         return g
 
     def adaptive(self, order: TermOrder, cap: int, max_cap: int, twin=None):
@@ -232,7 +248,10 @@ def gin_multi(orders, ideal: MonomialIdeal, cap: int | None = None,
               trials: int = 3, seed: int = 0, field=GFP) -> list[MonomialIdeal]:
     """Certified gins under several orders at once, sharing the image rows
     across orders (the coordinate change is order-independent, so one
-    application per trial serves every order)."""
+    application per trial serves every order). Orders whose certified
+    components agree up to the cap share one candidate, built and checked
+    for strong stability once and returned as the same ideal: one for all
+    22 orders of a Theorem 1 class satisfying condition (v)."""
     cap = _degree_cap(ideal, cap)
     return _certified(lambda t: [t.initial_ideal(order, cap)
                                  for order in orders],

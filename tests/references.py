@@ -1,10 +1,13 @@
 """References that several test modules check the engine against. A plain
 module: pytest collects no tests from it."""
 
+from fractions import Fraction
 from itertools import combinations
 from operator import add, attrgetter
 
-from ginshift.changes import CoordinateChange
+import numpy as np
+
+from ginshift.changes import CoordinateChange, peel_table
 from ginshift.complexes import SimplicialComplex
 from ginshift.families import family_of, support_mask
 from ginshift.fields import GFP, InvalidInputError
@@ -161,6 +164,26 @@ def minor(phi, rows, cols):
 # read it, and build rows, through these two.
 
 
+def fraction_tables(phi, ring, top) -> list:
+    """The degree tables 0..top of a change over Q, each filled from the
+    one below over ``Fraction``s, every (T, S) at once: the fill that the
+    integer fill on D phi replaced."""
+    n = phi.n
+    m = np.array([list(map(Fraction, row)) for row in phi.matrix]
+                 + [[Fraction(0)] * n], dtype=object)
+    tables = [np.array([[Fraction(1)]], dtype=object), m[:-1]]
+    for d in range(2, top + 1):
+        drop, row = peel_table(ring, n, d)
+        w = row.shape[1]
+        table = 0
+        for i in range(w):
+            sign = -1 if ring == EXT and (w - 1 - i) % 2 else 1
+            table = table + sign * (m[row[:, i]][:, row[:, -1]]
+                                    * tables[-1][drop[:, i]][:, drop[:, -1]])
+        tables.append(table)
+    return tables[:top + 1]
+
+
 def image(phi, m) -> dict:
     """``phi.apply(m)`` as a dict vector: monomial -> non-zero coefficient."""
     zero = phi.field.zero
@@ -295,6 +318,13 @@ def f_vector(faces) -> list:
 
 def cone(n, faces) -> set:
     return set(faces) | {f + (n + 1,) for f in faces}
+
+
+def family_supports(family, n) -> list:
+    """The supports of a family of [n] in bitmask order, each read off its
+    mask bit by bit: the route the byte tables of ``families`` replaced."""
+    return [tuple(i + 1 for i in range(n) if s >> i & 1)
+            for s in range(1 << n) if family >> s & 1]
 
 
 # -- graph classifiers on relabelled subgraphs ---------------------------

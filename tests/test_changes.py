@@ -143,6 +143,39 @@ def test_int64_tables_are_the_rational_tables_reduced():
                     assert phi.minor(t, s) == GFP(exact.minor(t, s)), (t, s)
 
 
+def _rational_changes(n, rng):
+    """A random integral change, and one holding 1/3 and -5/6 among its
+    entries (D = 6)."""
+    integral = CoordinateChange.random_dense(n, QQ, rng)
+    while True:
+        rows = [[Fraction(int(x)) for x in rng.integers(-9, 10, size=n)]
+                for _ in range(n)]
+        rows[0][-1] = Fraction(1, 3)
+        rows[-1][0] = Fraction(-5, 6)
+        try:
+            return [integral,
+                    CoordinateChange(tuple(map(tuple, rows)), QQ)]
+        except SingularMatrixError:
+            continue
+
+
+def test_rational_tables_are_the_fraction_fill():
+    rng = np.random.default_rng(37)
+    for n in range(2, 6):
+        for phi in _rational_changes(n, rng):
+            d_max = 4
+            for ring in (EXT, POLY):
+                top = min(n, d_max) if ring == EXT else d_max
+                want = references.fraction_tables(phi, ring, top)
+                for d in range(top, -1, -1):
+                    got = phi._table(ring, d)
+                    assert got.tolist() == want[d].tolist(), (n, ring, d)
+                    assert all(type(x) is Fraction for x in got.flat)
+                    assert not got.flags.writeable
+            if any(x.denominator > 1 for row in phi.matrix for x in row):
+                assert phi._denominator == 6
+
+
 def test_exterior_action_rejects_wrong_variable_count():
     phi = CoordinateChange.random_dense(3, GFP, np.random.default_rng(8))
     # in range of the change, and past it

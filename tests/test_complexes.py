@@ -197,6 +197,30 @@ def test_down_closure_and_maximal_family_of_any_family():
             key=lambda s: sum(1 << (i - 1) for i in s))
 
 
+def _random_family(rng, n, density):
+    bits = rng.random(1 << n) < density
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(),
+                          "little")
+
+
+def test_family_supports_match_the_per_bit_reference():
+    rng = np.random.default_rng(2041)
+    for n in range(13):
+        for density in (0.0, 0.02, 0.3, 0.9, 1.0):
+            family = _random_family(rng, n, density)
+            assert family_supports(family, n) == \
+                references.family_supports(family, n)
+    for _ in range(60):
+        n = int(rng.integers(9, 13))
+        family = _random_family(rng, n, float(rng.uniform(0, 0.2)))
+        assert family_supports(family, n) == \
+            references.family_supports(family, n)
+    # supports spanning three bytes: the last vertex alone, and a mix
+    top = family_of([[20], [1, 9, 17, 20], [8, 16], list(range(1, 21))])
+    assert family_supports(top, 20) == [(8, 16), (20,), (1, 9, 17, 20),
+                                        tuple(range(1, 21))]
+
+
 def test_complex_operations_match_the_tuple_closure():
     rng = np.random.default_rng(2029)
     for _ in range(200):
