@@ -39,6 +39,16 @@ change drawn by the engine is shared, with its degree tables, by every gin
 that draws the same trial set (``gin._trial_changes``), exterior and
 polynomial alike, so each table is filled once per trial set and ring, not
 once per ideal.
+
+Complement duality.  The dual of phi is psi = phi^{-T} (``dual``).  Under
+the pairing of degree d in which the monomials are orthogonal, psi's image
+of every monomial outside a span V is orthogonal to phi's image of every
+monomial of V: Lambda^d psi = (Lambda^d phi)^{-T} in any field, by
+Cauchy-Binet, and Sym^d psi = (Sym^d phi)^{-T} once the polynomial pairing
+weighs x^a by a! = a_1! ... a_n!, a diagonal scaling invertible only over
+Q and over GF(p) with p > d.  So psi's images of the complement span the
+complement of phi(V), and the gin engine may eliminate whichever side is
+smaller (``gin._Trials``).
 """
 
 from __future__ import annotations
@@ -51,7 +61,7 @@ from math import lcm
 import numpy as np
 
 from .fields import InvalidInputError, fits_int64, row_dtype
-from .linalg import vector_rank
+from .linalg import rref, vector_rank
 from .monomials import (EXT, POLY, ExtMonomial, Monomial, PolyMonomial,
                         basis_index, basis_table)
 
@@ -179,6 +189,24 @@ class CoordinateChange:
                            "random-upper-triangular")
             except SingularMatrixError:
                 continue
+
+    @cached_property
+    def dual(self) -> "CoordinateChange":
+        """psi = phi^{-T}, whose degree tables are the inverse transposes of
+        phi's in the exterior ring and, up to a diagonal scaling by
+        multinomial coefficients, in the polynomial ring (module
+        docstring). phi^{-1} is read off one elimination of [phi | I],
+        whose pivots must be exactly its first n columns: any other phi is
+        singular and refused with SingularMatrixError. Cached, so a shared
+        trial set shares its duals and their degree tables."""
+        f, n = self.field, self.n
+        red, pivots = rref([list(row) + [f.one if i == j else f.zero
+                                         for j in range(n)]
+                            for i, row in enumerate(self.matrix)], f)
+        if pivots != list(range(n)):
+            raise SingularMatrixError(f"{self.kind} matrix is singular")
+        return CoordinateChange(tuple(map(tuple, red[:, n:].T.tolist())), f,
+                                f"dual of {self.kind}")
 
     # -- minors (exterior action) ---------------------------------------
 

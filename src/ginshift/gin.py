@@ -4,6 +4,16 @@ for transformed strongly stable ideals.
 A gin is accepted only when independent random trials agree, the result is
 strongly stable, and the Hilbert function matches the input at every degree
 up to the cap; anything less is reported as a certification failure.
+
+Complement duality: the leading monomials of phi(V)_d are exactly the
+degree-d monomials that do not lead psi(W)_d under the reversed ranking,
+where W is the span of the monomials outside V and psi = phi^{-T}
+(``CoordinateChange.dual``), in the exterior ring over any field and in the
+polynomial ring over Q or GF(p) with p > d. So in_<(phi(V)) is the
+complement of in_{<^{-1}}(psi(W)), which is also the fact criterion 9
+checks on gin_space (``complement_dual``). The engine eliminates the side
+with fewer monomials (``_Trials``); ``gin_space`` keeps the direct side
+always, so that check never compares the engine with itself.
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .changes import CoordinateChange, SizeLimitError
+from .changes import CoordinateChange, SingularMatrixError, SizeLimitError
 from .families import (family_of, family_supports, is_stable_family,
                        minimal_family, pair_shift)
 from .fields import GFP, InvalidInputError
@@ -108,26 +118,41 @@ class _Trials:
     call yielding the same sequence gets that ideal back. Only candidates
     that pass are kept, so a sequence that fails raises for every order
     yielding it.
+
+    The smaller side of a component: with r sources among N basis
+    monomials and N - r < r, the stack is the images of the N - r other
+    monomials under each psi = phi^{-T} (``CoordinateChange.dual``), and
+    the component is the complement of their leading columns under the
+    reversed ranking (module docstring). That holds in the exterior ring
+    over any field and in the polynomial ring over Q or GF(p) with p > d;
+    below that, or with ``dual`` off, or for a phi whose dual is refused,
+    the stack is the r direct images. Both sides give each trial the same
+    component, so agreement, escalations and certificates do not depend on
+    the side taken. ``_duals`` holds the degrees whose stack is the dual.
     """
 
-    def __init__(self, ring: str, n: int, source, phis, seed=None, salt=0):
+    def __init__(self, ring: str, n: int, source, phis, seed=None, salt=0,
+                 dual=True):
         self.ring, self.n, self.source = ring, n, source
         self.phis, self.seed, self.salt = phis, seed, salt
+        self.dual = dual
         self._sources: dict[int, list] = {}
         self._spaces: dict[int, Subspace] = {}
+        self._duals: set[int] = set()
         self._pivots: dict[tuple, frozenset] = {}
         self._stable: dict[tuple, MonomialIdeal] = {}
 
     @classmethod
     def draw(cls, ring, n, source, trials, seed, field, salt=0,
-             upper_triangular=False) -> "_Trials":
+             upper_triangular=False, dual=True) -> "_Trials":
         """The trials of (seed, trials, salt): shared changes
         (``_trial_changes``), with this call's own sources, images and
         pivots. Fewer than 2 trials would certify nothing."""
         if trials < 2:
             raise InvalidInputError("gin requires at least 2 trials")
         return cls(ring, n, source, _trial_changes(
-            n, field, trials, seed, salt, upper_triangular), seed, salt)
+            n, field, trials, seed, salt, upper_triangular), seed, salt,
+            dual)
 
     def top(self, cap: int) -> int:
         """The highest degree up to ``cap`` that can be non-zero."""
@@ -143,11 +168,13 @@ class _Trials:
         ranking = order.ranking(self.ring, self.n, d)
         if (ranking, d) not in self._pivots:
             if d not in self._spaces:
-                self._spaces[d] = Subspace.stack([Subspace.from_vectors(
-                    [phi.apply(u) for u in sources], basis, phi.field)
-                    for phi in self.phis])
+                self._spaces[d] = self._stack(d, sources, basis)
             try:
-                leading = self._spaces[d].leading_columns(ranking)
+                if d in self._duals:
+                    dual = self._spaces[d].leading_columns(ranking[::-1])
+                    leading = set(range(len(basis))).difference(dual)
+                else:
+                    leading = self._spaces[d].leading_columns(ranking)
             except CertificationError as exc:
                 raise CertificationError(
                     f"{exc} in degree {d} under {order}") from None
@@ -157,6 +184,27 @@ class _Trials:
                     f"under {order}")
             self._pivots[ranking, d] = frozenset(basis[j] for j in leading)
         return self._pivots[ranking, d]
+
+    def _stack(self, d: int, sources: list, basis: list) -> Subspace:
+        """The k image matrices of degree d as one stack: psi's images of
+        the monomials outside the sources when that side is smaller and the
+        dual route holds (class docstring), phi's images of the sources
+        otherwise."""
+        field, changes = self.phis[0].field, self.phis
+        p = field.characteristic
+        if (self.dual and 2 * len(sources) > len(basis)
+                and (self.ring == EXT or not 0 < p <= d)):
+            try:
+                changes = [phi.dual for phi in self.phis]
+            except SingularMatrixError:
+                pass
+            else:
+                self._duals.add(d)
+                chosen = set(sources)
+                sources = [u for u in basis if u not in chosen]
+        return Subspace.stack([Subspace.from_vectors(
+            [change.apply(u) for u in sources], basis, field)
+            for change in changes])
 
     def initial_ideal(self, order: TermOrder, cap: int,
                       stable: bool = True) -> MonomialIdeal:
@@ -306,11 +354,13 @@ def gin_space(order: TermOrder, monomials, ring: str, n: int, degree: int,
 
     No escalation: the characteristic-2 duality check relies on the first
     disagreement raising. No stability check either: gins under an
-    ``Inverse`` order are not strongly stable in the standard sense.
+    ``Inverse`` order are not strongly stable in the standard sense. Always
+    the direct route: ``complement_dual`` checks the duality the engine's
+    dual route rests on, and must not check it through that route.
     """
     monomials = _of_degree(monomials, ring, n, degree)
     t = _Trials.draw(ring, n, lambda d: monomials, trials, seed, field,
-                     upper_triangular=upper_triangular)
+                     upper_triangular=upper_triangular, dual=False)
     return set(t.component(order, degree))
 
 

@@ -1,6 +1,7 @@
 """References that several test modules check the engine against. A plain
 module: pytest collects no tests from it."""
 
+import functools
 from fractions import Fraction
 from itertools import combinations
 from operator import add, attrgetter
@@ -14,7 +15,7 @@ from ginshift.fields import GFP, InvalidInputError
 from ginshift.graphs import NEITHER, SEMI_BIPARTITE, TWO_CLIQUES
 from ginshift.gin import _of_degree, _Trials
 from ginshift.ideals import MonomialIdeal, _canonical_sort
-from ginshift.linalg import vector_rank
+from ginshift.linalg import CertificationError, rref, vector_rank
 from ginshift.monomials import (EXT, POLY, ExtMonomial, PolyMonomial,
                                 basis_table, ext_monomial, squarefree_poly)
 from ginshift.orders import (EQUAL, GREATER, LESS, Inverse, Lex, RevLex,
@@ -156,6 +157,47 @@ def minor(phi, rows, cols):
     """``phi.minor(rows, cols)`` as specified: the Laplace expansion summed
     with operators, reduced by the field once."""
     return phi.field(_laplace(phi.matrix, rows, cols))
+
+
+def dual(phi):
+    """``phi.dual`` as specified: phi^{-T}, whose (i, j) entry is the
+    (i, j) cofactor of phi over det phi, each determinant a Laplace
+    expansion."""
+    f, n = phi.field, phi.n
+    whole = tuple(range(1, n + 1))
+    det = minor(phi, whole, whole)
+    inverse = pow(det, -1, f.characteristic) if f.characteristic else 1 / det
+
+    def cofactor(i, j):
+        rows, cols = whole[:i] + whole[i + 1:], whole[:j] + whole[j + 1:]
+        return (-1) ** (i + j) * _laplace(phi.matrix, rows, cols)
+
+    return CoordinateChange(tuple(tuple(f(cofactor(i, j) * inverse)
+                                        for j in range(n)) for i in range(n)),
+                            f, f"dual of {phi.kind}")
+
+
+# -- the direct route ------------------------------------------------------
+# The specification the dual route of ``gin._Trials.component`` is tested
+# against: phi's images of the sources themselves, however many they are.
+
+
+def direct_component(order, ring, n, d, monomials, phis) -> frozenset:
+    """in_order(phi(span of the monomials))_d: for each trial, the pivots
+    of phi's images of the monomials with the columns sorted by the
+    reference comparison; CertificationError unless every trial gives the
+    same pivots, as many as there are monomials."""
+    by_order = functools.cmp_to_key(functools.partial(compare, order))
+    columns = sorted(basis_table(ring, n, d), key=by_order, reverse=True)
+    results = set()
+    for phi in phis:
+        images = [image(phi, u) for u in monomials]
+        rows = [row(v, columns, phi.field) for v in images]
+        results.add(frozenset(columns[j] for j in rref(rows, phi.field)[1]))
+    if len(results) != 1 or len(min(results)) != len(monomials):
+        raise CertificationError("trials disagree or miss the Hilbert "
+                                 "function")
+    return results.pop()
 
 
 # -- images as dict vectors ----------------------------------------------

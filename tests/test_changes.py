@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from math import factorial, prod
 
 from ginshift.changes import (MAX_EXT_VARIABLES, CoordinateChange,
                               SingularMatrixError, SizeLimitError, peel_table)
@@ -378,3 +379,49 @@ def test_one_change_serves_both_rings_in_either_order(field):
             fresh = CoordinateChange(phi.matrix, field)
             assert rows[ring] == [fresh.apply(m).tolist()
                                   for m in monomials[ring]], (first, ring)
+
+
+@pytest.mark.parametrize("field", ACTION_FIELDS, ids=str)
+def test_the_dual_is_the_inverse_transpose(field):
+    # against the cofactor formula, for every kind of change; cached on the
+    # change, and ignored by ==
+    rng = np.random.default_rng(41)
+    for n in range(1, 5):
+        for phi in _changes(n, field, rng):
+            psi = phi.dual
+            assert psi == references.dual(phi), (phi.kind, n)
+            assert phi.dual is psi
+            assert phi == CoordinateChange(phi.matrix, field, phi.kind)
+
+
+@pytest.mark.parametrize("field", ACTION_FIELDS, ids=str)
+def test_dual_tables_are_orthogonal_to_the_tables_under_the_pairing(field):
+    # table_phi^T P table_psi = P in every degree, with P the diagonal
+    # pairing: 1 at every exterior monomial and a! at x^a. Over GF(p) with
+    # p <= d some a! is 0, P is singular, and the identity no longer makes
+    # psi's images of a complement span the complement of phi's images
+    p = field.characteristic
+    n = 4
+    for phi in _changes(n, field, np.random.default_rng(43)):
+        psi = phi.dual
+        for ring in (EXT, POLY):
+            for d in range(n):
+                basis = basis_table(ring, n, d)
+                pairing = np.diag([1 if ring == EXT else
+                                   prod(map(factorial, m.exponents))
+                                   for m in basis]).astype(object)
+                got = (phi._table(ring, d).astype(object).T @ pairing
+                       @ psi._table(ring, d).astype(object))
+                want = pairing
+                if p:
+                    got, want = got % p, want % p
+                assert (got == want).all(), (phi.kind, ring, d)
+
+
+def test_the_dual_refuses_a_singular_matrix():
+    # a matrix turned singular after its invertibility check: [phi | I]
+    # has a pivot past its first n columns
+    phi = CoordinateChange.identity(3, GFP)
+    phi.matrix = ((1, 1, 0), (1, 1, 0), (0, 0, 1))
+    with pytest.raises(SingularMatrixError):
+        phi.dual

@@ -1,10 +1,9 @@
 """The degree-component route of the gin engine (one image matrix per trial
-against the basis table, one ranking per order) against the route it
-replaced: dict vectors whose union of supports is sorted with ``cmp_to_key``
-of the hand-written comparison in ``references`` for every (trial, order)
-and then eliminated."""
+against the basis table, one ranking per order, the smaller side of each
+component) against the direct route of ``references``: each trial's images
+of the sources as dict vectors, sorted with ``cmp_to_key`` of the
+hand-written comparison for every (trial, order) and then eliminated."""
 
-import functools
 import importlib
 
 import numpy as np
@@ -19,26 +18,7 @@ from ginshift.monomials import (EXT, POLY, all_monomials, basis_table,
                                 ext_monomial, poly_monomial)
 from ginshift.orders import LEX, REVLEX, Inverse, WeightOrder
 import references
-from references import compare, initial_space
-
-
-def _old_pivots(vectors, order, field):
-    vectors = [v for v in vectors if v]
-    if not vectors:
-        return frozenset()
-    by_order = functools.cmp_to_key(functools.partial(compare, order))
-    columns = sorted(set().union(*vectors), key=by_order, reverse=True)
-    rows = [references.row(v, columns, field) for v in vectors]
-    return frozenset(columns[j] for j in rref(rows, field)[1])
-
-
-def _old_component(order, monomials, phis):
-    results = [_old_pivots([references.image(phi, u) for u in monomials],
-                           order, phi.field) for phi in phis]
-    if any(r != results[0] for r in results) \
-            or len(results[0]) != len(monomials):
-        raise CertificationError("disagreement")
-    return results[0]
+from references import initial_space
 
 
 def _outcome(compute):
@@ -87,7 +67,8 @@ def test_component_route_matches_the_dict_route(ring, kind, field):
         trials = _Trials(ring, n, lambda _d: monomials, phis)
         for order in _orders(n, rng):
             new = _outcome(lambda: trials.component(order, d))
-            old = _outcome(lambda: _old_component(order, monomials, phis))
+            old = _outcome(lambda: references.direct_component(
+                order, ring, n, d, monomials, phis))
             assert new == old, (ring, n, d, order, sorted(map(str, monomials)))
             seen.add("raised" if new == "raised" else
                      "empty" if not monomials else
@@ -104,7 +85,7 @@ ROW_FIELDS = [GFP, PrimeField(2 ** 40 + 15), QQ]
 @pytest.mark.parametrize("ring", [EXT, POLY])
 def test_images_are_rows_and_stack_as_the_dict_route(ring, field):
     rng = np.random.default_rng([len(ring), field.characteristic % 1000])
-    stacks = 0
+    stacks = duals = 0
     for n in range(1, 6):
         phis = [CoordinateChange.random_dense(n, field, rng) for _ in range(3)]
         top = n if ring == EXT else 4
@@ -129,14 +110,103 @@ def test_images_are_rows_and_stack_as_the_dict_route(ring, field):
                 if not 0 < len(sources) < len(basis):
                     assert d not in trials._spaces
                     continue
-                want = [[references.row(references.image(phi, u), basis,
-                                        field) for u in sources]
-                        for phi in phis]
+                # the smaller side: psi = phi^{-T}'s images of the
+                # complement when it has fewer monomials
+                changes, stacked = phis, sources
+                if 2 * len(sources) > len(basis):
+                    assert d in trials._duals, (n, d, ideal)
+                    changes = [references.dual(phi) for phi in phis]
+                    stacked = [u for u in basis if u not in set(sources)]
+                    duals += 1
+                else:
+                    assert d not in trials._duals, (n, d, ideal)
+                want = [[references.row(references.image(change, u), basis,
+                                        field) for u in stacked]
+                        for change in changes]
                 got = trials._spaces[d].rows
                 assert got.dtype == row_dtype(field)
                 assert got.tolist() == want, (n, d, ideal)
                 stacks += 1
-    assert stacks > 10
+    assert stacks > 10 and 0 < duals < stacks
+
+
+#: int64 rows, object rows of python ints, a prime at most d, and Q
+DUAL_FIELDS = [GFP, PrimeField(2 ** 40 + 15), PrimeField(3), QQ]
+
+
+@pytest.mark.parametrize("field", DUAL_FIELDS, ids=str)
+@pytest.mark.parametrize("kind", ["dense", "upper"])
+@pytest.mark.parametrize("ring", [EXT, POLY])
+def test_every_component_matches_the_direct_route(ring, kind, field):
+    # seeded random spans of every size r from 0 to N, under orders and
+    # their inverses: the dual route where N - r < r (and p > d in the
+    # polynomial ring), the direct route otherwise, against the direct
+    # route of the references
+    rng = np.random.default_rng([len(ring), len(kind),
+                                 field.characteristic % 1000])
+    shapes = ([(4, 2), (5, 2), (4, 3), (5, 3)] if ring == EXT else
+              [(3, 2), (4, 2), (3, 3), (2, 4)])
+    routes = set()
+    for n, d in shapes:
+        basis = basis_table(ring, n, d)
+        phis = _phis(kind, n, field, rng)
+        small = ring == POLY and 0 < field.characteristic <= d
+        for r in range(len(basis) + 1):
+            monomials = [basis[j] for j in
+                         rng.choice(len(basis), size=r, replace=False)]
+            trials = _Trials(ring, n, lambda _d: monomials, phis)
+            for order in _orders(n, rng):
+                got = _outcome(lambda: trials.component(order, d))
+                want = _outcome(lambda: references.direct_component(
+                    order, ring, n, d, monomials, phis))
+                assert got == want, (n, d, order, sorted(map(str, monomials)))
+            dual = d in trials._duals
+            assert dual == (len(basis) < 2 * r < 2 * len(basis)
+                            and not small), (n, d, r)
+            routes.add(dual)
+    assert routes == {False, True}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_polynomial_components_at_p_at_most_d_take_the_direct_route(p):
+    # Sym^d psi is (Sym^d phi)^{-T} only up to the scaling by a!, which is
+    # 0 mod p once d >= p; the exterior powers need no scaling
+    field, n = PrimeField(p), 3
+    phis = _phis("dense", n, field, np.random.default_rng(p))
+    for ring in (EXT, POLY):
+        for d in range(1, n if ring == EXT else p + 2):
+            basis = basis_table(ring, n, d)
+            monomials = basis[1:]
+            trials = _Trials(ring, n, lambda _d: monomials, phis)
+            _outcome(lambda: trials.component(LEX, d))
+            if ring == EXT or d < p:
+                assert d in trials._duals, (ring, d)
+                continue
+            assert d not in trials._duals, (ring, d)
+            assert trials._spaces[d].rows.tolist() == [
+                [phi.apply(u).tolist() for u in monomials] for phi in phis]
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3)], ids=str)
+def test_a_disagreeing_trial_set_raises_at_the_same_degree_on_both_routes(
+        field):
+    rng = np.random.default_rng(field.characteristic)
+    dual_raises = 0
+    for _ in range(40):
+        n = int(rng.integers(3, 6))
+        ambient = all_monomials(EXT, n, int(rng.integers(1, 3)))
+        ideal = MonomialIdeal.make(EXT, n, [ambient[j] for j in rng.choice(
+            len(ambient), size=int(rng.integers(1, 3)))])
+        phis = _phis("dense", n, field, rng)
+        routes = [_Trials(EXT, n, ideal.degree_component, phis, dual=dual)
+                  for dual in (True, False)]
+        for order in (LEX, REVLEX, Inverse(LEX)):
+            raised = [next((d for d in range(n + 1) if _outcome(
+                lambda: t.component(order, d)) == "raised"), None)
+                for t in routes]
+            assert raised[0] == raised[1], (ideal, order)
+            dual_raises += raised[0] in routes[0]._duals
+    assert dual_raises
 
 
 @pytest.mark.parametrize("ring,n,d", [(EXT, 5, 2), (EXT, 4, 4), (POLY, 3, 2)])
@@ -162,6 +232,8 @@ def test_trials_that_agree_below_the_hilbert_function_raise():
     trials = _Trials(POLY, 3, lambda _d: sources, phis)
     with pytest.raises(CertificationError, match="Hilbert function"):
         trials.component(LEX, 1)
+    # the dual of a singular matrix is refused: the direct route raised
+    assert trials._duals == set()
 
 
 def test_orders_ranking_the_table_alike_share_one_elimination():

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import json
 
@@ -10,13 +11,16 @@ from ginshift.fields import GFP, InvalidInputError
 from ginshift.gin import (family_of, gin_multi, gin_space, is_stable_family,
                           pair_shift)
 from ginshift.graphs import Graph, complete_bipartite, cycle_graph, path_graph
-from ginshift.monomials import EXT, ext_monomial
+from ginshift.ideals import MonomialIdeal
+from ginshift.monomials import EXT, all_monomials, ext_monomial
 from ginshift.orders import LEX, REVLEX, parse_order
 from ginshift.verifier import (KNOWN_CLASS_COUNTS, SweepReport,
                                degree2_descent_witnesses,
                                degree2_trans_witnesses, enumerate_graphs,
                                property_suite, sweep_theorem1, sweep_theorem2)
 from references import elementary_shift_space
+
+gin_module = importlib.import_module("ginshift.gin")
 
 
 def test_enumeration_counts():
@@ -314,6 +318,39 @@ def test_sweep_payload_excludes_run_metadata():
     # replay with a different seed produces the identical payload
     replay = sweep_theorem1(3, seed=99, weight_samples=3)
     assert replay.payload() == payload
+
+
+def test_complement_duality_samples_take_no_dual_route(monkeypatch):
+    # criterion 9 checks the duality the engine's dual route rests on, so
+    # gin_space must give it the direct route: no dual change is read
+    # while property_suite runs complement_dual, counted through the
+    # bindings of ginshift.gin
+    reads, sides = [], []
+    inside = [False]
+    real_dual = gin_module.CoordinateChange.dual
+
+    def dual(self):
+        reads.append(inside[0])
+        return real_dual.func(self)
+
+    def complement_dual(order, monomials, ring, n, *args, **kwargs):
+        sides.append((len(monomials), len(all_monomials(ring, n, 2))))
+        inside[0] = True
+        try:
+            return gin_module.complement_dual(order, monomials, ring, n,
+                                              *args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(gin_module.CoordinateChange, "dual", property(dual))
+    monkeypatch.setattr(verifier, "complement_dual", complement_dual)
+    assert property_suite(seed=0, samples=20)["passed"]
+    # a side of more than half the monomials would take the dual route
+    assert any(0 < r < total and 2 * r != total for r, total in sides)
+    assert True not in reads
+    # outside gin_space the engine does read duals
+    gin_module.gin(LEX, MonomialIdeal.make(EXT, 3, [ext_monomial([1], 3)]))
+    assert reads
 
 
 def test_property_suite_smoke():
