@@ -60,12 +60,14 @@ from math import lcm
 
 import numpy as np
 
-from .fields import InvalidInputError, fits_int64, row_dtype
+from .fields import InvalidInputError, SizeLimitError, fits_int64, row_dtype
 from .linalg import rref, vector_rank
 from .monomials import (EXT, POLY, ExtMonomial, Monomial, PolyMonomial,
                         basis_index, basis_table)
 
-#: beyond this the C(n,d)^2 minor table is no longer a desk-scale object
+#: the exterior action's own limit: beyond this the C(n,d)^2 minor table is
+#: no longer a desk-scale object. Subset families (shifting, stability,
+#: minimal generators, complexes) have theirs in ``families``.
 MAX_EXT_VARIABLES = 12
 
 
@@ -104,10 +106,6 @@ def _is_support(s: tuple[int, ...], n: int) -> bool:
 
 class SingularMatrixError(ValueError):
     pass
-
-
-class SizeLimitError(ValueError):
-    """Raised when an operation exceeds its configured size cap (exit code 4)."""
 
 
 @dataclass

@@ -15,9 +15,8 @@ import json
 import sys
 from pathlib import Path
 
-from .changes import SizeLimitError
 from .complexes import read_complex, shifted_complex, write_complex
-from .fields import InvalidInputError, PrimeField, parse_field
+from .fields import InvalidInputError, PrimeField, SizeLimitError, parse_field
 from .gin import (CertificationError, DualityViolationError,
                   combinatorial_shift, default_degree_cap, gin, gin_adaptive,
                   trans_search)

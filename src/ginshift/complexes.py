@@ -1,18 +1,21 @@
 """Simplicial complexes as face families (the subset bitsets of
 ``families.py``), the ideals attached to graphs and complexes, and
 algebraic shifting (the shifted complex of a certified exterior gin).
+
+A complex spans at most ``families.MAX_FAMILY_VARIABLES`` vertices, the
+bound of every family; past it ``make``, ``cone`` and every family built
+here raise ``SizeLimitError`` before any family is built.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 
-from .changes import SizeLimitError
-from .families import (down_closure, family_of, family_supports,
-                       maximal_family, minimal_family, support_mask,
+from .families import (check_size, down_closure, family_of, family_supports,
+                       maximal_family, minimal_family, sized, support_mask,
                        up_closure)
 from .fields import GFP, InvalidInputError
 from .gin import gin
@@ -35,8 +38,8 @@ class SimplicialComplex:
     @classmethod
     def make(cls, n: int, faces) -> "SimplicialComplex":
         """The down-closure of the faces, with the empty face and every
-        singleton; past ``MAX_COMPLEX_VERTICES`` refused first."""
-        points = _sized(n, 0, 1)
+        singleton; past ``families.MAX_FAMILY_VARIABLES`` refused first."""
+        points = sized(n, 0, 1)
         faces = [tuple(sorted(set(f))) for f in faces]
         for f in faces:
             if f and not (1 <= f[0] and f[-1] <= n):
@@ -58,12 +61,12 @@ class SimplicialComplex:
                 and bool(self.family >> support_mask(s) & 1))
 
     def faces_of_size(self, k: int) -> set[tuple[int, ...]]:
-        return set(family_supports(self.family & _sized(self.n, k, k), self.n))
+        return set(family_supports(self.family & sized(self.n, k, k), self.n))
 
     def f_vector(self) -> list[int]:
         """(f_{-1}, f_0, f_1, ...): face counts by dimension, each the bit
         count of the faces of one size."""
-        counts = [(self.family & _sized(self.n, k, k)).bit_count()
+        counts = [(self.family & sized(self.n, k, k)).bit_count()
                   for k in range(self.n + 1)]
         return counts[:max(k for k, c in enumerate(counts) if c) + 1]
 
@@ -73,7 +76,7 @@ class SimplicialComplex:
 
     def skeleton(self, k: int) -> "SimplicialComplex":
         """All faces of dimension <= k."""
-        return SimplicialComplex(self.n, self.family & _sized(self.n, 0, k + 1))
+        return SimplicialComplex(self.n, self.family & sized(self.n, 0, k + 1))
 
     def graph(self) -> Graph:
         """The 1-skeleton as a graph."""
@@ -83,37 +86,12 @@ class SimplicialComplex:
         return f"Complex(n={self.n}, facets={self.facets()})"
 
 
-#: a family of [n] is a 2**n-bit int: 128 KB at 20 vertices, 128 MB at 30
-MAX_COMPLEX_VERTICES = 20
-
-
-def _check_vertices(n: int) -> None:
-    if n > MAX_COMPLEX_VERTICES:
-        raise SizeLimitError(f"complexes on n={n} > {MAX_COMPLEX_VERTICES} "
-                             f"vertices refused")
-
-
-@lru_cache(maxsize=None)
-def _sized(n: int, low: int, high: int) -> int:
-    """The family of every support of [n] with low to high elements: those
-    of [n - 1], then those of [n - 1] one smaller with n added. Past
-    ``MAX_COMPLEX_VERTICES`` refused before any family is built. The
-    bounds are clamped to [0, n], so the recursion reaches finitely many
-    keys."""
-    _check_vertices(n)
-    low, high = max(low, 0), min(high, n)
-    if n <= 0:
-        return int(low <= 0 <= high)
-    return _sized(n - 1, low, high) | _sized(n - 1, low - 1, high - 1) << (
-        1 << (n - 1))
-
-
 def _avoiding(supports, n: int) -> SimplicialComplex:
     """The complex of every support of [n] containing none of the given
     supports, the empty face always kept: the complement of their family's
     up-closure among the 2**n supports."""
     # first, so that a refusal comes before any family is built
-    everything = _sized(n, 0, n)
+    everything = sized(n, 0, n)
     return SimplicialComplex(
         n, (everything & ~up_closure(family_of(supports), n)) | 1)
 
@@ -128,7 +106,7 @@ def flag_complex(g: Graph) -> SimplicialComplex:
 def cone(gamma: SimplicialComplex) -> SimplicialComplex:
     """Cone with apex n+1: faces S and S + {n+1} for every face S, the
     family and its copy shifted past the 2**n supports of [n]."""
-    _check_vertices(gamma.n + 1)
+    check_size(gamma.n + 1)
     return SimplicialComplex(gamma.n + 1,
                              gamma.family | gamma.family << (1 << gamma.n))
 
@@ -140,7 +118,7 @@ def face_ideal(gamma: SimplicialComplex, ring: str = EXT) -> MonomialIdeal:
     """Exterior face ideal / Stanley-Reisner ideal: generated by the
     minimal non-faces."""
     n = gamma.n
-    minimal = minimal_family(_sized(n, 0, n) & ~gamma.family, n)
+    minimal = minimal_family(sized(n, 0, n) & ~gamma.family, n)
     monomial = ext_monomial if ring == EXT else squarefree_poly
     return MonomialIdeal.make(ring, n, [monomial(s, n)
                                         for s in family_supports(minimal, n)])

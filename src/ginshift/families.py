@@ -5,6 +5,11 @@ bit S is set when e_S is in it, S being the support bitmask sum of 2^(i-1)
 over i in S. With Y_i the family of every support containing i, Kalai's
 shifting operator, strong stability, closure upward and downward, and
 minimal and maximal elements are each a few int operations per variable.
+
+A family of [n] is a 2**n-bit int: 128 KB at 20 variables, 128 MB at 30.
+``MAX_FAMILY_VARIABLES`` is the one bound on n for every user of families
+(complexes, exterior ideals, squarefree stability and exterior shifting),
+refused by ``check_size`` before any family is built.
 """
 
 from __future__ import annotations
@@ -14,8 +19,32 @@ from operator import or_
 
 import numpy as np
 
-from .changes import MAX_EXT_VARIABLES, SizeLimitError
-from .fields import InvalidInputError
+from .fields import InvalidInputError, SizeLimitError
+
+#: the most variables a family may span: 2**20 bits, 128 KB
+MAX_FAMILY_VARIABLES = 20
+
+
+def check_size(n: int) -> None:
+    """Refuse families of [n] past ``MAX_FAMILY_VARIABLES``."""
+    if n > MAX_FAMILY_VARIABLES:
+        raise SizeLimitError(f"subset families on n={n} > "
+                             f"{MAX_FAMILY_VARIABLES} variables refused")
+
+
+@lru_cache(maxsize=None)
+def sized(n: int, low: int, high: int) -> int:
+    """The family of every support of [n] with low to high elements: those
+    of [n - 1], then those of [n - 1] one smaller with n added. Past
+    ``MAX_FAMILY_VARIABLES`` refused before any family is built. The
+    bounds are clamped to [0, n], so the recursion reaches finitely many
+    keys."""
+    check_size(n)
+    low, high = max(low, 0), min(high, n)
+    if n <= 0:
+        return int(low <= 0 <= high)
+    return sized(n - 1, low, high) | sized(n - 1, low - 1, high - 1) << (
+        1 << (n - 1))
 
 
 @lru_cache(maxsize=1 << 12)
@@ -46,9 +75,7 @@ def _shift_mask(n: int, a: int, b: int) -> tuple[int, int]:
     every support S with b in S and a not in S, and S - delta is S - b + a."""
     if not 1 <= a < b <= n:
         raise InvalidInputError(f"elementary pair ({a},{b}) invalid for n={n}")
-    if n > MAX_EXT_VARIABLES:
-        raise SizeLimitError(
-            f"exterior shifting refused for n={n} > {MAX_EXT_VARIABLES}")
+    check_size(n)
     y = _containing(n)
     return y[b - 1] & ~y[a - 1], (1 << (b - 1)) - (1 << (a - 1))
 

@@ -63,6 +63,10 @@ class InvalidInputError(ValueError):
     """Raised on malformed or mismatched inputs (CLI exit code 2)."""
 
 
+class SizeLimitError(ValueError):
+    """Raised when an operation exceeds its configured size cap (exit code 4)."""
+
+
 @dataclass(frozen=True)
 class PrimeField:
     """F_p with elements represented as python ints in [0, p)."""

@@ -24,10 +24,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .changes import CoordinateChange, SingularMatrixError, SizeLimitError
+from .changes import CoordinateChange, SingularMatrixError
 from .families import (family_of, family_supports, is_stable_family,
-                       minimal_family, pair_shift)
-from .fields import GFP, InvalidInputError
+                       minimal_family, pair_shift, sized, up_closure)
+from .fields import GFP, InvalidInputError, SizeLimitError
 from .ideals import MonomialIdeal, is_strongly_stable
 from .linalg import CertificationError, Subspace
 from .monomials import EXT, ExtMonomial, Monomial, all_monomials, basis_table
@@ -400,9 +400,12 @@ def _exterior_step(order: TermOrder, n: int):
 
 
 def _family(ideal: MonomialIdeal, top: int) -> int:
-    """The exterior monomials of the ideal up to degree ``top``."""
-    return family_of(u.support for d in range(top + 1)
-                     for u in ideal.degree_component(d))
+    """The exterior monomials of the ideal up to degree ``top``: the
+    up-closure of its generator family, cut to supports of at most ``top``
+    elements."""
+    n = ideal.n
+    return up_closure(family_of(u.support for u in ideal.generators),
+                      n) & sized(n, 0, top)
 
 
 def _ideal_of(family: int, n: int) -> MonomialIdeal:

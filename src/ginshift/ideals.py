@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add, attrgetter
 
-from .changes import MAX_EXT_VARIABLES
-from .families import (family_of, is_stable_family, minimal_family,
-                       support_mask, up_closure)
+from .families import (MAX_FAMILY_VARIABLES, family_of, is_stable_family,
+                       minimal_family, support_mask, up_closure)
 from .fields import InvalidInputError
 from .monomials import (EXT, POLY, ExtMonomial, Monomial, basis_index,
                         basis_table, ext_monomial, parse_monomial)
@@ -54,10 +53,10 @@ class MonomialIdeal:
     def make(cls, ring: str, n: int, gens) -> "MonomialIdeal":
         """The ideal of the generators, which must live in (ring, n), by its
         minimal generators: read off the subset family of exterior
-        generators on up to ``MAX_EXT_VARIABLES`` variables (past that a
-        family needs 2**n-bit ints), by divisibility otherwise."""
+        generators on up to ``MAX_FAMILY_VARIABLES`` variables (the bound
+        of every family), by divisibility otherwise."""
         gens = _living_in(ring, n, gens)
-        if ring != EXT or n > MAX_EXT_VARIABLES:
+        if ring != EXT or n > MAX_FAMILY_VARIABLES:
             return cls(ring, n, minimalize(gens))
         minimal = minimal_family(family_of(u.support for u in gens), n)
         return cls(ring, n, _canonical_sort(
@@ -118,9 +117,13 @@ def is_strongly_stable(ideal: MonomialIdeal, squarefree: bool = False):
 
     ``squarefree=True`` applies the squarefree exchange rule to polynomial
     ideals (images of exterior ideals); exterior ideals are always squarefree.
-    An exterior ideal on up to ``MAX_EXT_VARIABLES`` variables is checked
-    as the upward closure of its generator family by ``is_stable_family``;
-    the generator scan then only names the witness of a failure.
+    Every squarefree case on up to ``MAX_FAMILY_VARIABLES`` variables, an
+    exterior ideal or a polynomial one under ``squarefree=True`` whose
+    generators are all squarefree, is checked as the upward closure of its
+    generator family by ``is_stable_family``: a squarefree monomial lies in
+    such an ideal exactly when its support contains a generator's. The
+    generator scan then only names the witness of a failure; past the
+    bound, or with a non-squarefree generator, it decides.
 
     Under the plain rule a polynomial ideal is strongly stable once each
     generator g has x_{q-1} g / x_q in it for each x_q dividing g: for
@@ -129,13 +132,15 @@ def is_strongly_stable(ideal: MonomialIdeal, squarefree: bool = False):
     q -> q-1 -> ... -> p gives every exchange. Only a candidate failing
     that gate is scanned in full, for its witness.
     """
-    n = ideal.n
-    if ideal.ring == EXT and n <= MAX_EXT_VARIABLES and is_stable_family(
-            up_closure(family_of(g.support for g in ideal.generators), n), n):
+    n, gens = ideal.n, ideal.generators
+    squarefree_gens = ideal.ring == EXT or squarefree and all(
+        g.is_squarefree() for g in gens)
+    if squarefree_gens and n <= MAX_FAMILY_VARIABLES and is_stable_family(
+            up_closure(family_of(g.support for g in gens), n), n):
         return True, None
     if ideal.ring == POLY and not squarefree and all(
             ideal.contains(g.div_var(q).times_var(q - 1))
-            for g in ideal.generators for q in g.support if q > 1):
+            for g in gens for q in g.support if q > 1):
         return True, None
     return _exchange_scan(ideal, squarefree)
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .changes import CoordinateChange, SizeLimitError
+from .changes import CoordinateChange
 from .complexes import SimplicialComplex, shifted_complex
-from .fields import GFP, QQ, InvalidInputError
+from .fields import GFP, QQ, InvalidInputError, SizeLimitError
 from .gin import gin_adaptive, gin
 from .graphs import Graph
 from .ideals import MonomialIdeal, is_strongly_stable
@@ -107,10 +107,23 @@ SQUAREFREE = "squarefree-strongly-stable"
 
 def betti_stable(ideal: MonomialIdeal, flavor: str = STABLE_POLY) -> BettiTable:
     """Closed-formula graded Betti numbers of a (squarefree) strongly stable
-    ideal: sum over minimal generators of binomials in max index."""
+    ideal: sum over minimal generators of binomials in max index.
+
+    The squarefree formula needs squarefree generators, and the plain one
+    a polynomial ideal (an exterior ideal is stable only under the
+    squarefree rule); any other input is refused, not tabled."""
     if flavor not in (STABLE_POLY, SQUAREFREE):
         raise InvalidInputError(f"unknown flavor {flavor!r}")
     squarefree = flavor == SQUAREFREE
+    if squarefree:
+        for u in ideal.generators:
+            if len(u.support) != u.degree:
+                raise InvalidInputError(f"the squarefree closed form needs "
+                                        f"squarefree generators, not {u}")
+    elif ideal.ring == EXT:
+        raise InvalidInputError(
+            "the strongly stable closed form is for polynomial ideals; an "
+            "exterior ideal takes the squarefree flavour")
     ok, witness = is_strongly_stable(ideal, squarefree=squarefree)
     if not ok:
         raise InvalidInputError(

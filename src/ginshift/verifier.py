@@ -16,10 +16,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .changes import CoordinateChange, SizeLimitError
+from .changes import CoordinateChange
 from .complexes import (SimplicialComplex, combinatorial_ideal, cone,
                         flag_complex, shifted_complex)
-from .fields import GFP, QQ, InvalidInputError, PrimeField
+from .fields import GFP, QQ, InvalidInputError, PrimeField, SizeLimitError
 from .gin import (CertificationError, DualityViolationError, complement_dual,
                   family_of, family_supports, gin_multi, gins_agree_adaptive,
                   gin_space, is_stable_family, pair_shift, trans_witnesses)

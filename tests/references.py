@@ -135,6 +135,13 @@ def degree_component(ideal, d) -> set:
     return out
 
 
+def family(ideal, top) -> int:
+    """The exterior monomials of the ideal up to degree ``top``, one degree
+    component at a time: the route ``gin._family`` replaced."""
+    return family_of(u.support for d in range(top + 1)
+                     for u in ideal.degree_component(d))
+
+
 # -- minors, by Laplace expansion ----------------------------------------
 # The specification the degree tables of ``CoordinateChange.minor`` are
 # tested against.

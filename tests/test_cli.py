@@ -347,6 +347,29 @@ def test_betti_closed_form_refuses_an_ideal_that_is_not_strongly_stable(
     assert out == ""
 
 
+@pytest.mark.parametrize("text, flavor", [
+    # x1^2 has no squarefree exchange to miss
+    ("ring=poly n=3\nx1^2\nx1*x2\n", "squarefree"),
+    # a principal exterior ideal is stable only under the squarefree rule
+    ("ring=ext n=3\ne{1,2}\n", "stable")])
+def test_betti_refuses_a_flavour_that_does_not_fit_the_ideal(text, flavor,
+                                                            tmp_path, capsys):
+    path = tmp_path / "misfit.ideal"
+    path.write_text(text)
+    argv = ["betti", str(path), "--flavor", flavor]
+    assert run(capsys, argv) == (EXIT_INVALID_INPUT, "")
+    code, out = run(capsys, argv + ["--oracle"])
+    if text.startswith("ring=ext"):
+        # the oracle works in the polynomial ring only
+        assert (code, out) == (EXIT_INVALID_INPUT, "")
+        return
+    # the polynomial ideal gets the oracle alone, as an unstable one does
+    doc = json.loads(out)
+    assert code == EXIT_PASS
+    assert "betti" not in doc and "oracle_matches" not in doc
+    assert doc["oracle"]["entries"] == [[0, 2, 2], [1, 2, 1]]
+
+
 #: the options each subcommand reads besides its own: --seed and --format
 #: everywhere, and the engine options it passes on
 SUBCOMMAND_OPTIONS = {

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from ginshift.changes import SizeLimitError
-from ginshift.complexes import (MAX_COMPLEX_VERTICES, SimplicialComplex,
-                                combinatorial_ideal, complex_from_ideal, cone,
-                                edge_ideal, face_ideal, flag_complex,
-                                read_complex, shifted_complex, write_complex)
-from ginshift.families import (down_closure, family_of, family_supports,
-                               maximal_family)
+from ginshift.complexes import (SimplicialComplex, combinatorial_ideal,
+                                complex_from_ideal, cone, edge_ideal,
+                                face_ideal, flag_complex, read_complex,
+                                shifted_complex, write_complex)
+from ginshift.families import (MAX_FAMILY_VARIABLES, down_closure, family_of,
+                               family_supports, maximal_family)
 from ginshift.fields import InvalidInputError
 from ginshift.graphs import (Graph, complete_bipartite, complete_graph,
                              cycle_graph, path_graph)
@@ -137,7 +137,7 @@ def test_serialization_round_trip():
 
 def test_complexes_past_the_vertex_limit_are_refused(monkeypatch):
     # at the limit the cycle's flag complex goes to its face ideals and back
-    n = MAX_COMPLEX_VERTICES
+    n = MAX_FAMILY_VARIABLES
     gamma = flag_complex(cycle_graph(n))
     assert gamma.f_vector() == [1, n, n]
     for ring in (EXT, POLY):
@@ -159,10 +159,28 @@ def test_complexes_past_the_vertex_limit_are_refused(monkeypatch):
             call()
 
 
+def test_the_20_vertex_2_skeleton_is_shifted_on_families(monkeypatch):
+    # its face ideal, every 4-subset, is stable: no generator scan decides
+    # it, and the shifted complex is the complex itself
+    ideals = importlib.import_module("ginshift.ideals")
+
+    def refuse(*args):
+        raise AssertionError("generator scan used")
+
+    monkeypatch.setattr(ideals, "_exchange_scan", refuse)
+    n = MAX_FAMILY_VARIABLES
+    skeleton = SimplicialComplex.make(n, combinations(range(1, n + 1), 3))
+    j = face_ideal(skeleton, EXT)
+    assert len(j.generators) == comb(n, 4)
+    assert is_strongly_stable(j) == (True, None)
+    assert shifted_complex(REVLEX, skeleton) == skeleton
+    assert shifted_complex(REVLEX, skeleton).f_vector() == [1, 20, 190, 1140]
+
+
 def test_a_complex_is_its_face_family():
     # the fields are n and the family; the family is left out of the repr,
     # which would otherwise pass Python's int-to-str digit limit
-    n = MAX_COMPLEX_VERTICES
+    n = MAX_FAMILY_VARIABLES
     simplex = SimplicialComplex.make(n, [range(1, n + 1)])
     assert [f.name for f in dataclasses.fields(simplex)] == ["n", "family"]
     assert simplex.family == (1 << (1 << n)) - 1
@@ -301,10 +319,16 @@ def test_family_routes_match_the_subset_loops(monkeypatch):
                                           squarefree_poly((2, 3), 3)])
     assert _check_family_routes(square).facets() == [(1, 2), (1, 3)]
 
-    # past MAX_EXT_VARIABLES make minimalizes by divisibility, no bitset
-    ideals = importlib.import_module("ginshift.ideals")
-    monkeypatch.setattr(ideals, "minimal_family", None)
+    # 13 variables take the family route, like every n up to the family
+    # bound; past it make minimalizes by divisibility, no bitset
     n = 13
     gens = [ext_monomial(s, n) for s in _random_supports(rng, n, 0.02)]
+    assert MonomialIdeal.make(EXT, n, gens).generators == \
+        references.minimalize(gens)
+    ideals = importlib.import_module("ginshift.ideals")
+    monkeypatch.setattr(ideals, "minimal_family", None)
+    n = MAX_FAMILY_VARIABLES + 1
+    gens = [ext_monomial((rng.choice(n, size=k, replace=False) + 1).tolist(),
+                         n) for k in rng.integers(1, 5, size=40)]
     assert MonomialIdeal.make(EXT, n, gens).generators == \
         references.minimalize(gens)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from math import comb
 
+from ginshift.families import MAX_FAMILY_VARIABLES
 from ginshift.fields import InvalidInputError
 from ginshift.ideals import (MonomialIdeal, is_strongly_stable, minimalize,
                              read_ideal, stable_closure, write_ideal)
@@ -159,13 +160,11 @@ def test_degree_component_selects_the_generator_multiples():
         n = int(rng.integers(0, 8))
         cases.append((_random_exterior_ideal(rng, n), n))
         cases.append((_random_polynomial_ideal(rng, min(n, 5)), 4))
-    # past MAX_EXT_VARIABLES, where make minimalizes by divisibility
-    n = 13
-    for _ in range(20):
-        gens = [ext_monomial((rng.choice(n, size=k, replace=False) + 1)
-                             .tolist(), n)
-                for k in rng.integers(1, 4, size=int(rng.integers(0, 6)))]
-        cases.append((MonomialIdeal.make(EXT, n, gens), 3))
+    # on 13 variables, where make reads the family, and past the family
+    # bound, where it minimalizes by divisibility
+    for n in (13, MAX_FAMILY_VARIABLES + 1):
+        for _ in range(20):
+            cases.append((MonomialIdeal.make(EXT, n, _sparse_ext(rng, n)), 3))
     zero = [MonomialIdeal.make(ring, 4, []) for ring in (EXT, POLY)]
     unit = [MonomialIdeal.make(EXT, 4, [ext_monomial((), 4)]),
             MonomialIdeal.make(POLY, 4, [poly_monomial((0,) * 4)])]
@@ -215,6 +214,14 @@ def _scan_poly_is_strongly_stable(ideal, squarefree):
                     if not ideal.contains(v):
                         return False, (g, v)
     return True, None
+
+
+def _sparse_ext(rng, n, top=3, count=6):
+    """Fewer than ``count`` exterior monomials of [n], each of degree 1 to
+    ``top - 1`` at random indices: a few generators on many variables."""
+    return [ext_monomial((rng.choice(n, size=k, replace=False) + 1).tolist(),
+                         n)
+            for k in rng.integers(1, top, size=int(rng.integers(0, count)))]
 
 
 def _scan_from_components(ring, n, components):
@@ -324,3 +331,74 @@ def test_the_adjacent_exchange_gate_gives_the_full_scan(monkeypatch):
         assert scanned == ([] if got[0] else [ideal])
         flags[got[0]] += 1
     assert min(flags.values()) > 100, flags
+
+
+def _many_variable_ideals(rng):
+    """Exterior ideals on 13 to 20 variables: a few sparse generators, the
+    stable closures of some of degree at most 2, and such closures with
+    one generator dropped."""
+    out = []
+    for _ in range(60):
+        n = int(rng.integers(13, MAX_FAMILY_VARIABLES + 1))
+        kind = rng.random()
+        if kind < 0.4:
+            gens = _sparse_ext(rng, n, top=4)
+        else:
+            gens = list(stable_closure(_sparse_ext(rng, n, top=3), EXT,
+                                       n).generators)
+            if kind < 0.7 and gens:
+                del gens[int(rng.integers(len(gens)))]
+        out.append(MonomialIdeal.make(EXT, n, gens))
+    return out
+
+
+def test_squarefree_stability_on_many_variables_reads_the_family(
+        monkeypatch):
+    # up to the family bound every squarefree case is decided on the
+    # family: the scan is called only for the witness of a failure, and
+    # the flag and witness are the scan's
+    ideals = importlib.import_module("ginshift.ideals")
+    scan, scanned = ideals._exchange_scan, []
+    monkeypatch.setattr(ideals, "_exchange_scan", lambda ideal, squarefree:
+                        scanned.append(ideal) or scan(ideal, squarefree))
+    rng = np.random.default_rng(2032)
+    flags = Counter()
+    for ext in _many_variable_ideals(rng):
+        image = MonomialIdeal.make(POLY, ext.n, [
+            squarefree_poly(g.support, ext.n) for g in ext.generators])
+        for ideal, squarefree in ((ext, False), (ext, True), (image, True)):
+            scanned.clear()
+            got = is_strongly_stable(ideal, squarefree)
+            want = (_scan_is_strongly_stable(ideal) if ideal.ring == EXT
+                    else _scan_poly_is_strongly_stable(ideal, True))
+            assert got == want == scan(ideal, True), ideal
+            assert scanned == ([] if got[0] else [ideal])
+            flags[got[0]] += 1
+    assert min(flags.values()) > 40, flags
+
+
+def test_squarefree_stability_scans_past_the_family_route(monkeypatch):
+    # a non-squarefree generator, the plain polynomial rule, and ideals
+    # past the family bound take the scan; no family is built for them
+    ideals = importlib.import_module("ginshift.ideals")
+
+    def refuse(*args):
+        raise AssertionError("family route taken")
+
+    monkeypatch.setattr(ideals, "is_stable_family", refuse)
+    squares = [poly_monomial((2, 0, 0)), squarefree_poly((1, 2), 3)]
+    for gens, flag in ((squares, True),
+                       (squares + [squarefree_poly((2, 3), 3)], False)):
+        ideal = MonomialIdeal.make(POLY, 3, gens)
+        for squarefree in (False, True):
+            got = is_strongly_stable(ideal, squarefree)
+            assert got == _scan_poly_is_strongly_stable(ideal, squarefree)
+            assert got[0] == flag
+    n = MAX_FAMILY_VARIABLES + 1
+    for ideal, flag in ((E([(1, 2)], n), True), (E([(1, n)], n), False)):
+        assert is_strongly_stable(ideal)[0] == flag
+        assert is_strongly_stable(ideal) == _scan_is_strongly_stable(ideal)
+        image = MonomialIdeal.make(POLY, n, [
+            squarefree_poly(g.support, n) for g in ideal.generators])
+        assert is_strongly_stable(image, squarefree=True) == \
+            _scan_poly_is_strongly_stable(image, True)

@@ -11,7 +11,7 @@ from ginshift.fields import GFP, InvalidInputError, PrimeField
 from ginshift.gin import gin_space
 from ginshift.graphs import (Graph, complete_bipartite, cycle_graph,
                              disjoint_cliques, path_graph)
-from ginshift.ideals import MonomialIdeal
+from ginshift.ideals import MonomialIdeal, is_strongly_stable
 from ginshift import invariants
 from ginshift.invariants import (SQUAREFREE, STABLE_POLY, BettiTable, alpha,
                                  alpha_monomial, betti_stable,
@@ -60,6 +60,27 @@ def test_betti_squarefree_known_values():
 def test_betti_stable_rejects_unstable():
     with pytest.raises(InvalidInputError, match="x2\\^2"):
         betti_stable(P([(0, 2)], 2), STABLE_POLY)
+
+
+def test_betti_stable_refuses_a_flavour_that_does_not_fit_the_ideal():
+    # x1^2 has no squarefree exchange to miss, yet the squarefree formula
+    # would table it as nothing; the oracle knows better
+    square = P([(2, 0, 0), (1, 1, 0)], 3)
+    assert is_strongly_stable(square, squarefree=True)[0]
+    assert resolution_oracle(square).as_dict() == {(0, 2): 2, (1, 2): 1}
+    with pytest.raises(InvalidInputError, match="squarefree generators, "
+                                                "not x1\\^2"):
+        betti_stable(square, SQUAREFREE)
+    assert betti_stable(square, STABLE_POLY) == resolution_oracle(square)
+    # a principal exterior ideal is stable only under the squarefree rule,
+    # and the plain formula would table it as x1*x2's polynomial ideal
+    principal = MonomialIdeal.make(EXT, 3, [ext_monomial((1, 2), 3)])
+    with pytest.raises(InvalidInputError, match="exterior ideal"):
+        betti_stable(principal, STABLE_POLY)
+    assert betti_stable(principal, SQUAREFREE).as_dict() == {(0, 2): 1}
+    # the ring decides, not the generators: the zero ideal too
+    with pytest.raises(InvalidInputError, match="exterior ideal"):
+        betti_stable(MonomialIdeal.make(EXT, 3, []), STABLE_POLY)
 
 
 def test_resolution_oracle_matches_closed_forms():

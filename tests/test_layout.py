@@ -58,3 +58,22 @@ def test_every_public_function_in_src_is_used():
 def test_the_allowlist_names_only_unreferenced_functions():
     unused = {name.split(".")[1] for name in unreferenced_functions()}
     assert set(ALLOWED) <= unused
+
+
+def _imported_modules(tree) -> set:
+    """The package modules a syntax tree imports from (``from .x import``)."""
+    return {node.module for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level}
+
+
+def test_families_own_the_family_bound():
+    # the exterior action's limit is named where the action lives; the
+    # families hold their own bound and lean on nothing but the fields
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    naming = sorted(name for name, tree in trees.items()
+                    if _names(tree)["MAX_EXT_VARIABLES"])
+    assert naming == ["changes.py"]
+    assert _imported_modules(trees["families.py"]) == {"fields"}
+    assert not any(_names(tree)["MAX_COMPLEX_VERTICES"]
+                   for tree in trees.values())

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from ginshift.changes import CoordinateChange, SizeLimitError
+from ginshift.families import MAX_FAMILY_VARIABLES
 from ginshift.complexes import combinatorial_ideal
 from ginshift.fields import GFP, QQ, InvalidInputError
 from ginshift.gin import (CertificationError, combinatorial_shift,
@@ -21,6 +22,7 @@ from ginshift.graphs import Graph
 from ginshift.ideals import MonomialIdeal, is_strongly_stable, stable_closure
 from ginshift.monomials import EXT, all_monomials, ext_monomial
 from ginshift.orders import LEX, REVLEX, Inverse, WeightOrder
+import references
 from references import elementary_shift_space
 
 gin = importlib.import_module("ginshift.gin")
@@ -194,8 +196,7 @@ def test_stability_test_matches_the_ideal_oracle():
         ideal = _random_ideal(rng, n)
         if rng.random() < 0.3:
             ideal = stable_closure(ideal.generators, EXT, n)
-        family = family_of(u.support for d in range(n + 1)
-                           for u in ideal.degree_component(d))
+        family = references.family(ideal, n)
         stable = is_strongly_stable(ideal)[0]
         assert is_stable_family(family, n) == stable
         seen.add(stable)
@@ -255,15 +256,100 @@ def test_search_with_generators_above_the_cap():
                 assert list(got[0].items()) == list(want[0].items())
 
 
+def test_the_family_of_an_ideal_is_its_components():
+    rng = np.random.default_rng(11)
+    for n in list(range(1, 9)) + [13, 16, MAX_FAMILY_VARIABLES]:
+        ideal = (_random_ideal(rng, n) if n <= 8 else MonomialIdeal.make(
+            EXT, n, _sparse_ideal_generators(rng, n)))
+        for top in range(min(n, 4) + 1):
+            assert gin._family(ideal, top) == references.family(ideal, top)
+    unit = MonomialIdeal.make(EXT, 5, [ext_monomial((), 5)])
+    assert gin._family(unit, 5) == (1 << 32) - 1
+    assert gin._family(MonomialIdeal.make(EXT, 5, []), 5) == 0
+
+
+def _sparse_ideal_generators(rng, n, count=5):
+    """Up to ``count`` exterior monomials of degree 1 to 3 at random
+    indices of [n]."""
+    return [ext_monomial((rng.choice(n, size=k, replace=False) + 1).tolist(),
+                         n)
+            for k in rng.integers(1, 4, size=int(rng.integers(1, count)))]
+
+
+def _per_degree_shift(order, ideal, a, b, cap):
+    """The elementary shift degree by degree: ``pair_shift`` on each
+    degree component's own family when the order ranks e_a above e_b."""
+    n, gens = ideal.n, []
+    for d in range(min(cap, n) + 1):
+        family = family_of(u.support
+                           for u in references.degree_component(ideal, d))
+        if _above(order, n, a, b):
+            family = pair_shift(family, a, b, n)
+        gens += [ext_monomial(s, n) for s in family_supports(family, n)]
+    return MonomialIdeal.make(EXT, n, gens)
+
+
+def _per_degree_search(ideal, budget, order, cap):
+    """``_old_shift_bfs`` with every step a per-degree shift."""
+    n = ideal.n
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    seen, queue = {ideal}, deque([(ideal, ())])
+    found, spent = {}, 0
+    while queue:
+        current, seq = queue.popleft()
+        if is_strongly_stable(current)[0]:
+            found.setdefault(current, seq)
+            continue
+        for a, b in pairs:
+            if spent >= budget:
+                return (found, False) if found else "raised"
+            spent += 1
+            nxt = _per_degree_shift(order, current, a, b, cap)
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append((nxt, seq + ((a, b),)))
+    return (found, True) if found else "raised"
+
+
+def test_exterior_shifting_on_13_to_16_variables_is_per_degree():
+    # past the exterior action's 12 variables, within the family bound
+    rng = np.random.default_rng(12)
+    cap, outcomes = 2, set()
+    for n, ideal in ((n, MonomialIdeal.make(EXT, n, gens))
+                     for n in (13, 14, 15, 16)
+                     # one shift from stable, alone or among n - 1, or not
+                     for gens in ([ext_monomial((2,), n)],
+                                  [ext_monomial((1, 3), n)],
+                                  [ext_monomial((n,), n)],
+                                  _sparse_ideal_generators(rng, n))):
+        # an exterior shift reads the order's degree-1 ranking only
+        for order in (LEX, Inverse(LEX)):
+            pairs = [tuple(sorted((rng.choice(n, size=2, replace=False)
+                                   + 1).tolist())) for _ in range(4)]
+            want = ideal
+            for a, b in pairs:
+                want = _per_degree_shift(order, want, a, b, cap)
+            assert combinatorial_shift(order, ideal, pairs, cap) == want
+            for budget in (10, 150):
+                got = _search(ideal, budget, order, cap)
+                want = _per_degree_search(ideal, budget, order, cap)
+                assert got == want
+                if got != "raised":
+                    assert list(got[0].items()) == list(want[0].items())
+                outcomes.add(got if got == "raised" else got[1])
+    assert outcomes == {"raised", True, False}
+
+
 def test_shift_rule_refuses_bad_pairs_and_large_n():
     ideal = MonomialIdeal.make(EXT, 4, [ext_monomial((3, 4), 4)])
     for order in ORDERS:
         for pairs in ([(2, 2)], [(3, 1)], [(1, 5)], [(0, 2)]):
             with pytest.raises(InvalidInputError):
                 combinatorial_shift(_fit(order, 4), ideal, pairs)
+    # past the family bound, 20 variables
     with pytest.raises(SizeLimitError):
-        pair_shift(1 << 3, 1, 2, 13)
-    big = MonomialIdeal.make(EXT, 13, [ext_monomial((12, 13), 13)])
+        pair_shift(1 << 3, 1, 2, 21)
+    big = MonomialIdeal.make(EXT, 21, [ext_monomial((20, 21), 21)])
     with pytest.raises(SizeLimitError):
         combinatorial_shift(Inverse(LEX), big, [(1, 2)])
 
