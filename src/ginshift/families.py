@@ -57,7 +57,11 @@ def support_mask(support: tuple[int, ...]) -> int:
 @lru_cache(maxsize=None)
 def _containing(n: int) -> tuple[int, ...]:
     """(Y_1, ..., Y_n) on [n]: Y_i has bit S for every support S with i in
-    S, that is the upper half of every block of 2^i bits."""
+    S, that is the upper half of every block of 2^i bits. Shifts, closures
+    and minimal and maximal elements all read these, so past
+    ``MAX_FAMILY_VARIABLES`` they are refused here, before n such ints
+    are built and cached."""
+    check_size(n)
     out = []
     for i in range(n):
         width = 1 << i
@@ -75,7 +79,6 @@ def _shift_mask(n: int, a: int, b: int) -> tuple[int, int]:
     every support S with b in S and a not in S, and S - delta is S - b + a."""
     if not 1 <= a < b <= n:
         raise InvalidInputError(f"elementary pair ({a},{b}) invalid for n={n}")
-    check_size(n)
     y = _containing(n)
     return y[b - 1] & ~y[a - 1], (1 << (b - 1)) - (1 << (a - 1))
 

@@ -25,8 +25,9 @@ from functools import lru_cache
 import numpy as np
 
 from .changes import CoordinateChange, SingularMatrixError
-from .families import (family_of, family_supports, is_stable_family,
-                       minimal_family, pair_shift, sized, up_closure)
+from .families import (check_size, family_of, family_supports,
+                       is_stable_family, minimal_family, pair_shift, sized,
+                       up_closure)
 from .fields import GFP, InvalidInputError, SizeLimitError
 from .ideals import MonomialIdeal, is_strongly_stable
 from .linalg import CertificationError, Subspace
@@ -402,8 +403,10 @@ def _exterior_step(order: TermOrder, n: int):
 def _family(ideal: MonomialIdeal, top: int) -> int:
     """The exterior monomials of the ideal up to degree ``top``: the
     up-closure of its generator family, cut to supports of at most ``top``
-    elements."""
+    elements. Past ``MAX_FAMILY_VARIABLES`` refused before the generator
+    family is built."""
     n = ideal.n
+    check_size(n)
     return up_closure(family_of(u.support for u in ideal.generators),
                       n) & sized(n, 0, top)
 

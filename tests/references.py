@@ -294,6 +294,14 @@ def minimalize(gens) -> tuple:
     return _canonical_sort(minimal)
 
 
+def sparse_exterior(rng, n, top, count) -> list:
+    """``count`` exterior monomials of [n], each of degree 1 to ``top`` at
+    random indices: a few generators on many variables."""
+    return [ext_monomial((rng.choice(n, size=k, replace=False) + 1).tolist(),
+                         n)
+            for k in rng.integers(1, top + 1, size=count)]
+
+
 def flag_complex(g) -> SimplicialComplex:
     """The cliques of g, subset by subset."""
     cliques = [()]

@@ -328,7 +328,6 @@ def test_family_routes_match_the_subset_loops(monkeypatch):
     ideals = importlib.import_module("ginshift.ideals")
     monkeypatch.setattr(ideals, "minimal_family", None)
     n = MAX_FAMILY_VARIABLES + 1
-    gens = [ext_monomial((rng.choice(n, size=k, replace=False) + 1).tolist(),
-                         n) for k in rng.integers(1, 5, size=40)]
+    gens = references.sparse_exterior(rng, n, 4, 40)
     assert MonomialIdeal.make(EXT, n, gens).generators == \
         references.minimalize(gens)

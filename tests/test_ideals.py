@@ -164,7 +164,9 @@ def test_degree_component_selects_the_generator_multiples():
     # bound, where it minimalizes by divisibility
     for n in (13, MAX_FAMILY_VARIABLES + 1):
         for _ in range(20):
-            cases.append((MonomialIdeal.make(EXT, n, _sparse_ext(rng, n)), 3))
+            gens = references.sparse_exterior(rng, n, 3,
+                                              int(rng.integers(0, 6)))
+            cases.append((MonomialIdeal.make(EXT, n, gens), 3))
     zero = [MonomialIdeal.make(ring, 4, []) for ring in (EXT, POLY)]
     unit = [MonomialIdeal.make(EXT, 4, [ext_monomial((), 4)]),
             MonomialIdeal.make(POLY, 4, [poly_monomial((0,) * 4)])]
@@ -214,14 +216,6 @@ def _scan_poly_is_strongly_stable(ideal, squarefree):
                     if not ideal.contains(v):
                         return False, (g, v)
     return True, None
-
-
-def _sparse_ext(rng, n, top=3, count=6):
-    """Fewer than ``count`` exterior monomials of [n], each of degree 1 to
-    ``top - 1`` at random indices: a few generators on many variables."""
-    return [ext_monomial((rng.choice(n, size=k, replace=False) + 1).tolist(),
-                         n)
-            for k in rng.integers(1, top, size=int(rng.integers(0, count)))]
 
 
 def _scan_from_components(ring, n, components):
@@ -342,10 +336,12 @@ def _many_variable_ideals(rng):
         n = int(rng.integers(13, MAX_FAMILY_VARIABLES + 1))
         kind = rng.random()
         if kind < 0.4:
-            gens = _sparse_ext(rng, n, top=4)
+            gens = references.sparse_exterior(rng, n, 3,
+                                              int(rng.integers(0, 6)))
         else:
-            gens = list(stable_closure(_sparse_ext(rng, n, top=3), EXT,
-                                       n).generators)
+            sparse = references.sparse_exterior(rng, n, 2,
+                                                int(rng.integers(0, 6)))
+            gens = list(stable_closure(sparse, EXT, n).generators)
             if kind < 0.7 and gens:
                 del gens[int(rng.integers(len(gens)))]
         out.append(MonomialIdeal.make(EXT, n, gens))

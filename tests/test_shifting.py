@@ -84,9 +84,10 @@ def _algebraic_shift(order, ideal, a, b, cap):
                                         ideal.n, d, a, b)])
 
 
-def _old_shift_bfs(ideal, budget, order, cap=None):
+def _old_shift_bfs(ideal, budget, order, cap=None, step=_algebraic_shift):
     """The search before bitsets: every step an algebraic shift of the
-    whole ideal. Returns (found, complete) or "raised"."""
+    whole ideal, or ``step(order, ideal, a, b, cap)`` when given. Returns
+    (found, complete) or "raised"."""
     cap = ideal.n if cap is None else cap
     n = ideal.n
     pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
@@ -102,7 +103,7 @@ def _old_shift_bfs(ideal, budget, order, cap=None):
             if spent >= budget:
                 return (found, False) if found else "raised"
             spent += 1
-            nxt = _algebraic_shift(order, current, a, b, cap)
+            nxt = step(order, current, a, b, cap)
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append((nxt, seq + ((a, b),)))
@@ -260,20 +261,13 @@ def test_the_family_of_an_ideal_is_its_components():
     rng = np.random.default_rng(11)
     for n in list(range(1, 9)) + [13, 16, MAX_FAMILY_VARIABLES]:
         ideal = (_random_ideal(rng, n) if n <= 8 else MonomialIdeal.make(
-            EXT, n, _sparse_ideal_generators(rng, n)))
+            EXT, n, references.sparse_exterior(rng, n, 3,
+                                               int(rng.integers(1, 5)))))
         for top in range(min(n, 4) + 1):
             assert gin._family(ideal, top) == references.family(ideal, top)
     unit = MonomialIdeal.make(EXT, 5, [ext_monomial((), 5)])
     assert gin._family(unit, 5) == (1 << 32) - 1
     assert gin._family(MonomialIdeal.make(EXT, 5, []), 5) == 0
-
-
-def _sparse_ideal_generators(rng, n, count=5):
-    """Up to ``count`` exterior monomials of degree 1 to 3 at random
-    indices of [n]."""
-    return [ext_monomial((rng.choice(n, size=k, replace=False) + 1).tolist(),
-                         n)
-            for k in rng.integers(1, 4, size=int(rng.integers(1, count)))]
 
 
 def _per_degree_shift(order, ideal, a, b, cap):
@@ -289,28 +283,6 @@ def _per_degree_shift(order, ideal, a, b, cap):
     return MonomialIdeal.make(EXT, n, gens)
 
 
-def _per_degree_search(ideal, budget, order, cap):
-    """``_old_shift_bfs`` with every step a per-degree shift."""
-    n = ideal.n
-    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
-    seen, queue = {ideal}, deque([(ideal, ())])
-    found, spent = {}, 0
-    while queue:
-        current, seq = queue.popleft()
-        if is_strongly_stable(current)[0]:
-            found.setdefault(current, seq)
-            continue
-        for a, b in pairs:
-            if spent >= budget:
-                return (found, False) if found else "raised"
-            spent += 1
-            nxt = _per_degree_shift(order, current, a, b, cap)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append((nxt, seq + ((a, b),)))
-    return (found, True) if found else "raised"
-
-
 def test_exterior_shifting_on_13_to_16_variables_is_per_degree():
     # past the exterior action's 12 variables, within the family bound
     rng = np.random.default_rng(12)
@@ -321,7 +293,8 @@ def test_exterior_shifting_on_13_to_16_variables_is_per_degree():
                      for gens in ([ext_monomial((2,), n)],
                                   [ext_monomial((1, 3), n)],
                                   [ext_monomial((n,), n)],
-                                  _sparse_ideal_generators(rng, n))):
+                                  references.sparse_exterior(
+                                      rng, n, 3, int(rng.integers(1, 5))))):
         # an exterior shift reads the order's degree-1 ranking only
         for order in (LEX, Inverse(LEX)):
             pairs = [tuple(sorted((rng.choice(n, size=2, replace=False)
@@ -332,7 +305,8 @@ def test_exterior_shifting_on_13_to_16_variables_is_per_degree():
             assert combinatorial_shift(order, ideal, pairs, cap) == want
             for budget in (10, 150):
                 got = _search(ideal, budget, order, cap)
-                want = _per_degree_search(ideal, budget, order, cap)
+                want = _old_shift_bfs(ideal, budget, order, cap,
+                                      step=_per_degree_shift)
                 assert got == want
                 if got != "raised":
                     assert list(got[0].items()) == list(want[0].items())
@@ -352,6 +326,24 @@ def test_shift_rule_refuses_bad_pairs_and_large_n():
     big = MonomialIdeal.make(EXT, 21, [ext_monomial((20, 21), 21)])
     with pytest.raises(SizeLimitError):
         combinatorial_shift(Inverse(LEX), big, [(1, 2)])
+
+
+def test_exterior_shifting_past_the_bound_is_refused_before_any_family(
+        monkeypatch):
+    # the n masks Y_i of a family past 20 variables would take megabytes
+    # each and stay cached: the refusal comes before they are built
+    families = importlib.import_module("ginshift.families")
+
+    def build(n):
+        raise AssertionError(f"masks built for a family of [{n}]")
+
+    monkeypatch.setattr(families, "_containing", build)
+    n = MAX_FAMILY_VARIABLES + 1
+    unstable = MonomialIdeal.make(EXT, n, [ext_monomial((n - 1, n), n)])
+    with pytest.raises(SizeLimitError):
+        combinatorial_shift(LEX, unstable, [(1, 2)])
+    with pytest.raises(SizeLimitError):
+        trans_search(unstable, budget=5)
 
 
 def test_a_search_that_finds_nothing_names_its_cause():
