@@ -18,14 +18,12 @@ from pathlib import Path
 from .complexes import read_complex, shifted_complex, write_complex
 from .fields import InvalidInputError, PrimeField, SizeLimitError, parse_field
 from .gin import (CertificationError, DualityViolationError,
-                  combinatorial_shift, default_degree_cap, gin, gin_adaptive,
-                  trans_search)
+                  combinatorial_shift, gin, gin_adaptive, trans_search)
 from .graphs import base_form, condition_v, condition_vi, is_chordal, read_graph
 from .ideals import read_ideal
 from .invariants import (SQUAREFREE, STABLE_POLY, betti_stable,
                          closed_form_profiles, index_profile,
                          resolution_oracle, two_cliques_profile_from_h)
-from .monomials import POLY
 from .orders import parse_order
 from .verifier import property_suite, sweep_theorem1, sweep_theorem2
 
@@ -139,14 +137,13 @@ def run(args) -> int:
     if args.command == "gin":
         ideal = read_ideal(Path(args.ideal_file).read_text())
         order = parse_order(args.order, ideal.n)
-        if ideal.ring == POLY and args.degree_cap is None:
+        if args.degree_cap is None:
             g, cert, cap = gin_adaptive(order, ideal, trials=args.trials,
                                         seed=args.seed, field=field)
         else:
             g, cert = gin(order, ideal, cap=args.degree_cap,
                           trials=args.trials, seed=args.seed, field=field)
-            cap = (default_degree_cap(ideal) if args.degree_cap is None
-                   else args.degree_cap)
+            cap = args.degree_cap
         _emit({"generators": [str(u) for u in g.generators],
                "certificate": cert.to_dict(), "degree_cap": cap,
                "seed": args.seed}, args)

@@ -15,13 +15,13 @@ from functools import cached_property
 from itertools import combinations
 
 from .families import (check_size, down_closure, family_of, family_supports,
-                       maximal_family, minimal_family, sized, support_mask,
-                       up_closure)
+                       maximal_family, sized, support_mask, up_closure)
 from .fields import GFP, InvalidInputError
 from .gin import gin
 from .graphs import Graph
-from .ideals import MonomialIdeal, is_strongly_stable
-from .monomials import EXT, POLY, ext_monomial, squarefree_poly
+from .ideals import (MonomialIdeal, family_ideal, is_strongly_stable,
+                     squarefree_family)
+from .monomials import EXT, POLY, squarefree_poly
 from .orders import TermOrder
 
 @dataclass(frozen=True)
@@ -86,21 +86,16 @@ class SimplicialComplex:
         return f"Complex(n={self.n}, facets={self.facets()})"
 
 
-def _avoiding(supports, n: int) -> SimplicialComplex:
-    """The complex of every support of [n] containing none of the given
-    supports, the empty face always kept: the complement of their family's
-    up-closure among the 2**n supports."""
-    # first, so that a refusal comes before any family is built
-    everything = sized(n, 0, n)
-    return SimplicialComplex(
-        n, (everything & ~up_closure(family_of(supports), n)) | 1)
-
-
 def flag_complex(g: Graph) -> SimplicialComplex:
     """Faces are exactly the cliques of g: the supports containing no
-    non-edge."""
-    return _avoiding((e for e in combinations(range(1, g.n + 1), 2)
-                      if not g.has_edge(*e)), g.n)
+    non-edge, the complement of the non-edges' up-closure among the 2**n
+    supports."""
+    n = g.n
+    # first, so that a refusal comes before any family is built
+    everything = sized(n, 0, n)
+    non_edges = family_of(e for e in combinations(range(1, n + 1), 2)
+                          if not g.has_edge(*e))
+    return SimplicialComplex(n, everything & ~up_closure(non_edges, n))
 
 
 def cone(gamma: SimplicialComplex) -> SimplicialComplex:
@@ -118,10 +113,7 @@ def face_ideal(gamma: SimplicialComplex, ring: str = EXT) -> MonomialIdeal:
     """Exterior face ideal / Stanley-Reisner ideal: generated by the
     minimal non-faces."""
     n = gamma.n
-    minimal = minimal_family(sized(n, 0, n) & ~gamma.family, n)
-    monomial = ext_monomial if ring == EXT else squarefree_poly
-    return MonomialIdeal.make(ring, n, [monomial(s, n)
-                                        for s in family_supports(minimal, n)])
+    return family_ideal(ring, n, sized(n, 0, n) & ~gamma.family)
 
 
 def edge_ideal(g: Graph) -> MonomialIdeal:
@@ -144,10 +136,10 @@ def combinatorial_ideal(source, ring: str) -> MonomialIdeal:
 
 def complex_from_ideal(ideal: MonomialIdeal) -> SimplicialComplex:
     """Complex whose non-faces are exactly the (squarefree) members of the
-    ideal, the empty face always kept; inverse of face_ideal. Only the
-    squarefree generators divide a squarefree monomial."""
-    return _avoiding((g.support for g in ideal.generators
-                      if len(g.support) == g.degree), ideal.n)
+    ideal, the empty face always kept; inverse of face_ideal."""
+    n = ideal.n
+    return SimplicialComplex(
+        n, (sized(n, 0, n) & ~squarefree_family(ideal)) | 1)
 
 
 # -- algebraic shifting -------------------------------------------------

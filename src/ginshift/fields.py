@@ -10,10 +10,11 @@ elements.
 
 The prime-field mode is the default work horse (dense generic matrices over Q
 blow up badly under elimination). The rational mode is exact everywhere but
-reaches less far: both sweeps at n = 6 and the revlex gin of the 5-cycle's
-edge ideal finish over Q in seconds, while the lex gin of that ideal did not
-finish within 100 s of CPU, nor the shifted complex of a 12-vertex flag
-complex within 300 s.
+reaches less far: both sweeps at n = 6, the revlex gin of the 5-cycle's
+edge ideal and the shifted complex of a 12-vertex flag complex (3.1 s of
+CPU and 90 MB, against 0.5 s over the default prime) finish over Q in
+seconds, while the lex gin of that edge ideal takes 40 s and 257 MB over Q,
+against 0.5 s over the default prime.
 """
 
 from __future__ import annotations

@@ -25,13 +25,12 @@ from functools import lru_cache
 import numpy as np
 
 from .changes import CoordinateChange, SingularMatrixError
-from .families import (check_size, family_of, family_supports,
-                       is_stable_family, minimal_family, pair_shift, sized,
-                       up_closure)
+from .families import is_stable_family, pair_shift, sized
 from .fields import GFP, InvalidInputError, SizeLimitError
-from .ideals import MonomialIdeal, is_strongly_stable
+from .ideals import (MonomialIdeal, family_ideal, is_strongly_stable,
+                     squarefree_family)
 from .linalg import CertificationError, Subspace
-from .monomials import EXT, ExtMonomial, Monomial, all_monomials, basis_table
+from .monomials import EXT, Monomial, all_monomials, basis_table
 from .orders import LEX, Inverse, TermOrder
 
 
@@ -400,25 +399,6 @@ def _exterior_step(order: TermOrder, n: int):
     return step
 
 
-def _family(ideal: MonomialIdeal, top: int) -> int:
-    """The exterior monomials of the ideal up to degree ``top``: the
-    up-closure of its generator family, cut to supports of at most ``top``
-    elements. Past ``MAX_FAMILY_VARIABLES`` refused before the generator
-    family is built."""
-    n = ideal.n
-    check_size(n)
-    return up_closure(family_of(u.support for u in ideal.generators),
-                      n) & sized(n, 0, top)
-
-
-def _ideal_of(family: int, n: int) -> MonomialIdeal:
-    """The exterior ideal generated by a family: by its minimal supports.
-    A family listing an ideal's components up to some degree gives that
-    ideal's truncation."""
-    return MonomialIdeal.make(EXT, n, [
-        ExtMonomial(s, n) for s in family_supports(minimal_family(family, n), n)])
-
-
 def combinatorial_shift(order: TermOrder, ideal: MonomialIdeal,
                         pairs, cap: int | None = None, field=GFP) -> MonomialIdeal:
     """Left fold of elementary initial-ideal steps over the pair sequence:
@@ -428,10 +408,10 @@ def combinatorial_shift(order: TermOrder, ideal: MonomialIdeal,
     pairs, n = list(pairs), ideal.n
     if pairs and ideal.ring == EXT:
         step = _exterior_step(order, n)
-        family = _family(ideal, min(cap, n))
+        family = squarefree_family(ideal) & sized(n, 0, min(cap, n))
         for a, b in pairs:
             family = step(family, a, b)
-        return _ideal_of(family, n)
+        return family_ideal(EXT, n, family)
     current = ideal
     for a, b in pairs:
         phi = CoordinateChange.elementary(a, b, n, field)
@@ -461,13 +441,14 @@ def trans_search(ideal: MonomialIdeal, budget: int = 200,
         return {ideal: ()}, True
     n = ideal.n
     if ideal.ring == EXT:
-        start = _family(ideal, min(cap, n))
+        start = squarefree_family(ideal) & sized(n, 0, min(cap, n))
         # an ideal with generators above the cap differs from its truncation
         seen = {start} if ideal.max_generator_degree <= min(cap, n) else set()
         shift = _exterior_step(order, n)
 
         def stable_ideal(state):
-            return _ideal_of(state, n) if is_stable_family(state, n) else None
+            return (family_ideal(EXT, n, state) if is_stable_family(state, n)
+                    else None)
     else:
         start, seen = ideal, {ideal}
 

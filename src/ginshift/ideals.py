@@ -11,11 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add, attrgetter
 
-from .families import (MAX_FAMILY_VARIABLES, family_of, is_stable_family,
-                       minimal_family, support_mask, up_closure)
+from .families import (MAX_FAMILY_VARIABLES, check_size, family_of,
+                       family_supports, is_stable_family, minimal_family,
+                       support_mask, up_closure)
 from .fields import InvalidInputError
 from .monomials import (EXT, POLY, ExtMonomial, Monomial, basis_index,
-                        basis_table, ext_monomial, parse_monomial)
+                        basis_table, ext_monomial, parse_monomial,
+                        squarefree_poly)
 from .orders import LEX
 
 
@@ -52,11 +54,12 @@ class MonomialIdeal:
     @classmethod
     def make(cls, ring: str, n: int, gens) -> "MonomialIdeal":
         """The ideal of the generators, which must live in (ring, n), by its
-        minimal generators: read off the subset family of exterior
-        generators on up to ``MAX_FAMILY_VARIABLES`` variables (the bound
-        of every family), by divisibility otherwise."""
+        minimal generators: read off the subset family of squarefree
+        generators (nested supports, nested monomials) in either ring on up
+        to ``MAX_FAMILY_VARIABLES`` variables, by divisibility otherwise."""
         gens = _living_in(ring, n, gens)
-        if ring != EXT or n > MAX_FAMILY_VARIABLES:
+        if n > MAX_FAMILY_VARIABLES or not all(u.is_squarefree()
+                                               for u in gens):
             return cls(ring, n, minimalize(gens))
         minimal = minimal_family(family_of(u.support for u in gens), n)
         return cls(ring, n, _canonical_sort(
@@ -98,6 +101,26 @@ class MonomialIdeal:
         return "(" + ", ".join(str(g) for g in self.generators) + ")"
 
 
+def squarefree_family(ideal: MonomialIdeal) -> int:
+    """The squarefree monomials of the ideal as a family: the up-closure of
+    the supports of its squarefree generators, since no other generator
+    divides a squarefree monomial. Past ``MAX_FAMILY_VARIABLES`` refused
+    before any family is built."""
+    n = ideal.n
+    check_size(n)
+    return up_closure(family_of(u.support for u in ideal.generators
+                                if u.is_squarefree()), n)
+
+
+def family_ideal(ring: str, n: int, family: int) -> MonomialIdeal:
+    """The ideal of (ring, n) generated by the squarefree monomials of a
+    family: by its minimal supports. A family listing an ideal's
+    squarefree monomials up to some degree gives that ideal's truncation."""
+    monomial = ExtMonomial if ring == EXT else squarefree_poly
+    return MonomialIdeal.make(ring, n, [
+        monomial(s, n) for s in family_supports(minimal_family(family, n), n)])
+
+
 def _exchanges(u: Monomial, squarefree: bool):
     """All monomials obtained by replacing an index q of u by a smaller p:
     the x_q -> x_p rule in R, and with ``squarefree`` (always in the
@@ -119,9 +142,9 @@ def is_strongly_stable(ideal: MonomialIdeal, squarefree: bool = False):
     ideals (images of exterior ideals); exterior ideals are always squarefree.
     Every squarefree case on up to ``MAX_FAMILY_VARIABLES`` variables, an
     exterior ideal or a polynomial one under ``squarefree=True`` whose
-    generators are all squarefree, is checked as the upward closure of its
-    generator family by ``is_stable_family``: a squarefree monomial lies in
-    such an ideal exactly when its support contains a generator's. The
+    generators are all squarefree, is checked on its ``squarefree_family``
+    by ``is_stable_family``: the rule moves squarefree monomials to
+    squarefree monomials, and all of the ideal's are in the family. The
     generator scan then only names the witness of a failure; past the
     bound, or with a non-squarefree generator, it decides.
 
@@ -133,12 +156,12 @@ def is_strongly_stable(ideal: MonomialIdeal, squarefree: bool = False):
     that gate is scanned in full, for its witness.
     """
     n, gens = ideal.n, ideal.generators
-    squarefree_gens = ideal.ring == EXT or squarefree and all(
-        g.is_squarefree() for g in gens)
-    if squarefree_gens and n <= MAX_FAMILY_VARIABLES and is_stable_family(
-            up_closure(family_of(g.support for g in gens), n), n):
+    squarefree = squarefree or ideal.ring == EXT
+    if (squarefree and n <= MAX_FAMILY_VARIABLES
+            and all(g.is_squarefree() for g in gens)
+            and is_stable_family(squarefree_family(ideal), n)):
         return True, None
-    if ideal.ring == POLY and not squarefree and all(
+    if not squarefree and all(
             ideal.contains(g.div_var(q).times_var(q - 1))
             for g in gens for q in g.support if q > 1):
         return True, None

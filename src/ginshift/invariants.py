@@ -17,7 +17,7 @@ from math import comb
 from .changes import CoordinateChange
 from .complexes import SimplicialComplex, shifted_complex
 from .fields import GFP, QQ, InvalidInputError, SizeLimitError
-from .gin import gin_adaptive, gin
+from .gin import gin_adaptive
 from .graphs import Graph
 from .ideals import MonomialIdeal, is_strongly_stable
 from .linalg import rref, rref_exact
@@ -117,7 +117,7 @@ def betti_stable(ideal: MonomialIdeal, flavor: str = STABLE_POLY) -> BettiTable:
     squarefree = flavor == SQUAREFREE
     if squarefree:
         for u in ideal.generators:
-            if len(u.support) != u.degree:
+            if not u.is_squarefree():
                 raise InvalidInputError(f"the squarefree closed form needs "
                                         f"squarefree generators, not {u}")
     elif ideal.ring == EXT:
@@ -291,9 +291,6 @@ def regularity_from_gin(ideal: MonomialIdeal, seed: int = 0, trials: int = 3,
                         field=GFP) -> int:
     """Top generator degree of the certified RevLex gin (for exterior input
     this equals the regularity of the squarefree polynomial image)."""
-    if ideal.ring == EXT:
-        g, _cert = gin(REVLEX, ideal, trials=trials, seed=seed, field=field)
-        return g.max_generator_degree
     g, _cert, _cap = gin_adaptive(REVLEX, ideal, trials=trials, seed=seed,
                                   field=field)
     return g.max_generator_degree

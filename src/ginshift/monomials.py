@@ -47,6 +47,10 @@ class ExtMonomial:
     def max_index(self) -> int:
         return self.support[-1]
 
+    def is_squarefree(self) -> bool:
+        """Always: e_i e_i = 0, so an exterior monomial has no square."""
+        return True
+
     def divides(self, other: "ExtMonomial") -> bool:
         return set(self.support) <= set(other.support)
 

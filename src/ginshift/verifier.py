@@ -19,10 +19,11 @@ import numpy as np
 from .changes import CoordinateChange
 from .complexes import (SimplicialComplex, combinatorial_ideal, cone,
                         flag_complex, shifted_complex)
+from .families import (family_of, family_supports, is_stable_family,
+                       pair_shift)
 from .fields import GFP, QQ, InvalidInputError, PrimeField, SizeLimitError
 from .gin import (CertificationError, DualityViolationError, complement_dual,
-                  family_of, family_supports, gin_multi, gins_agree_adaptive,
-                  gin_space, is_stable_family, pair_shift, trans_witnesses)
+                  gin_multi, gins_agree_adaptive, gin_space, trans_witnesses)
 from .graphs import (SEMI_BIPARTITE, Graph, base_form, condition_v,
                      condition_vi)
 from .ideals import MonomialIdeal

@@ -137,7 +137,7 @@ def degree_component(ideal, d) -> set:
 
 def family(ideal, top) -> int:
     """The exterior monomials of the ideal up to degree ``top``, one degree
-    component at a time: the route ``gin._family`` replaced."""
+    component at a time: the route ``ideals.squarefree_family`` replaced."""
     return family_of(u.support for d in range(top + 1)
                      for u in ideal.degree_component(d))
 

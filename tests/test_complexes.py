@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+from collections import Counter
 from itertools import combinations
 from math import comb
 
@@ -12,11 +13,12 @@ from ginshift.complexes import (SimplicialComplex, combinatorial_ideal,
                                 face_ideal, flag_complex, read_complex,
                                 shifted_complex, write_complex)
 from ginshift.families import (MAX_FAMILY_VARIABLES, down_closure, family_of,
-                               family_supports, maximal_family)
+                               family_supports, maximal_family, sized)
 from ginshift.fields import InvalidInputError
 from ginshift.graphs import (Graph, complete_bipartite, complete_graph,
                              cycle_graph, path_graph)
-from ginshift.ideals import MonomialIdeal, is_strongly_stable
+from ginshift.ideals import (MonomialIdeal, family_ideal, is_strongly_stable,
+                             squarefree_family)
 from ginshift.monomials import (EXT, POLY, ext_monomial, poly_monomial,
                                 squarefree_poly)
 from ginshift.orders import LEX, REVLEX
@@ -142,10 +144,14 @@ def test_complexes_past_the_vertex_limit_are_refused(monkeypatch):
     assert gamma.f_vector() == [1, n, n]
     for ring in (EXT, POLY):
         assert complex_from_ideal(face_ideal(gamma, ring)) == gamma
-    # one past it, refused before any family is built
+    # one past it, refused before any family is built, by the complexes or
+    # by the ideals' conversions to and from families
     complexes = importlib.import_module("ginshift.complexes")
-    for name in ("family_of", "up_closure", "minimal_family", "down_closure"):
+    ideals = importlib.import_module("ginshift.ideals")
+    for name in ("family_of", "up_closure", "down_closure"):
         monkeypatch.setattr(complexes, name, None)
+    for name in ("family_of", "up_closure", "minimal_family"):
+        monkeypatch.setattr(ideals, name, None)
     g = cycle_graph(n + 1)
     path = ", ".join(f"[{i}, {i + 1}]" for i in range(1, n + 1))
     for call in (lambda: flag_complex(g),
@@ -175,6 +181,60 @@ def test_the_20_vertex_2_skeleton_is_shifted_on_families(monkeypatch):
     assert is_strongly_stable(j) == (True, None)
     assert shifted_complex(REVLEX, skeleton) == skeleton
     assert shifted_complex(REVLEX, skeleton).f_vector() == [1, 20, 190, 1140]
+
+
+def test_the_20_vertex_polynomial_face_ideal_is_read_off_its_family(
+        monkeypatch):
+    # the Stanley-Reisner ideal of the 2-skeleton, every squarefree
+    # quartic, takes the family route of the exterior face ideal
+    ideals = importlib.import_module("ginshift.ideals")
+
+    def refuse(gens):
+        raise AssertionError("minimalized by divisibility")
+
+    monkeypatch.setattr(ideals, "minimalize", refuse)
+    n = MAX_FAMILY_VARIABLES
+    skeleton = SimplicialComplex.make(n, combinations(range(1, n + 1), 3))
+    sr = face_ideal(skeleton, POLY)
+    assert len(sr.generators) == comb(n, 4)
+    assert [u.support for u in sr.generators] == [
+        u.support for u in face_ideal(skeleton, EXT).generators]
+    assert complex_from_ideal(sr) == skeleton
+
+
+def test_the_conversions_between_ideals_and_families():
+    # squarefree_family and family_ideal against the subset loops, in both
+    # rings; squares x_i^2 divide no squarefree monomial
+    rng = np.random.default_rng(2036)
+    units = Counter()
+    for _ in range(150):
+        n = int(rng.integers(0, 9))
+        supports = _random_supports(rng, n, 0.2)
+        gamma = SimplicialComplex.make(n, _random_supports(rng, n, 0.3))
+        for ring in (EXT, POLY):
+            monomial = ext_monomial if ring == EXT else squarefree_poly
+            ideal = family_ideal(ring, n, family_of(supports))
+            assert ideal.generators == references.minimalize(
+                [monomial(s, n) for s in supports])
+            assert family_ideal(ring, n, sized(n, 0, n) & ~gamma.family) == \
+                references.face_ideal(gamma, ring)
+            squares = [poly_monomial([2 * (i == v) for i in range(1, n + 1)])
+                       for v in range(1, n + 1) if rng.random() < 0.3]
+            if ring == POLY:
+                ideal = MonomialIdeal.make(ring, n, ideal.generators + tuple(
+                    squares))
+            unit = ideal.contains(monomial((), n))
+            units[unit] += 1
+            assert squarefree_family(ideal) == (sized(n, 0, n) & ~(
+                references.complex_from_ideal(ideal).family) | unit)
+            if ring == EXT:
+                for top in range(n + 1):
+                    assert squarefree_family(ideal) & sized(n, 0, top) == \
+                        references.family(ideal, top)
+            assert family_ideal(ring, n, squarefree_family(ideal)) == \
+                MonomialIdeal.make(ring, n, [u for u in ideal.generators
+                                             if u.is_squarefree()])
+    assert min(units.values()) > 20, units
 
 
 def test_a_complex_is_its_face_family():

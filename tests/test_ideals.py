@@ -398,3 +398,49 @@ def test_squarefree_stability_scans_past_the_family_route(monkeypatch):
             squarefree_poly(g.support, n) for g in ideal.generators])
         assert is_strongly_stable(image, squarefree=True) == \
             _scan_poly_is_strongly_stable(image, True)
+
+
+def _squarefree_polynomial_generators(rng, n):
+    """A few squarefree monomials of [n], with duplicates, proper multiples
+    of some of them and, now and then, the monomial 1."""
+    supports = [tuple(rng.choice(n, size=k, replace=False) + 1)
+                for k in rng.integers(0, min(n, 4) + 1,
+                                      size=int(rng.integers(0, 10)))
+                if k or rng.random() < 0.3]
+    supports += [s for s in supports if rng.random() < 0.3]
+    supports += [s + (i,) for s in supports for i in range(1, n + 1)
+                 if i not in s and rng.random() < 0.2]
+    return [squarefree_poly(s, n) for s in supports]
+
+
+def test_make_reads_squarefree_polynomial_generators_off_their_family(
+        monkeypatch):
+    # on up to 20 variables squarefree polynomial generators take the
+    # family route of exterior ones, with no divisibility scan
+    ideals = importlib.import_module("ginshift.ideals")
+    called = []
+
+    def refuse(gens):
+        raise AssertionError("minimalized by divisibility")
+
+    monkeypatch.setattr(ideals, "minimalize", refuse)
+    rng = np.random.default_rng(2035)
+    sizes = Counter()
+    for _ in range(300):
+        n = int(rng.integers(0, MAX_FAMILY_VARIABLES + 1))
+        gens = _squarefree_polynomial_generators(rng, n)
+        ideal = MonomialIdeal.make(POLY, n, gens)
+        assert ideal.generators == references.minimalize(gens), gens
+        sizes[len(gens) > len(ideal.generators)] += 1
+    assert min(sizes.values()) > 30, sizes
+    # one square among them, or 21 variables: minimalized by divisibility
+    monkeypatch.setattr(ideals, "minimalize", lambda gens: called.append(
+        gens) or minimalize(gens))
+    n = MAX_FAMILY_VARIABLES + 1
+    for gens in ([poly_monomial((2, 0, 0)), squarefree_poly((1, 2), 3),
+                  squarefree_poly((1, 2, 3), 3)],
+                 [squarefree_poly((1, n), n), squarefree_poly((1, 2, n), n),
+                  squarefree_poly((), n)]):
+        ideal = MonomialIdeal.make(POLY, gens[0].n, gens)
+        assert ideal.generators == references.minimalize(gens)
+    assert len(called) == 2

@@ -66,14 +66,34 @@ def _imported_modules(tree) -> set:
             if isinstance(node, ast.ImportFrom) and node.level}
 
 
+def _module_trees() -> dict:
+    """The syntax tree of each module of the package, by file name."""
+    return {path.name: ast.parse(path.read_text())
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _naming(trees, name: str) -> list:
+    """The modules that define or refer to ``name``."""
+    return sorted(module for module, tree in trees.items()
+                  if _names(tree)[name] or any(
+                      isinstance(node, ast.FunctionDef) and node.name == name
+                      for node in tree.body))
+
+
 def test_families_own_the_family_bound():
     # the exterior action's limit is named where the action lives; the
     # families hold their own bound and lean on nothing but the fields
-    trees = {path.name: ast.parse(path.read_text())
-             for path in sorted(PACKAGE.glob("*.py"))}
-    naming = sorted(name for name, tree in trees.items()
-                    if _names(tree)["MAX_EXT_VARIABLES"])
-    assert naming == ["changes.py"]
+    trees = _module_trees()
+    assert _naming(trees, "MAX_EXT_VARIABLES") == ["changes.py"]
     assert _imported_modules(trees["families.py"]) == {"fields"}
     assert not any(_names(tree)["MAX_COMPLEX_VERTICES"]
                    for tree in trees.values())
+
+
+def test_ideals_own_the_conversion_between_ideals_and_families():
+    # an ideal becomes its subset family, and a family its ideal, in
+    # ideals.py alone: the shifts of gin.py read and write families
+    # through it, and no other module reads a family's minimal supports
+    trees = _module_trees()
+    assert _naming(trees, "minimal_family") == ["families.py", "ideals.py"]
+    assert "gin.py" not in _naming(trees, "up_closure")

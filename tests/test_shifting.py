@@ -12,14 +12,16 @@ import numpy as np
 import pytest
 
 from ginshift.changes import CoordinateChange, SizeLimitError
-from ginshift.families import MAX_FAMILY_VARIABLES
+from ginshift.families import (MAX_FAMILY_VARIABLES, family_of,
+                               family_supports, is_stable_family, pair_shift,
+                               sized)
 from ginshift.complexes import combinatorial_ideal
 from ginshift.fields import GFP, QQ, InvalidInputError
 from ginshift.gin import (CertificationError, combinatorial_shift,
-                          family_of, family_supports, is_stable_family,
-                          pair_shift, trans_search, trans_witnesses)
+                          trans_search, trans_witnesses)
 from ginshift.graphs import Graph
-from ginshift.ideals import MonomialIdeal, is_strongly_stable, stable_closure
+from ginshift.ideals import (MonomialIdeal, is_strongly_stable,
+                             squarefree_family, stable_closure)
 from ginshift.monomials import EXT, all_monomials, ext_monomial
 from ginshift.orders import LEX, REVLEX, Inverse, WeightOrder
 import references
@@ -264,10 +266,12 @@ def test_the_family_of_an_ideal_is_its_components():
             EXT, n, references.sparse_exterior(rng, n, 3,
                                                int(rng.integers(1, 5)))))
         for top in range(min(n, 4) + 1):
-            assert gin._family(ideal, top) == references.family(ideal, top)
+            assert squarefree_family(ideal) & sized(n, 0, top) == \
+                references.family(ideal, top)
     unit = MonomialIdeal.make(EXT, 5, [ext_monomial((), 5)])
-    assert gin._family(unit, 5) == (1 << 32) - 1
-    assert gin._family(MonomialIdeal.make(EXT, 5, []), 5) == 0
+    assert squarefree_family(unit) & sized(5, 0, 5) == (1 << 32) - 1
+    assert squarefree_family(MonomialIdeal.make(EXT, 5, [])) & sized(
+        5, 0, 5) == 0
 
 
 def _per_degree_shift(order, ideal, a, b, cap):

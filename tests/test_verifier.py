@@ -8,8 +8,8 @@ import pytest
 from ginshift import verifier
 from ginshift.changes import CoordinateChange, SizeLimitError
 from ginshift.fields import GFP, InvalidInputError
-from ginshift.gin import (family_of, gin_multi, gin_space, is_stable_family,
-                          pair_shift)
+from ginshift.families import family_of, is_stable_family, pair_shift
+from ginshift.gin import gin_multi, gin_space
 from ginshift.graphs import Graph, complete_bipartite, cycle_graph, path_graph
 from ginshift.ideals import MonomialIdeal
 from ginshift.monomials import EXT, all_monomials, ext_monomial
