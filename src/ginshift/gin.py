@@ -14,6 +14,20 @@ complement of in_{<^{-1}}(psi(W)), which is also the fact criterion 9
 checks on gin_space (``complement_dual``). The engine eliminates the side
 with fewer monomials (``_Trials``); ``gin_space`` keeps the direct side
 always, so that check never compares the engine with itself.
+
+Forced components: for every trial phi, in_<(phi(I)) is an ideal, in the
+exterior ring as in the polynomial ring, because each order here is
+multiplicative (lex, revlex, weight orders and their inverses: u > v
+implies x_i u > x_i v whenever both are non-zero; for the exterior ring
+see Aramova-Herzog-Hibi, J. Algebra 191, 1997). So its degree-d
+component contains R_1 * C_{d-1}, the multiples of the certified
+component C_{d-1} one degree down, and it has dim I_d monomials. When
+R_1 * C_{d-1} already has dim I_d monomials, it is every trial's
+component, exactly, and the engine returns it with no ranking, image,
+stack or elimination (``_Trials``). That needs a source that is an
+ideal: ``gin_space`` passes one degree's span for every d, so it never
+forces, and ``complement_dual`` checks the duality on eliminated
+components only.
 """
 
 from __future__ import annotations
@@ -24,13 +38,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .changes import CoordinateChange, SingularMatrixError
+from .changes import CoordinateChange, SingularMatrixError, peel_table
 from .families import is_stable_family, pair_shift, sized
 from .fields import GFP, InvalidInputError, SizeLimitError
 from .ideals import (MonomialIdeal, family_ideal, is_strongly_stable,
                      squarefree_family)
 from .linalg import CertificationError, Subspace
-from .monomials import EXT, Monomial, all_monomials, basis_table
+from .monomials import (COORDINATES, EXT, Monomial, all_monomials,
+                        basis_index, basis_table)
 from .orders import LEX, Inverse, TermOrder
 
 
@@ -112,6 +127,17 @@ class _Trials:
     has |V_d| monomials; for a single invertible phi both always hold. When
     V_d is 0 or all of R_d, so is every phi(V_d), and no image is needed.
 
+    Forced components: with ``ideal`` the sources are the graded pieces of
+    an ideal I. Then each phi's component of degree d >= 1 contains R_1
+    times its certified component C_{d-1} under the same order (module
+    docstring), and when that product has |I_d| monomials it is the
+    component of every phi: returned as it is, with no ranking, stack or
+    elimination, and certified as an eliminated one would be. The product
+    is read off ``peel_table`` on basis positions once per distinct
+    C_{d-1} (``_forced``), which the orders of a sweep class mostly share.
+    Without ``ideal`` (``gin_space``, one degree's span for every d) no
+    degree is forced.
+
     One candidate per component sequence: a gin candidate is the sequence
     of its certified components up to the cap, and the ideal of a sequence
     is built and checked for strong stability once; every later order or
@@ -132,11 +158,12 @@ class _Trials:
     """
 
     def __init__(self, ring: str, n: int, source, phis, seed=None, salt=0,
-                 dual=True):
+                 dual=True, ideal=False):
         self.ring, self.n, self.source = ring, n, source
         self.phis, self.seed, self.salt = phis, seed, salt
-        self.dual = dual
+        self.dual, self.ideal = dual, ideal
         self._sources: dict[int, list] = {}
+        self._forced: dict[frozenset, frozenset | None] = {}
         self._spaces: dict[int, Subspace] = {}
         self._duals: set[int] = set()
         self._pivots: dict[tuple, frozenset] = {}
@@ -144,7 +171,7 @@ class _Trials:
 
     @classmethod
     def draw(cls, ring, n, source, trials, seed, field, salt=0,
-             upper_triangular=False, dual=True) -> "_Trials":
+             upper_triangular=False, dual=True, ideal=False) -> "_Trials":
         """The trials of (seed, trials, salt): shared changes
         (``_trial_changes``), with this call's own sources, images and
         pivots. Fewer than 2 trials would certify nothing."""
@@ -152,7 +179,7 @@ class _Trials:
             raise InvalidInputError("gin requires at least 2 trials")
         return cls(ring, n, source, _trial_changes(
             n, field, trials, seed, salt, upper_triangular), seed, salt,
-            dual)
+            dual, ideal)
 
     def top(self, cap: int) -> int:
         """The highest degree up to ``cap`` that can be non-zero."""
@@ -165,6 +192,11 @@ class _Trials:
         basis = basis_table(self.ring, self.n, d)
         if not 0 < len(sources) < len(basis):
             return frozenset(basis) if sources else frozenset()
+        if self.ideal:
+            forced = self._forced_component(self.component(order, d - 1), d,
+                                            len(sources))
+            if forced is not None:
+                return forced
         ranking = order.ranking(self.ring, self.n, d)
         if (ranking, d) not in self._pivots:
             if d not in self._spaces:
@@ -184,6 +216,27 @@ class _Trials:
                     f"under {order}")
             self._pivots[ranking, d] = frozenset(basis[j] for j in leading)
         return self._pivots[ranking, d]
+
+    def _forced_component(self, below: frozenset, d: int,
+                          rank: int) -> frozenset | None:
+        """R_1 * below, the degree-d monomials with a divisor in the
+        degree d - 1 component ``below``, when it has ``rank`` = |V_d|
+        monomials (then it is every trial's component: class docstring),
+        else None. Read off ``peel_table``, whose columns past the padding
+        hold each monomial less one of its variables; once per distinct
+        ``below``, which fixes d unless it is empty, and then forces
+        nothing."""
+        if below not in self._forced:
+            index = basis_index(self.ring, self.n, d - 1)
+            coordinates = COORDINATES[self.ring]
+            mask = np.zeros(len(index), dtype=bool)
+            mask[[index[coordinates(u)] for u in below]] = True
+            drop, row = peel_table(self.ring, self.n, d)
+            hit = np.flatnonzero((mask[drop] & (row < self.n)).any(axis=1))
+            basis = basis_table(self.ring, self.n, d)
+            self._forced[below] = (frozenset(basis[j] for j in hit)
+                                   if len(hit) == rank else None)
+        return self._forced[below]
 
     def _stack(self, d: int, sources: list, basis: list) -> Subspace:
         """The k image matrices of degree d as one stack: psi's images of
@@ -257,7 +310,7 @@ def _certified(run, ideal: MonomialIdeal, trials: int, seed: int, field):
     raises. Fewer than 2 trials raise at the draw."""
     for salt in (0, 1):
         t = _Trials.draw(ideal.ring, ideal.n, ideal.degree_component,
-                         trials * (1 + salt), seed, field, salt)
+                         trials * (1 + salt), seed, field, salt, ideal=True)
         try:
             return run(t), t
         except CertificationError:
@@ -356,7 +409,9 @@ def gin_space(order: TermOrder, monomials, ring: str, n: int, degree: int,
     disagreement raising. No stability check either: gins under an
     ``Inverse`` order are not strongly stable in the standard sense. Always
     the direct route: ``complement_dual`` checks the duality the engine's
-    dual route rests on, and must not check it through that route.
+    dual route rests on, and must not check it through that route. Never
+    forced either: the span is no ideal, so every non-trivial degree is
+    eliminated.
     """
     monomials = _of_degree(monomials, ring, n, degree)
     t = _Trials.draw(ring, n, lambda d: monomials, trials, seed, field,
@@ -415,8 +470,8 @@ def combinatorial_shift(order: TermOrder, ideal: MonomialIdeal,
     current = ideal
     for a, b in pairs:
         phi = CoordinateChange.elementary(a, b, n, field)
-        current = _Trials(current.ring, n, current.degree_component,
-                          [phi]).initial_ideal(order, cap, stable=False)
+        current = _Trials(current.ring, n, current.degree_component, [phi],
+                          ideal=True).initial_ideal(order, cap, stable=False)
     return current
 
 

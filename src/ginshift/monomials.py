@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement
 from operator import attrgetter
 
@@ -78,8 +78,10 @@ class PolyMonomial:
     def degree(self) -> int:
         return sum(self.exponents)
 
-    @property
+    @cached_property
     def support(self) -> tuple[int, ...]:
+        """The variables dividing the monomial, built on the first read;
+        not a field, so equality, hashing and order ignore it."""
         return tuple(i + 1 for i, e in enumerate(self.exponents) if e > 0)
 
     def min_index(self) -> int:

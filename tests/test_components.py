@@ -11,12 +11,14 @@ import pytest
 
 from ginshift.changes import CoordinateChange
 from ginshift.fields import GFP, QQ, PrimeField, row_dtype
-from ginshift.gin import CertificationError, _Trials
+from ginshift.gin import (CertificationError, _Trials, complement_dual,
+                          gin_space)
 from ginshift.ideals import MonomialIdeal
 from ginshift.linalg import Subspace, rref
 from ginshift.monomials import (EXT, POLY, all_monomials, basis_table,
                                 ext_monomial, poly_monomial)
 from ginshift.orders import LEX, REVLEX, Inverse, WeightOrder
+from ginshift.verifier import sweep_theorem1
 import references
 from references import initial_space
 
@@ -85,7 +87,7 @@ ROW_FIELDS = [GFP, PrimeField(2 ** 40 + 15), QQ]
 @pytest.mark.parametrize("ring", [EXT, POLY])
 def test_images_are_rows_and_stack_as_the_dict_route(ring, field):
     rng = np.random.default_rng([len(ring), field.characteristic % 1000])
-    stacks = duals = 0
+    stacks = duals = forced = 0
     for n in range(1, 6):
         phis = [CoordinateChange.random_dense(n, field, rng) for _ in range(3)]
         top = n if ring == EXT else 4
@@ -97,18 +99,27 @@ def test_images_are_rows_and_stack_as_the_dict_route(ring, field):
                     assert img.dtype == row_dtype(field), (n, u)
                     assert img.shape == (len(basis),), (n, u)
         # a few ideals, each generated by random monomials of degree 1 to 3
-        for _ in range(3):
+        for _ in range(5):
             ambient = all_monomials(ring, n, int(rng.integers(1, min(top, 3)
                                                               + 1)))
             gens = [ambient[j] for j in rng.choice(
                 len(ambient), size=int(rng.integers(1, 3)))]
             ideal = MonomialIdeal.make(ring, n, gens)
-            trials = _Trials(ring, n, ideal.degree_component, phis)
+            trials = _Trials(ring, n, ideal.degree_component, phis,
+                             ideal=True)
             for d in range(top + 1):
-                _outcome(lambda: trials.component(REVLEX, d))
+                got = _outcome(lambda: trials.component(REVLEX, d))
                 sources, basis = trials._sources[d], basis_table(ring, n, d)
                 if not 0 < len(sources) < len(basis):
                     assert d not in trials._spaces
+                    continue
+                if d not in trials._spaces:
+                    # forced: R_1 times the degree below fills the degree
+                    below = trials.component(REVLEX, d - 1)
+                    assert trials._forced[below] == got == \
+                        references.direct_component(REVLEX, ring, n, d,
+                                                    sources, phis)
+                    forced += 1
                     continue
                 # the smaller side: psi = phi^{-T}'s images of the
                 # complement when it has fewer monomials
@@ -127,7 +138,95 @@ def test_images_are_rows_and_stack_as_the_dict_route(ring, field):
                 assert got.dtype == row_dtype(field)
                 assert got.tolist() == want, (n, d, ideal)
                 stacks += 1
-    assert stacks > 10 and 0 < duals < stacks
+    assert stacks > 10 and 0 < duals < stacks and forced
+
+
+# -- forced components ------------------------------------------------------
+# in(phi(I)) is an ideal for every trial, so a degree that R_1 times the
+# degree below already fills is that product, with no stack
+
+
+@pytest.fixture
+def stacks(monkeypatch):
+    """The widths of the stacks built through ``ginshift.gin``'s binding of
+    ``Subspace``, in the order they are built."""
+    gin = importlib.import_module("ginshift.gin")
+    widths = []
+
+    class Counted(Subspace):
+        @classmethod
+        def stack(cls, spaces):
+            widths.append(len(spaces[0].columns))
+            return Subspace.stack(spaces)
+
+    monkeypatch.setattr(gin, "Subspace", Counted)
+    return widths
+
+
+def _tied_orders(n, rng):
+    """lex, revlex, and weight orders with tied weights under both
+    tie-breaks, each with its inverse."""
+    w = tuple(sorted(map(int, rng.integers(1, 3, size=n)), reverse=True))
+    orders = [LEX, REVLEX, WeightOrder(w, "lex"), WeightOrder(w, "revlex")]
+    return orders + [Inverse(order) for order in orders]
+
+
+@pytest.mark.parametrize("field", ROW_FIELDS, ids=str)
+@pytest.mark.parametrize("ring", [EXT, POLY])
+def test_forced_components_match_the_direct_route(ring, field, stacks):
+    rng = np.random.default_rng([len(ring), field.characteristic % 1000, 13])
+    forced = unforced = 0
+    for _ in range(6):
+        # the reference eliminates over Fractions on Q: smaller tables
+        n = int(rng.integers(3, 5 if field == QQ else 6))
+        top = n if ring == EXT else 3 if field == QQ else 4
+        gens = []
+        for d in (1, 2, 3)[:int(rng.integers(2, 4))]:
+            ambient = all_monomials(ring, n, d)
+            gens += [ambient[j] for j in rng.choice(len(ambient), size=min(
+                len(ambient), int(rng.integers(1, 3))), replace=False)]
+        ideal = MonomialIdeal.make(ring, n, gens)
+        phis = _phis("dense", n, field, rng)
+        trials = _Trials(ring, n, ideal.degree_component, phis, ideal=True)
+        for order in _tied_orders(n, rng):
+            for d in range(top + 1):
+                assert trials.component(order, d) == \
+                    references.direct_component(
+                        order, ring, n, d, list(ideal.degree_component(d)),
+                        phis), (n, order, d, ideal)
+        # a stack for each non-trivial degree that some order eliminated
+        assert len(stacks) == len(trials._spaces)
+        stacks.clear()
+        forced += sum(c is not None for c in trials._forced.values())
+        unforced += sum(c is None for c in trials._forced.values())
+    # both outcomes: a degree R_1 * C_{d-1} fills, and one it does not
+    assert forced and unforced
+
+
+def test_a_cold_theorem1_sweep_forces_a_quarter_of_its_stacks(
+        stacks, fresh_trial_sets):
+    report = sweep_theorem1(6, 0)
+    assert report.passed
+    assert len(stacks) == 202  # 277 with every degree eliminated
+
+
+def test_single_degree_gins_never_force(stacks):
+    # gin_space's source is one degree's span for every d, not an ideal:
+    # each non-trivial degree has its stack, and complement_dual's two
+    # sides have one each
+    rng = np.random.default_rng(27)
+    for ring, n, d in ((EXT, 5, 2), (EXT, 5, 3), (POLY, 3, 2), (POLY, 3, 3)):
+        basis = basis_table(ring, n, d)
+        for r in range(1, len(basis)):
+            monomials = [basis[j] for j in rng.choice(len(basis), size=r,
+                                                      replace=False)]
+            gin_space(REVLEX, monomials, ring, n, d, seed=r)
+            assert stacks == [len(basis)], (ring, n, d, r)
+            stacks.clear()
+            if d == 2:
+                complement_dual(LEX, monomials, ring, n, seed=r)
+                assert stacks == [len(basis)] * 2, (ring, n, r)
+                stacks.clear()
 
 
 #: int64 rows, object rows of python ints, a prime at most d, and Q

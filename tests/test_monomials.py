@@ -42,6 +42,17 @@ def test_poly_basics():
     assert u.div_var(1).exponents == (1, 0, 1)
 
 
+def test_poly_support_is_read_once_and_is_no_field():
+    u, v, w = (poly_monomial((2, 0, 1)), poly_monomial((2, 0, 1)),
+               poly_monomial((1, 1, 0)))
+    assert u.support is u.support == (1, 3)
+    # v has not read its support: equality, hashing and order still
+    # compare the exponents alone
+    assert u == v and hash(u) == hash(v) and not u < v and not v < u
+    assert (u > w) == (v > w) == (u.exponents > w.exponents)
+    assert len({u, v}) == 1 and repr(u) == repr(v)
+
+
 @given(st.integers(1, 7), st.integers(0, 7))
 def test_all_monomials_counts(n, d):
     assert len(all_monomials(EXT, n, d)) == (comb(n, d) if d <= n else 0)
