@@ -4,9 +4,9 @@ The image of a monomial of degree d is a coefficient row against
 ``basis_table(ring, n, d)``: the one image type from the action to the
 trial stack of ``linalg.Subspace``, with no monomial-keyed vector between
 them.  A row is one numpy array of dtype ``fields.row_dtype(field)`` over
-every field: int64 over a prime below 2**31, python ints over larger
-primes and ``Fraction``s over Q, and so is a degree table, each of whose
-entries is reduced mod p once over GF(p).
+every field: int64 over a prime below 2**31 and python ints over larger
+primes and over Q, and so is a degree table, each of whose entries is
+reduced mod p once over GF(p).
 
 A change acts on a degree through one read-only table per (ring, d),
 whose column S is the image of S against the degree's basis table: the
@@ -25,12 +25,13 @@ powers.  A minor is read from a per-column-set dict keyed by target
 support, built from the table on the column set's first read; a
 polynomial image is the table's column itself.
 
-Over Q both rings' tables are filled over python ints, on the integer
-matrix D phi with D the lcm of phi's denominators (1 for every random
-change), and each entry of a degree-d table is divided by D^d once, on
-its first read, into the ``Fraction`` the field's rows hold.  Integer
-products and sums are several times cheaper than ``Fraction`` ones, which
-normalize by a gcd at every step.
+Over Q the one table is that of the integer matrix D phi, D the lcm of
+phi's denominators, in python ints, so a row from ``apply`` or ``minor``
+is the image under D phi: phi's own for an integral phi (every random,
+identity, elementary and permutation change), and D^d times it in degree
+d for a rational one, such as a dual, with the same span and pivots.
+Integer sums of products are several times cheaper than ``Fraction``
+ones, which normalize by a gcd at every step.
 
 The gin engine applies a change once to each monomial of a degree component
 and stacks the image rows into one matrix that serves every term order, so
@@ -121,8 +122,6 @@ class CoordinateChange:
     kind: str = "dense"
     _minors: dict = dc_field(default_factory=dict, repr=False, compare=False)
     _tables: dict = dc_field(default_factory=dict, repr=False, compare=False)
-    _fractions: dict = dc_field(default_factory=dict, repr=False,
-                                compare=False)
 
     def __post_init__(self):
         n = len(self.matrix)
@@ -210,7 +209,8 @@ class CoordinateChange:
 
     def minor(self, rows: tuple[int, ...], cols: tuple[int, ...]):
         """det of the submatrix with the given 1-based rows and columns:
-        strictly increasing indices in 1..n, as many rows as columns."""
+        strictly increasing indices in 1..n, as many rows as columns; over
+        Q that of D phi (module docstring)."""
         try:
             return self._minors[cols][rows]
         except KeyError:
@@ -222,7 +222,7 @@ class CoordinateChange:
                 f"minor rows {rows} and columns {cols} are not supports of "
                 f"one degree in 1..{n}")
         if not cols:
-            return self.field.one
+            return 1
         if n > MAX_EXT_VARIABLES:
             raise SizeLimitError(
                 f"minor tables refused for n={n} > {MAX_EXT_VARIABLES}")
@@ -256,23 +256,14 @@ class CoordinateChange:
         return np.array(rows + [[0] * self.n], dtype=row_dtype(f))
 
     def _table(self, ring: str, d: int) -> np.ndarray:
-        """The ring's degree-d table, filling the degrees below it first;
-        read-only. Over Q the integer table of D phi, filled once, is read
-        as ``Fraction``s by dividing each entry by D^d once."""
+        """The ring's one degree-d table, filling the degrees below it
+        first; read-only. Over Q that of D phi, in python ints."""
         tables = self._tables.setdefault(ring, [])
         while len(tables) <= d:
             table = self._fill(ring, tables)
             table.flags.writeable = False
             tables.append(table)
-        if self.field.characteristic:
-            return tables[d]
-        if (ring, d) not in self._fractions:
-            scale = self._denominator ** d
-            table = (np.frompyfunc(Fraction, 1, 1)(tables[d]) if scale == 1
-                     else np.frompyfunc(Fraction, 2, 1)(tables[d], scale))
-            table.flags.writeable = False
-            self._fractions[ring, d] = table
-        return self._fractions[ring, d]
+        return tables[d]
 
     def _fill(self, ring: str, tables: list) -> np.ndarray:
         """The ring's table of the next degree d, from the degree d - 1
@@ -320,7 +311,7 @@ class CoordinateChange:
         ``basis_table(m.ring, n, m.degree)``, of dtype ``row_dtype(field)``:
         the column of m in the ring's degree table, read from its minors
         in the exterior ring and as the read-only column itself in the
-        polynomial ring."""
+        polynomial ring; over Q the image under D phi (module docstring)."""
         if m.n != self.n:
             raise InvalidInputError(
                 f"monomial in {m.n} variables, coordinate change in {self.n}")

@@ -11,9 +11,9 @@ elements.
 The prime-field mode is the default work horse (dense generic matrices over Q
 blow up badly under elimination). The rational mode is exact everywhere but
 reaches less far: both sweeps at n = 6, the revlex gin of the 5-cycle's
-edge ideal and the shifted complex of a 12-vertex flag complex (3.1 s of
-CPU and 90 MB, against 0.5 s over the default prime) finish over Q in
-seconds, while the lex gin of that edge ideal takes 9.5 s and 114 MB over
+edge ideal and the shifted complex of a 12-vertex flag complex (2.1-2.5 s
+of CPU and 67 MB, against 0.5 s over the default prime) finish over Q in
+seconds, while the lex gin of that edge ideal takes 9-11 s and 66 MB over
 Q, against 0.4 s over the default prime: its top degree is forced (``gin``),
 and the rest is elimination over Q up to degree 6.
 """
@@ -147,8 +147,8 @@ def fits_int64(field) -> bool:
 
 def row_dtype(field):
     """The numpy dtype of the field's coefficient rows: int64 where
-    ``fits_int64`` holds, else ``object``, which holds python ints for
-    larger primes and ``Fraction``s over Q."""
+    ``fits_int64`` holds, else ``object``: python ints for larger primes
+    and for the images of a change over Q, ``Fraction``s in a matrix's."""
     return np.int64 if fits_int64(field) else object
 
 

@@ -428,8 +428,6 @@ def complement_dual(order: TermOrder, monomials, ring: str, n: int,
     """
     ambient = set(all_monomials(ring, n, 2))
     w = set(monomials)
-    if not w <= ambient:
-        raise InvalidInputError("monomials are not of degree 2 in the given ring")
     primal = ambient - gin_space(order, w, ring, n, 2, trials, seed, field)
     dual = gin_space(Inverse(order), ambient - w, ring, n, 2, trials, seed + 1, field)
     if primal != dual:

@@ -54,16 +54,14 @@ class MonomialIdeal:
     @classmethod
     def make(cls, ring: str, n: int, gens) -> "MonomialIdeal":
         """The ideal of the generators, which must live in (ring, n), by its
-        minimal generators: read off the subset family of squarefree
+        minimal generators: by ``family_ideal`` of the family of squarefree
         generators (nested supports, nested monomials) in either ring on up
         to ``MAX_FAMILY_VARIABLES`` variables, by divisibility otherwise."""
         gens = _living_in(ring, n, gens)
         if n > MAX_FAMILY_VARIABLES or not all(u.is_squarefree()
                                                for u in gens):
             return cls(ring, n, minimalize(gens))
-        minimal = minimal_family(family_of(u.support for u in gens), n)
-        return cls(ring, n, _canonical_sort(
-            u for u in set(gens) if minimal >> support_mask(u.support) & 1))
+        return family_ideal(ring, n, family_of(u.support for u in gens))
 
     @property
     def max_generator_degree(self) -> int:
@@ -114,11 +112,11 @@ def squarefree_family(ideal: MonomialIdeal) -> int:
 
 def family_ideal(ring: str, n: int, family: int) -> MonomialIdeal:
     """The ideal of (ring, n) generated by the squarefree monomials of a
-    family: by its minimal supports. A family listing an ideal's
+    family: its minimal supports, in one pass. A family listing an ideal's
     squarefree monomials up to some degree gives that ideal's truncation."""
     monomial = ExtMonomial if ring == EXT else squarefree_poly
-    return MonomialIdeal.make(ring, n, [
-        monomial(s, n) for s in family_supports(minimal_family(family, n), n)])
+    return MonomialIdeal(ring, n, _canonical_sort(
+        monomial(s, n) for s in family_supports(minimal_family(family, n), n)))
 
 
 def _exchanges(u: Monomial, squarefree: bool):

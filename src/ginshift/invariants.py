@@ -16,7 +16,7 @@ from math import comb
 
 from .changes import CoordinateChange
 from .complexes import SimplicialComplex, shifted_complex
-from .fields import GFP, QQ, InvalidInputError, SizeLimitError
+from .fields import GFP, InvalidInputError, SizeLimitError
 from .gin import gin_adaptive
 from .graphs import Graph
 from .ideals import MonomialIdeal, is_strongly_stable
@@ -235,9 +235,9 @@ def _homology(cells: list[int]) -> dict[int, int]:
 
 
 def _boundary_rank(cells: list[int], faces: set[int]) -> int:
-    """Rank over QQ of the boundary map from cells to faces: dropping the
-    element at position pos of a cell has sign (-1)^pos, and only results
-    that are faces count."""
+    """Rank over Q of the boundary map from cells to faces, in integer
+    rows: dropping the element at position pos of a cell has sign
+    (-1)^pos, and only results that are faces count."""
     columns: dict[int, int] = {}
     sparse = []
     for cell in cells:
@@ -248,14 +248,14 @@ def _boundary_rank(cells: list[int], faces: set[int]) -> int:
             face = cell ^ bit
             if face in faces:
                 entries[columns.setdefault(face, len(columns))] = \
-                    QQ.one if pos % 2 == 0 else -QQ.one
+                    1 if pos % 2 == 0 else -1
             rest ^= bit
             pos += 1
         if entries:
             sparse.append(entries)
     if not sparse:
         return 0
-    rows = [[row.get(c, QQ.zero) for c in range(len(columns))]
+    rows = [[row.get(c, 0) for c in range(len(columns))]
             for row in sparse]
     _red, piv = rref_exact(rows)
     return len(piv)

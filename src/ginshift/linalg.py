@@ -5,15 +5,16 @@ monomial basis.
 Pivot columns only depend on the row space and the column order, so every
 initial-space computation downstream is reproducible bit for bit. Rows
 are one numpy array for every field, of dtype ``fields.row_dtype``: int64
-over a prime below 2**31, python objects otherwise (ints for larger primes,
-``Fraction``s over Q). Every prime field is eliminated by the one column
-loop of ``rref_prime`` and Q by ``rref_exact``. The k trial images of one
-span are stacked and eliminated together: over GF(p) in one column loop
-for all k, which raises at the first column where they part and inverts
-the k pivots of a column with one modular inverse. A term order
-enters as a ranking of the columns (``Subspace.leading_columns``), and
-rankings under which a kept echelon basis still fits share its
-elimination.
+over a prime below 2**31, python objects otherwise (ints for larger
+primes and for a change's images over Q, ``Fraction``s only in a matrix's
+entries and the reduced rows of ``rref_exact``). Every prime field is
+eliminated by the one column loop of ``rref_prime`` and Q by
+``rref_exact``. The k trial images of one span are stacked and
+eliminated together: over GF(p) in one column loop for all k, which
+raises at the first column where they part and inverts the k pivots of a
+column with one modular inverse. A term order enters as a ranking of the
+columns (``Subspace.leading_columns``), and rankings under which a kept
+echelon basis still fits share its elimination.
 """
 
 from __future__ import annotations

@@ -215,8 +215,9 @@ def direct_component(order, ring, n, d, monomials, phis) -> frozenset:
 
 def fraction_tables(phi, ring, top) -> list:
     """The degree tables 0..top of a change over Q, each filled from the
-    one below over ``Fraction``s, every (T, S) at once: the fill that the
-    integer fill on D phi replaced."""
+    one below over ``Fraction``s, every (T, S) at once: the change's own
+    table of degree d, filled on the integer matrix D phi, is D^d times
+    this one."""
     n = phi.n
     m = np.array([list(map(Fraction, row)) for row in phi.matrix]
                  + [[Fraction(0)] * n], dtype=object)

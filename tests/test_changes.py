@@ -6,9 +6,10 @@ from math import factorial, prod
 from ginshift.changes import (MAX_EXT_VARIABLES, CoordinateChange,
                               SingularMatrixError, SizeLimitError, peel_table)
 from ginshift.fields import GFP, QQ, InvalidInputError, PrimeField
-from ginshift.linalg import vector_rank
+from ginshift.linalg import Subspace, vector_rank
 from ginshift.monomials import (EXT, POLY, basis_table, ext_monomial,
                                 poly_monomial)
+from ginshift.orders import LEX, REVLEX, Inverse
 
 import references
 
@@ -113,7 +114,8 @@ def test_every_degree_table_matches_laplace_expansion(field):
             for _ in range(3)]
         for phi in phis:
             # highest degree first: each read fills the tables below it;
-            # degree 0 is the empty minor, field.one
+            # degree 0 is the empty minor, 1. Every minor is a python int,
+            # over Q too: these changes are integral, so D = 1
             for d in range(n, -1, -1):
                 basis = basis_table(EXT, n, d)
                 for s in basis:
@@ -122,7 +124,7 @@ def test_every_degree_table_matches_laplace_expansion(field):
                     for t in basis:
                         got = phi.minor(t.support, s.support)
                         assert got == expected[t], (phi.kind, n, t, s)
-                        assert type(got) is type(field.one)
+                        assert type(got) is int
                     assert references.image(phi, s) == {
                         t: c for t, c in expected.items()
                         if c != field.zero}, (phi.kind, s)
@@ -161,20 +163,87 @@ def _rational_changes(n, rng):
 
 
 def test_rational_tables_are_the_fraction_fill():
+    # the one table of degree d over Q is D^d times the Fraction fill, in
+    # python ints
     rng = np.random.default_rng(37)
     for n in range(2, 6):
         for phi in _rational_changes(n, rng):
             d_max = 4
+            scale = phi._denominator
             for ring in (EXT, POLY):
                 top = min(n, d_max) if ring == EXT else d_max
                 want = references.fraction_tables(phi, ring, top)
                 for d in range(top, -1, -1):
                     got = phi._table(ring, d)
-                    assert got.tolist() == want[d].tolist(), (n, ring, d)
-                    assert all(type(x) is Fraction for x in got.flat)
+                    assert got.tolist() == (want[d] * scale ** d).tolist(), \
+                        (n, ring, d)
+                    assert all(type(x) is int for x in got.flat)
                     assert not got.flags.writeable
             if any(x.denominator > 1 for row in phi.matrix for x in row):
-                assert phi._denominator == 6
+                assert scale == 6
+            else:
+                assert scale == 1
+            assert not hasattr(phi, "_fractions")
+
+
+def test_rational_images_and_minors_are_the_fraction_ones_scaled():
+    # a row of degree d from apply or minor is the image under D phi: D^d
+    # times phi's image, and phi's image itself when phi is integral
+    rng = np.random.default_rng(47)
+    for n in range(2, 5):
+        for phi in _rational_changes(n, rng):
+            scale = phi._denominator
+            for ring in (EXT, POLY):
+                top = n if ring == EXT else 3
+                want = references.fraction_tables(phi, ring, top)
+                for d in range(top + 1):
+                    basis = basis_table(ring, n, d)
+                    for j, m in enumerate(basis):
+                        got = phi.apply(m).tolist()
+                        assert got == (want[d][:, j] * scale ** d).tolist(), \
+                            (n, ring, m)
+                        assert all(type(x) is int for x in got)
+                        if ring == POLY:
+                            continue
+                        for t in basis:
+                            minor = phi.minor(t.support, m.support)
+                            assert type(minor) is int
+                            assert minor == scale ** d * references.minor(
+                                phi, t.support, m.support), (n, t, m)
+
+
+def test_rational_images_lead_where_the_fraction_images_lead():
+    # the images under D phi span what phi's Fraction images span, so a
+    # stack of them has the same leading columns under every ranking: a
+    # stack of the duals of three random changes, which agree, and each
+    # hand-made rational change on its own
+    rng = np.random.default_rng(53)
+    orders = [LEX, REVLEX, Inverse(LEX), Inverse(REVLEX)]
+    for n in range(3, 6):
+        duals = [CoordinateChange.random_dense(n, QQ, rng).dual
+                 for _ in range(3)]
+        for phis in [duals] + [[phi] for phi in _rational_changes(n, rng)]:
+            for ring in (EXT, POLY):
+                top = n if ring == EXT else 3
+                tables = [references.fraction_tables(phi, ring, top)
+                          for phi in phis]
+                for d in range(2, top + 1):
+                    basis = basis_table(ring, n, d)
+                    picks = sorted(rng.choice(
+                        len(basis), (len(basis) + 1) // 2,
+                        replace=False).tolist())
+                    scaled = Subspace.stack([Subspace.from_vectors(
+                        [phi.apply(basis[j]) for j in picks], basis, QQ)
+                        for phi in phis])
+                    exact = Subspace.stack([Subspace.from_vectors(
+                        [table[d][:, j] for j in picks], basis, QQ)
+                        for table in tables])
+                    for order in orders:
+                        ranking = order.ranking(ring, n, d)
+                        assert scaled.leading_columns(ranking) == \
+                            exact.leading_columns(ranking), \
+                            (n, ring, d, order)
+        assert all(phi._denominator > 1 for phi in duals)
 
 
 def test_exterior_action_rejects_wrong_variable_count():
@@ -412,7 +481,9 @@ def test_dual_tables_are_orthogonal_to_the_tables_under_the_pairing(field):
                                    for m in basis]).astype(object)
                 got = (phi._table(ring, d).astype(object).T @ pairing
                        @ psi._table(ring, d).astype(object))
-                want = pairing
+                # the tables of D_phi phi and D_psi psi, so (D_phi D_psi)^d P
+                # over Q; D is 1 over GF(p)
+                want = (phi._denominator * psi._denominator) ** d * pairing
                 if p:
                     got, want = got % p, want % p
                 assert (got == want).all(), (phi.kind, ring, d)

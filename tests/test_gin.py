@@ -96,6 +96,21 @@ def test_complement_duality_known_case():
     assert complement_dual(REVLEX, w, EXT, 4) == _span([[1, 4], [2, 4], [3, 4]], 4)
 
 
+def test_complement_duality_refuses_what_is_not_of_degree_two():
+    # gin_space refuses these before any change is drawn: a degree-3
+    # monomial, a polynomial monomial under EXT, and a monomial of the
+    # wrong n, each beside a valid one
+    for bad, ring in ((ext_monomial([1, 2, 3], 4), EXT),
+                      (poly_monomial((1, 1, 0, 0)), EXT),
+                      (ext_monomial([1, 2], 5), EXT),
+                      (poly_monomial((1, 1, 1, 0)), POLY),
+                      (poly_monomial((1, 1, 0)), POLY)):
+        good = (ext_monomial([1, 2], 4) if ring == EXT
+                else poly_monomial((1, 1, 0, 0)))
+        with pytest.raises(InvalidInputError):
+            complement_dual(LEX, {good, bad}, ring, 4)
+
+
 def test_char2_duality_negative():
     w = {poly_monomial((2, 0)), poly_monomial((0, 2))}
     with pytest.raises((DualityViolationError, CertificationError)):
