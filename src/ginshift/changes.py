@@ -64,7 +64,7 @@ import numpy as np
 from .fields import InvalidInputError, SizeLimitError, fits_int64, row_dtype
 from .linalg import rref, vector_rank
 from .monomials import (EXT, POLY, ExtMonomial, Monomial, PolyMonomial,
-                        basis_index, basis_table)
+                        basis_index, basis_table, indicator)
 
 #: the exterior action's own limit: beyond this the C(n,d)^2 minor table is
 #: no longer a desk-scale object. Subset families (shifting, stability,
@@ -77,27 +77,30 @@ def peel_table(ring: str, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """(drop, row) for the j-th monomial T of ``basis_table(ring, n, d)``
     and its w = min(n, d) columns, d >= 1: the distinct indices t of T sit,
     increasing, in the last columns, where drop[j, i] is the position in
-    ``basis_table(ring, n, d - 1)`` of T with one t removed and
-    row[j, i] = t - 1 is the 0-based row of the change paired with it.  A
-    polynomial T with fewer than w distinct indices is left-padded with
-    drop 0 and row n, the zero row appended to the change, so the last
-    column is always T's largest index; read-only."""
+    ``basis_table(ring, n, d - 1)`` of T's exponent vector with entry t
+    lowered by one, and row[j, i] = t - 1 is the 0-based row of the change
+    paired with it.  A polynomial T with fewer than w distinct indices is
+    left-padded with drop 0 and row n, the zero row appended to the change,
+    so the last column is always T's largest index; read-only."""
     index = basis_index(ring, n, d - 1)
     basis = basis_table(ring, n, d)
     w = min(n, d)
     drop = np.zeros((len(basis), w), dtype=np.intp)
     row = np.full((len(basis), w), n, dtype=np.intp)
     for j, m in enumerate(basis):
-        s = m.support
+        s, e = m.support, m.exponents
         for i, t in enumerate(s, w - len(s)):
-            if ring == EXT:
-                key = tuple(x for x in s if x != t)
-            else:
-                e = m.exponents
-                key = e[:t - 1] + (e[t - 1] - 1,) + e[t:]
-            drop[j, i], row[j, i] = index[key], t - 1
+            drop[j, i] = index[e[:t - 1] + (e[t - 1] - 1,) + e[t:]]
+            row[j, i] = t - 1
     drop.flags.writeable = row.flags.writeable = False
     return drop, row
+
+
+@lru_cache(maxsize=256)
+def _supports(n: int, d: int) -> tuple:
+    """The supports of ``basis_table(EXT, n, d)`` in table order: the keys
+    of each column dict of ``minor``, built once, not on every miss."""
+    return tuple(u.support for u in basis_table(EXT, n, d))
 
 
 def _is_support(s: tuple[int, ...], n: int) -> bool:
@@ -210,7 +213,8 @@ class CoordinateChange:
     def minor(self, rows: tuple[int, ...], cols: tuple[int, ...]):
         """det of the submatrix with the given 1-based rows and columns:
         strictly increasing indices in 1..n, as many rows as columns; over
-        Q that of D phi (module docstring)."""
+        Q that of D phi (module docstring). The column of ``cols``, found
+        by its indicator, is kept as a dict keyed by row support."""
         try:
             return self._minors[cols][rows]
         except KeyError:
@@ -227,9 +231,9 @@ class CoordinateChange:
             raise SizeLimitError(
                 f"minor tables refused for n={n} > {MAX_EXT_VARIABLES}")
         d = len(cols)
-        index = basis_index(EXT, n, d)
-        column = self._table(EXT, d)[:, index[cols]].tolist()
-        self._minors[cols] = dict(zip(index, column))
+        j = basis_index(EXT, n, d)[indicator(cols, n)]
+        self._minors[cols] = dict(zip(_supports(n, d),
+                                      self._table(EXT, d)[:, j].tolist()))
         return self._minors[cols][rows]
 
     # -- degree tables --------------------------------------------------

@@ -44,8 +44,8 @@ from .fields import GFP, InvalidInputError, SizeLimitError
 from .ideals import (MonomialIdeal, family_ideal, is_strongly_stable,
                      squarefree_family)
 from .linalg import CertificationError, Subspace
-from .monomials import (COORDINATES, EXT, Monomial, all_monomials,
-                        basis_index, basis_table)
+from .monomials import (EXT, Monomial, all_monomials, basis_index,
+                        basis_table)
 from .orders import LEX, Inverse, TermOrder
 
 
@@ -228,9 +228,8 @@ class _Trials:
         nothing."""
         if below not in self._forced:
             index = basis_index(self.ring, self.n, d - 1)
-            coordinates = COORDINATES[self.ring]
             mask = np.zeros(len(index), dtype=bool)
-            mask[[index[coordinates(u)] for u in below]] = True
+            mask[[index[u.exponents] for u in below]] = True
             drop, row = peel_table(self.ring, self.n, d)
             hit = np.flatnonzero((mask[drop] & (row < self.n)).any(axis=1))
             basis = basis_table(self.ring, self.n, d)

@@ -9,6 +9,7 @@ serialize identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from operator import add, attrgetter
 
 from .families import (MAX_FAMILY_VARIABLES, check_size, family_of,
@@ -28,11 +29,13 @@ def _canonical_sort(gens) -> tuple:
 
 
 def minimalize(gens) -> tuple:
-    """Drop generators divisible by another generator."""
+    """Drop generators divisible by another generator of lower degree:
+    distinct monomials of one degree never divide each other."""
+    degree = attrgetter("degree")
     minimal: list = []
-    for g in sorted(set(gens), key=attrgetter("degree")):
-        if not any(h.divides(g) for h in minimal):
-            minimal.append(g)
+    for _, same in groupby(sorted(set(gens), key=degree), degree):
+        # the list is built before it is added: lower degrees only
+        minimal += [g for g in same if not any(h.divides(g) for h in minimal)]
     return _canonical_sort(minimal)
 
 

@@ -1,10 +1,11 @@
 """Monomials of the exterior algebra and of the polynomial ring.
 
 Exterior monomials are strictly increasing index tuples (1-based); polynomial
-monomials are exponent tuples of length n.  Both are hashable value types.
-The monomials of a degree are enumerated once, into ``basis_table``, and
-positioned once, by ``basis_index``; every other layer selects from the
-table or indexes into it.
+monomials are exponent tuples of length n.  Both are hashable value types
+with one coordinate, the exponent vector (exterior: the support's 0/1
+indicator), which term orders rank, ``divides`` compares and ``basis_index``
+positions.  The monomials of a degree are enumerated once, into
+``basis_table``; every other layer selects from the table or indexes into it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement
-from operator import attrgetter
+from operator import le
 
 from .fields import InvalidInputError
 
@@ -21,8 +22,30 @@ EXT = "ext"
 POLY = "poly"
 
 
+def indicator(support, n: int) -> tuple[int, ...]:
+    """The 0/1 exponent vector, of length n, of a set of 1-based indices."""
+    e = [0] * n
+    for i in support:
+        e[i - 1] = 1
+    return tuple(e)
+
+
+class _ByExponents:
+    """What both monomial types read the same way."""
+
+    def min_index(self) -> int:
+        return self.support[0]
+
+    def max_index(self) -> int:
+        return self.support[-1]
+
+    def divides(self, other) -> bool:
+        """Componentwise <= of exponents (exterior: support inclusion)."""
+        return all(map(le, self.exponents, other.exponents))
+
+
 @dataclass(frozen=True, order=True)
-class ExtMonomial:
+class ExtMonomial(_ByExponents):
     support: tuple[int, ...]
     n: int
 
@@ -32,6 +55,11 @@ class ExtMonomial:
             raise InvalidInputError(f"support not strictly increasing: {s}")
         if s and (s[0] < 1 or s[-1] > self.n):
             raise InvalidInputError(f"support {s} out of range 1..{self.n}")
+        # the exponent vector, the support's indicator: no field, so
+        # equality, hashing, order and repr ignore it; built here since
+        # nearly every monomial's is read, and a first cached_property read
+        # costs more than the indicator
+        object.__setattr__(self, "exponents", indicator(s, self.n))
 
     @property
     def ring(self) -> str:
@@ -41,25 +69,16 @@ class ExtMonomial:
     def degree(self) -> int:
         return len(self.support)
 
-    def min_index(self) -> int:
-        return self.support[0]
-
-    def max_index(self) -> int:
-        return self.support[-1]
-
     def is_squarefree(self) -> bool:
         """Always: e_i e_i = 0, so an exterior monomial has no square."""
         return True
-
-    def divides(self, other: "ExtMonomial") -> bool:
-        return set(self.support) <= set(other.support)
 
     def __str__(self) -> str:
         return "e{" + ",".join(map(str, self.support)) + "}"
 
 
 @dataclass(frozen=True, order=True)
-class PolyMonomial:
+class PolyMonomial(_ByExponents):
     exponents: tuple[int, ...]
 
     def __post_init__(self):
@@ -84,17 +103,8 @@ class PolyMonomial:
         not a field, so equality, hashing and order ignore it."""
         return tuple(i + 1 for i, e in enumerate(self.exponents) if e > 0)
 
-    def min_index(self) -> int:
-        return self.support[0]
-
-    def max_index(self) -> int:
-        return self.support[-1]
-
     def is_squarefree(self) -> bool:
         return all(e <= 1 for e in self.exponents)
-
-    def divides(self, other: "PolyMonomial") -> bool:
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
 
     def times_var(self, i: int) -> "PolyMonomial":
         """Multiply by x_i (1-based)."""
@@ -129,10 +139,7 @@ def poly_monomial(exponents) -> PolyMonomial:
 
 
 def squarefree_poly(indices, n: int) -> PolyMonomial:
-    e = [0] * n
-    for i in indices:
-        e[i - 1] += 1
-    return PolyMonomial(tuple(e))
+    return PolyMonomial(indicator(indices, n))
 
 
 def all_monomials(ring: str, n: int, d: int) -> list:
@@ -151,16 +158,11 @@ def basis_table(ring: str, n: int, d: int) -> tuple:
                  for c in combinations_with_replacement(range(1, n + 1), d))
 
 
-#: what ``basis_index`` keys a monomial of each ring by
-COORDINATES = {EXT: attrgetter("support"), POLY: attrgetter("exponents")}
-
-
 @lru_cache(maxsize=256)
 def basis_index(ring: str, n: int, d: int) -> dict:
-    """The position in ``basis_table(ring, n, d)`` of each support
-    (exterior) or exponent vector (polynomial), in table order."""
-    coordinates = COORDINATES[ring]
-    return {coordinates(m): j for j, m in enumerate(basis_table(ring, n, d))}
+    """The position in ``basis_table(ring, n, d)`` of each exponent vector
+    (in the exterior ring, each support's indicator), in table order."""
+    return {m.exponents: j for j, m in enumerate(basis_table(ring, n, d))}
 
 
 _EXT_RE = re.compile(r"^e\{([0-9,\s]*)\}$")

@@ -4,40 +4,30 @@ An order is defined by its sort key alone: within a fixed degree it ranks u
 above v exactly when key(u) > key(v), a strict total order; across degrees
 the degree always dominates (higher degree compares greater).  The inverse
 order negates the key, so it flips the within-degree comparison only.
+
+A key reads the exponent vector in both rings: in the exterior ring the 0/1
+indicator of the support, whose lex, revlex and weight comparisons within a
+degree are those of the supports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul, neg
 
 from .fields import InvalidInputError
-from .monomials import (COORDINATES, ExtMonomial, Monomial, basis_index,
-                        basis_table)
+from .monomials import Monomial, basis_index, basis_table
 
 LESS, EQUAL, GREATER = -1, 0, 1
-
-
-def _weight(u: Monomial, weights) -> int:
-    if isinstance(u, ExtMonomial):
-        return sum([weights[i - 1] for i in u.support])
-    return sum([w * e for w, e in zip(weights, u.exponents)])
 
 
 # Sort keys: within a degree, u ranks above v exactly when its key is the
 # larger tuple. The keys are the only definition of the orders.
 
 
-def _lex_key(u: Monomial) -> tuple:
-    if isinstance(u, ExtMonomial):
-        return tuple([-i for i in u.support])
-    return u.exponents
-
-
 def _revlex_key(u: Monomial) -> tuple:
-    if isinstance(u, ExtMonomial):
-        return tuple([-i for i in reversed(u.support)])
-    return tuple([-e for e in reversed(u.exponents)])
+    return tuple(map(neg, reversed(u.exponents)))
 
 
 class TermOrder:
@@ -72,7 +62,7 @@ class TermOrder:
 @dataclass(frozen=True)
 class Lex(TermOrder):
     def key(self, u):
-        return _lex_key(u)
+        return u.exponents
 
     def __str__(self):
         return "lex"
@@ -102,8 +92,8 @@ class WeightOrder(TermOrder):
         if len(self.weights) != u.n:
             raise InvalidInputError(
                 f"{len(self.weights)} weights for {u.n} variables")
-        tiebreak = _lex_key(u) if self.tiebreak == "lex" else _revlex_key(u)
-        return (_weight(u, self.weights),) + tiebreak
+        tiebreak = u.exponents if self.tiebreak == "lex" else _revlex_key(u)
+        return (sum(map(mul, self.weights, u.exponents)),) + tiebreak
 
     def __str__(self):
         return f"weight:{','.join(map(str, self.weights))}:{self.tiebreak}"
@@ -125,8 +115,8 @@ class Inverse(TermOrder):
 #: sweeps draw fresh weight orders per class, so old rankings are dropped
 @lru_cache(maxsize=256)
 def _ranking(order: TermOrder, ring: str, n: int, d: int) -> tuple[int, ...]:
-    index, coordinates = basis_index(ring, n, d), COORDINATES[ring]
-    return tuple(index[coordinates(m)]
+    index = basis_index(ring, n, d)
+    return tuple(index[m.exponents]
                  for m in order.sort_descending(basis_table(ring, n, d)))
 
 

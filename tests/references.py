@@ -275,10 +275,18 @@ def elementary_shift_space(order, monomials, ring, n, degree, a, b,
 # and of ``ginshift.complexes`` are tested against.
 
 
+def divides(u, v) -> bool:
+    """The subset rule on supports in the exterior ring, the componentwise
+    rule on exponent vectors in the polynomial ring."""
+    if isinstance(u, ExtMonomial):
+        return set(u.support) <= set(v.support)
+    return all(a <= b for a, b in zip(u.exponents, v.exponents))
+
+
 def minimalize(gens) -> tuple:
-    """Minimal generators in canonical order: exterior monomials compared
-    as support bitmasks, h dividing m when h & m == h, any other input by
-    ``Monomial.divides``."""
+    """Minimal generators in canonical order, every pair of generators
+    tested: exterior monomials compared as support bitmasks, h dividing m
+    when h & m == h, any other input by ``divides``."""
     by_deg = sorted(set(gens), key=attrgetter("degree"))
     minimal: list = []
     if all(isinstance(g, ExtMonomial) for g in by_deg):
@@ -290,7 +298,7 @@ def minimalize(gens) -> tuple:
                 minimal.append(g)
     else:
         for g in by_deg:
-            if not any(h.divides(g) for h in minimal):
+            if not any(divides(h, g) for h in minimal):
                 minimal.append(g)
     return _canonical_sort(minimal)
 

@@ -97,3 +97,17 @@ def test_ideals_own_the_conversion_between_ideals_and_families():
     trees = _module_trees()
     assert _naming(trees, "minimal_family") == ["families.py", "ideals.py"]
     assert "gin.py" not in _naming(trees, "up_closure")
+
+
+def test_monomials_own_the_coordinate():
+    # a monomial of either ring reads as its exponent vector (an exterior
+    # one as its support's indicator): no module keys monomials per ring,
+    # the orders test no ring, and the readers of that vector are defined
+    # once for both monomial types
+    trees = _module_trees()
+    assert _naming(trees, "COORDINATES") == []
+    assert "orders.py" not in _naming(trees, "ExtMonomial")
+    for name in ("min_index", "max_index", "divides"):
+        assert sum(isinstance(node, ast.FunctionDef) and node.name == name
+                   for tree in trees.values()
+                   for node in ast.walk(tree)) == 1, name

@@ -1,3 +1,6 @@
+from dataclasses import fields
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from math import comb
@@ -53,6 +56,42 @@ def test_poly_support_is_read_once_and_is_no_field():
     assert len({u, v}) == 1 and repr(u) == repr(v)
 
 
+def test_ext_exponents_are_the_support_indicator_and_no_field():
+    u, v, w = (ext_monomial([1, 3], 4), ext_monomial([1, 3], 4),
+               ext_monomial([2, 3], 4))
+    assert u.exponents == (1, 0, 1, 0)
+    assert [f.name for f in fields(u)] == ["support", "n"]
+    # equality, hashing and order compare the support and n alone
+    assert u == v and hash(u) == hash(v) and not u < v and not v < u
+    assert (u < w) == (v < w) == (u.support < w.support)
+    assert len({u, v}) == 1 and repr(u) == repr(v)
+    for n in range(8):
+        for d in range(n + 1):
+            for m in basis_table(EXT, n, d):
+                assert m.exponents == tuple(int(i in m.support)
+                                            for i in range(1, n + 1))
+
+
+def test_divides_matches_the_reference_rules():
+    # random pairs of exponent vectors in both rings, v a multiple of u
+    # half the time, so that both outcomes occur
+    rng = np.random.default_rng(2029)
+    seen = {EXT: set(), POLY: set()}
+    for _ in range(200):
+        n = int(rng.integers(1, 8))
+        for ring, top in ((EXT, 1), (POLY, 3)):
+            a = rng.integers(0, top + 1, n)
+            b = rng.integers(0, top + 1, n)
+            if rng.random() < 0.5:
+                b = np.maximum(a, b)
+            u, v = (ext_monomial((np.flatnonzero(x) + 1).tolist(), n)
+                    if ring == EXT else poly_monomial(x.tolist())
+                    for x in (a, b))
+            assert u.divides(v) == references.divides(u, v), (u, v)
+            seen[ring].add(u.divides(v))
+    assert seen == {EXT: {False, True}, POLY: {False, True}}
+
+
 @given(st.integers(1, 7), st.integers(0, 7))
 def test_all_monomials_counts(n, d):
     assert len(all_monomials(EXT, n, d)) == (comb(n, d) if d <= n else 0)
@@ -75,10 +114,9 @@ def test_basis_table_and_index_match_the_recursive_enumerator():
                     (ring, n, d)
                 keys = [LEX.key(u) for u in table]
                 assert all(a > b for a, b in zip(keys, keys[1:]))
-                # positions in table order: minor tables iterate the map
+                # positions in table order, keyed by exponent vectors
                 index = basis_index(ring, n, d)
-                assert list(index) == [u.support if ring == EXT
-                                       else u.exponents for u in spec]
+                assert list(index) == [u.exponents for u in spec]
                 assert list(index.values()) == list(range(len(spec)))
 
 

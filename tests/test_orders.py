@@ -129,7 +129,7 @@ def test_weight_orders_refuse_monomials_of_another_variable_count():
             gin(order, MonomialIdeal.make(EXT, 3, [e([1, 2], 3)]))
     with pytest.raises(InvalidInputError, match="3 weights for 4"):
         WeightOrder((3, 2, 1)).sort_descending(all_monomials(EXT, 4, 2))
-    assert WeightOrder((3, 2, 1)).key(e([1, 3], 3)) == (4, -1, -3)
+    assert WeightOrder((3, 2, 1)).key(e([1, 3], 3)) == (4, 1, 0, 1)
 
 
 def test_sort_descending_rejects_mixed_rings():
