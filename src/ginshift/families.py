@@ -148,6 +148,16 @@ def family_of(supports) -> int:
     return reduce(or_, (1 << support_mask(tuple(s)) for s in supports), 0)
 
 
+def distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of an array, ascending, by a sort and a
+    comparison with each neighbour: ``np.unique`` imports ``numpy.ma`` on
+    its first call in a process, about 14 ms of CPU time."""
+    values = np.sort(values)
+    keep = np.ones(values.shape, dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
 @lru_cache(maxsize=None)
 def _byte_supports(k: int) -> tuple[tuple[int, ...], ...]:
     """The support of each value b of byte k of a support bitmask: the
@@ -164,7 +174,7 @@ def _masks_supports(masks: np.ndarray, n: int, k: int = 0) -> list:
     table = _byte_supports(k)
     if n <= 8 * (k + 1) or not masks.size:
         return [table[s] for s in masks.tolist()]
-    rest = np.unique(masks >> 8)
+    rest = distinct(masks >> 8)
     upper = [()] * (int(rest[-1]) + 1)
     for r, u in zip(rest.tolist(), _masks_supports(rest, n, k + 1)):
         upper[r] = u

@@ -19,8 +19,8 @@ import numpy as np
 from .changes import CoordinateChange
 from .complexes import (SimplicialComplex, combinatorial_ideal, cone,
                         flag_complex, shifted_complex)
-from .families import (family_of, family_supports, is_stable_family,
-                       pair_shift)
+from .families import (distinct, family_of, family_supports,
+                       is_stable_family, pair_shift)
 from .fields import GFP, QQ, InvalidInputError, PrimeField, SizeLimitError
 from .gin import (CertificationError, DualityViolationError, complement_dual,
                   gin_multi, gins_agree_adaptive, gin_space, trans_witnesses)
@@ -32,7 +32,8 @@ from .monomials import EXT, POLY, all_monomials, poly_monomial
 from .orders import LEX, REVLEX, WeightOrder
 
 #: isomorphism-class counts used as a self-test after first computation
-KNOWN_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+KNOWN_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044,
+                      8: 12346}
 
 MAX_ENUMERATION_N = 7
 
@@ -63,20 +64,23 @@ def enumerate_graphs(n: int) -> list[Graph]:
     return out
 
 
+#: candidates searched at once: bounds the partial labellings held in memory
+_SEARCH_BLOCK = 256
+
+
 @lru_cache(maxsize=None)
 def _canonical_masks(n: int) -> tuple[int, ...]:
     """The canonical edge bitmasks on n vertices, ascending.
 
     One-vertex extension: every graph on n vertices is, after relabeling
     its first n - 1 vertices, a canonical graph on n - 1 vertices plus
-    vertex n with some neighbour set. So the candidates are those, and the
-    classes are the distinct canonical minima of the candidates, each
-    permutation applied to all candidates at once with numpy.
+    vertex n with some neighbour set. So the candidates are those. The
+    search keyed by degree first, a complete canonical form, keeps one
+    candidate per class; the plain search then gives each its minimum.
     """
     if n == 1:
         return (0,)
-    pairs = list(itertools.combinations(range(n), 2))
-    bit_of = {p: i for i, p in enumerate(pairs)}
+    bit_of = {p: i for i, p in enumerate(itertools.combinations(range(n), 2))}
     # lift the (n-1)-vertex masks to this bit numbering, then add vertex n
     smaller = np.array(_canonical_masks(n - 1), dtype=np.int64)
     lifted = np.zeros_like(smaller)
@@ -87,15 +91,67 @@ def _canonical_masks(n: int) -> tuple[int, ...]:
     for i in range(n - 1):
         nbrs |= ((subsets >> i) & 1) << bit_of[i, n - 1]
     masks = (lifted[:, None] | nbrs[None, :]).ravel()
-    bits = [(masks >> b) & 1 for b in range(len(pairs))]
-    canon = masks.copy()
-    for perm in itertools.permutations(range(n)):
-        permuted = np.zeros_like(masks)
+    representatives = distinct(_least_labelling(masks, n, by_degree=True))
+    return tuple(np.sort(_least_labelling(representatives, n)).tolist())
+
+
+def _least_labelling(masks: np.ndarray, n: int,
+                     by_degree: bool = False) -> np.ndarray:
+    """The edge bitmask of each graph of ``masks`` under its least
+    labelling, in blocks of ``_SEARCH_BLOCK`` graphs.
+
+    Bit b stands for the b-th pair (i, j) of combinations(range(n), 2), so
+    each pair (i, j) has a higher bit than every pair whose smaller vertex
+    is below i. The minimum over all relabellings is therefore the
+    lexicographically least sequence of words w_{n-2}, ..., w_0, w_i being
+    the adjacency of the vertex labelled i to those labelled n - 1, ...,
+    i + 1, most significant first. With ``by_degree`` a vertex's degree
+    comes before its word: the result is then the same relabelling for
+    isomorphic graphs, a complete canonical form, but not the minimum.
+    """
+    pairs = list(itertools.combinations(range(n), 2))
+    out = np.empty(len(masks), dtype=np.int64)
+    for start in range(0, len(masks), _SEARCH_BLOCK):
+        block = masks[start:start + _SEARCH_BLOCK]
+        adjacent = np.zeros((len(block), n, n), dtype=np.int8)
         for b, (i, j) in enumerate(pairs):
-            pi, pj = perm[i], perm[j]
-            permuted |= bits[b] << bit_of[(pi, pj) if pi < pj else (pj, pi)]
-        np.minimum(canon, permuted, out=canon)
-    return tuple(np.unique(canon).tolist())
+            adjacent[:, i, j] = adjacent[:, j, i] = (block >> b) & 1
+        out[start:start + len(block)] = _search(adjacent, by_degree)
+    return out
+
+
+def _search(adjacent: np.ndarray, by_degree: bool) -> np.ndarray:
+    """The least-labelling mask of each graph of an adjacency stack.
+
+    Labels go from n - 1 downward. Each graph keeps every partial
+    labelling whose words so far are least; at the next label each of
+    them offers its unlabelled vertices, keyed by their adjacency to the
+    labelled ones in labelling order (the next word), and the least key
+    over the graph's partial labellings keeps those that offer it. The
+    partial labellings of a graph stay contiguous, so its least key is one
+    ``np.minimum.reduceat``.
+    """
+    count, n = adjacent.shape[:2]
+    owner = np.arange(count)  # the graph of each partial labelling
+    unlabelled = np.ones((count, n), dtype=bool)
+    # every word is shifted alike, so a degree above it keeps its rank
+    words = (adjacent.sum(axis=2, dtype=np.int32) if by_degree
+             else np.zeros((count, n), dtype=np.int32))
+    least = np.zeros(count, dtype=np.int64)
+    for label in range(n - 1, -1, -1):
+        keys = np.where(unlabelled, words, np.iinfo(np.int32).max)
+        firsts = np.flatnonzero(np.diff(owner, prepend=-1))
+        best = np.minimum.reduceat(keys.min(axis=1), firsts)
+        # w_label fills the bits from that of the pair (label, label + 1)
+        word = best.astype(np.int64) & ((1 << (n - 1 - label)) - 1)
+        least |= word << (label * (n - 1) - label * (label - 1) // 2)
+        if label:
+            held, vertex = np.nonzero(keys == best[owner][:, None])
+            owner = owner[held]
+            words = (words[held] << 1) | adjacent[owner, :, vertex]
+            unlabelled = unlabelled[held]
+            unlabelled[np.arange(len(held)), vertex] = False
+    return least
 
 
 def degree2_trans_witnesses(g: Graph, stop_at: int = 2,

@@ -3,7 +3,7 @@ module: pytest collects no tests from it."""
 
 import functools
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from operator import add, attrgetter
 
 import numpy as np
@@ -460,6 +460,29 @@ def condition_peelable(g):
         return result
 
     return search(frozenset(range(1, g.n + 1)))
+
+
+# -- graph classes by every relabelling ------------------------------------
+# The specification the least-labelling search of ``ginshift.verifier`` is
+# tested against: the n! permutation loop it replaced.
+
+
+def canonical_forms(masks, n):
+    """Minimum edge bitmask over all vertex permutations, bit b standing for
+    the b-th pair of combinations(range(n), 2), of each of the given
+    masks."""
+    pairs = list(combinations(range(n), 2))
+    bit_of = {p: i for i, p in enumerate(pairs)}
+    masks = np.asarray(masks, dtype=np.int64)
+    canon = masks.copy()
+    for perm in permutations(range(n)):
+        permuted = np.zeros_like(masks)
+        for b, (i, j) in enumerate(pairs):
+            pi, pj = perm[i], perm[j]
+            tb = bit_of[(pi, pj) if pi < pj else (pj, pi)]
+            permuted |= ((masks >> b) & 1) << tb
+        np.minimum(canon, permuted, out=canon)
+    return canon
 
 
 # -- the hyperplane rank oracle, width by width ----------------------------

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from ginshift.changes import CoordinateChange
 from ginshift.cli import (EXIT_CERTIFICATION, EXIT_CHECK_FAILED,
                           EXIT_INVALID_INPUT, EXIT_PASS, EXIT_SIZE_LIMIT,
                           build_parser, main)
@@ -90,6 +91,26 @@ def test_shift_under_an_inverse_order_keeps_the_ideal(rei_file, capsys):
     assert code == EXIT_PASS
     assert out == ('{"generators": ["e{1,2}", "e{1,3}", "e{3,4}"], '
                    '"pairs": "1,3;2,4", "seed": 0}\n')
+
+
+@pytest.mark.parametrize("command", ["gin", "witnesses"])
+@pytest.mark.parametrize("order", ["inv:lex", "inv:revlex"])
+def test_gin_and_witnesses_refuse_inverse_orders(command, order, rei_file,
+                                                 edges_file, capsys,
+                                                 monkeypatch):
+    # their results are strongly stable, which under inv:lex or inv:revlex
+    # they are only for a stable input: refused as input before any trial,
+    # not reported as a failed certification
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(CoordinateChange, "random_dense", no_trials)
+    for path in (rei_file, edges_file):
+        code = main([command, path, "--order", order])
+        out, err = capsys.readouterr()
+        assert (code, out) == (EXIT_INVALID_INPUT, "")
+        assert f"{command} refuses the inverse order {order}" in err
+        assert "strongly stable" in err and "shift accepts it" in err
 
 
 def test_witnesses_under_an_unsorted_weight_order(rei_file, capsys):

@@ -1,6 +1,10 @@
 import importlib
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +22,7 @@ from ginshift.verifier import (KNOWN_CLASS_COUNTS, SweepReport,
                                degree2_descent_witnesses,
                                degree2_trans_witnesses, enumerate_graphs,
                                property_suite, sweep_theorem1, sweep_theorem2)
-from references import elementary_shift_space
+from references import canonical_forms, elementary_shift_space
 
 gin_module = importlib.import_module("ginshift.gin")
 
@@ -32,24 +36,6 @@ def test_enumeration_counts():
         enumerate_graphs(8)
 
 
-def _canonical_forms(masks, n):
-    """Minimum edge bitmask over all vertex permutations, bit b standing for
-    the b-th pair of combinations(range(n), 2): the brute-force enumerator
-    that one-vertex extension replaced, applied to the given masks."""
-    pairs = list(itertools.combinations(range(n), 2))
-    bit_of = {p: i for i, p in enumerate(pairs)}
-    masks = np.asarray(masks, dtype=np.int64)
-    canon = masks.copy()
-    for perm in itertools.permutations(range(n)):
-        permuted = np.zeros_like(masks)
-        for b, (i, j) in enumerate(pairs):
-            pi, pj = perm[i], perm[j]
-            tb = bit_of[(pi, pj) if pi < pj else (pj, pi)]
-            permuted |= ((masks >> b) & 1) << tb
-        np.minimum(canon, permuted, out=canon)
-    return canon
-
-
 def _mask(g):
     pairs = list(itertools.combinations(range(1, g.n + 1), 2))
     return sum(1 << b for b, p in enumerate(pairs) if p in g.edges)
@@ -58,7 +44,7 @@ def _mask(g):
 def test_enumeration_matches_brute_force():
     for n in range(1, 7):
         masks = np.arange(1 << (n * (n - 1) // 2), dtype=np.int64)
-        brute = np.flatnonzero(_canonical_forms(masks, n) == masks).tolist()
+        brute = np.flatnonzero(canonical_forms(masks, n) == masks).tolist()
         assert [_mask(g) for g in enumerate_graphs(n)] == brute
 
 
@@ -70,7 +56,66 @@ def test_enumeration_at_seven_matches_the_graph_atlas():
              for g in atlas]
     reps = [_mask(g) for g in enumerate_graphs(7)]
     assert len(reps) == len(atlas) == KNOWN_CLASS_COUNTS[7]
-    assert reps == sorted(set(_canonical_forms(masks, 7).tolist()))
+    assert reps == sorted(set(canonical_forms(masks, 7).tolist()))
+
+
+def _relabel(mask, perm, n):
+    """The edge bitmask with vertex v renamed perm[v]."""
+    pairs = list(itertools.combinations(range(n), 2))
+    bit_of = {p: b for b, p in enumerate(pairs)}
+    return sum(1 << bit_of[tuple(sorted((perm[i], perm[j])))]
+               for b, (i, j) in enumerate(pairs) if mask >> b & 1)
+
+
+def test_least_labelling_matches_brute_force_at_seven(monkeypatch):
+    # 200 seeded graphs, each of its own edge density, so that sparse and
+    # dense ones with many automorphisms are among them
+    rng = np.random.default_rng(7)
+    density = rng.random((200, 1))
+    masks = (rng.random((200, 21)) < density) @ (1 << np.arange(21))
+    brute = canonical_forms(masks, 7).tolist()
+    assert verifier._least_labelling(masks, 7).tolist() == brute
+    # keyed by degree first: a relabelling of each graph, and the same one
+    # for every relabelling of it
+    keyed = verifier._least_labelling(masks, 7, by_degree=True)
+    assert canonical_forms(keyed, 7).tolist() == brute
+    relabelled = np.array([_relabel(m, rng.permutation(7), 7)
+                           for m in masks.tolist()])
+    assert verifier._least_labelling(relabelled, 7, by_degree=True).tolist() \
+        == keyed.tolist()
+    # the blocks only bound memory
+    monkeypatch.setattr(verifier, "_SEARCH_BLOCK", 7)
+    assert verifier._least_labelling(masks, 7).tolist() == brute
+
+
+def test_classes_on_eight_vertices():
+    masks = verifier._canonical_masks(8)
+    assert len(masks) == KNOWN_CLASS_COUNTS[8] == 12346
+    assert list(masks) == sorted(set(masks))
+    # a relabelled class canonicalises back to its representative
+    rng = np.random.default_rng(8)
+    sample = rng.choice(masks, size=300, replace=False).tolist()
+    relabelled = [_relabel(m, rng.permutation(8), 8) for m in sample]
+    assert verifier._least_labelling(np.array(relabelled), 8).tolist() == \
+        sample
+
+
+def test_sweeps_and_wide_families_leave_numpy_ma_unimported():
+    # np.unique imports numpy.ma on its first call in a process, about
+    # 14 ms of CPU time that every fresh sweep would pay
+    code = ("import sys\n"
+            "from ginshift.families import family_supports, sized\n"
+            "from ginshift.verifier import sweep_theorem2\n"
+            "assert sweep_theorem2(4).passed\n"
+            "assert 'numpy.ma' not in sys.modules, 'sweep'\n"
+            "assert len(family_supports(sized(12, 0, 12), 12)) == 4096\n"
+            "assert 'numpy.ma' not in sys.modules, 'family'\n")
+    src = str(Path(verifier.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert done.returncode == 0, done.stderr
 
 
 def test_enumeration_is_canonical_and_deterministic():
