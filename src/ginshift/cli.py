@@ -25,7 +25,7 @@ from .invariants import (SQUAREFREE, STABLE_POLY, betti_stable,
                          closed_form_profiles, index_profile,
                          resolution_oracle, two_cliques_profile_from_h)
 from .orders import Inverse, parse_order
-from .verifier import property_suite, sweep_theorem1, sweep_theorem2
+from .verifier import SWEEPS, property_suite
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common(p, "order", "field", "trials")
 
     p = sub.add_parser("sweep", help="exhaustive theorem sweeps")
-    p.add_argument("theorem", choices=["thm1", "thm2"])
+    p.add_argument("theorem", choices=list(SWEEPS))
     p.add_argument("--n", type=int, default=None)
     _common(p, "field", "trials")
 
@@ -254,16 +254,13 @@ def run(args) -> int:
         return EXIT_PASS
 
     if args.command == "sweep":
-        if args.theorem == "thm1":
-            report = sweep_theorem1(6 if args.n is None else args.n,
-                                    seed=args.seed, trials=args.trials,
-                                    field=field)
+        size = {} if args.n is None else {"n_max": args.n}
+        report = SWEEPS[args.theorem](seed=args.seed, trials=args.trials,
+                                      field=field, **size)
+        if args.format == "json":
+            print(report.to_json())
         else:
-            report = sweep_theorem2(5 if args.n is None else args.n,
-                                    seed=args.seed, trials=args.trials,
-                                    field=field)
-        print(report.to_json() if args.format == "json"
-              else str(report.summary))
+            _emit(dict(report.summary, seed=args.seed), args)
         return EXIT_PASS if report.passed else EXIT_CHECK_FAILED
 
     if args.command == "properties":

@@ -35,7 +35,7 @@ from .orders import LEX, REVLEX, WeightOrder
 KNOWN_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044,
                       8: 12346}
 
-MAX_ENUMERATION_N = 7
+MAX_ENUMERATION_N = 8
 
 
 def _check_vertex_count(n: int) -> None:
@@ -206,7 +206,7 @@ def degree2_descent_witnesses(g: Graph, stop_at: int = 2) -> set[frozenset]:
     stable family the closure search also reaches. Descents start from the
     non-edge family and then from its image under each single shift, in
     ascending pair order. They may find fewer families than the closure
-    holds; on every class with n <= 7 failing condition (v) they find two.
+    holds; on every class with n <= 8 failing condition (v) they find two.
     """
     n = g.n
     pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
@@ -264,13 +264,35 @@ def _degree2_generators(ideal: MonomialIdeal) -> set:
     return {u for u in ideal.generators if u.degree == 2}
 
 
-def sweep_theorem1(n_max: int = 6, seed: int = 0, weight_samples: int = 20,
-                   trials: int = 3, field=GFP) -> SweepReport:
+def _sweep(theorem: str, n_max: int, seed: int, tally: tuple[str, str],
+           check) -> SweepReport:
+    """Run ``check`` over every class on 1..n_max vertices.
+
+    ``check(g)`` returns class g's record fields, which follow ``n`` and
+    ``edges``, and whether g agrees with the theorem. The summary counts the
+    classes and, as ``tally[0]``, the records whose field ``tally[1]`` is
+    true; it passes if every class agrees."""
+    _check_vertex_count(n_max)
+    report = SweepReport(theorem, n_max, seed)
+    passed = True
+    for n in range(1, n_max + 1):
+        for g in enumerate_graphs(n):
+            fields, agrees = check(g)
+            report.records.append(
+                {"n": n, "edges": sorted(map(list, g.edges)), **fields})
+            passed = passed and agrees
+    report.summary = {"classes": len(report.records), "passed": passed,
+                      tally[0]: sum(r[tally[1]] for r in report.records)}
+    return report
+
+
+def sweep_theorem1(n_max: int = 6, seed: int = 0, trials: int = 3,
+                   field=GFP) -> SweepReport:
     """Per class on 1..n_max vertices: condition_v (A), condition_vi (B),
     lex/revlex degree-2 gin agreement for the graph ideal (C), and the
     full-degree check (D): order-independence of the flag-complex gin over
-    lex, revlex and sampled weight orders when A holds, or a two-witness
-    shifting discrepancy when A fails.
+    lex, revlex and 20 sampled weight orders when A holds, or a
+    two-witness shifting discrepancy when A fails.
 
     Each class makes one certified ``gin_multi`` call on the flag-complex
     ideal J_F, whose degree-2 part is the span of the non-edges: all
@@ -284,40 +306,30 @@ def sweep_theorem1(n_max: int = 6, seed: int = 0, weight_samples: int = 20,
     (``degree2_descent_witnesses``); a class for which they find fewer
     than two fails D.
     """
-    _check_vertex_count(n_max)
-    report = SweepReport("theorem1", n_max, seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 101]))
-    passed = True
-    counts = {"classes": 0, "condition_v_true": 0}
-    for n in range(1, n_max + 1):
-        for g in enumerate_graphs(n):
-            a = condition_v(g)[0]
-            b = condition_vi(g)[0]
-            orders = [LEX, REVLEX]
-            if a:
-                orders += _sample_weight_orders(n, weight_samples, rng)
-            jf = combinatorial_ideal(flag_complex(g), EXT)
-            gins = gin_multi(orders, jf, cap=None if a else 2, trials=trials,
-                             seed=seed, field=field)
-            c = n < 2 or _degree2_generators(gins[0]) == \
-                _degree2_generators(gins[1])
-            if a:
-                d = all(x == gins[0] for x in gins)
-                d_kind = "order-independence"
-            else:
-                d = len(degree2_descent_witnesses(g, stop_at=2)) >= 2
-                d_kind = "shift-discrepancy"
-            record = {"n": n, "edges": sorted(map(list, g.edges)),
-                      "condition_v": a, "condition_vi": b,
-                      "deg2_gin_equal": c, "d_check": d, "d_kind": d_kind}
-            report.records.append(record)
-            counts["classes"] += 1
-            counts["condition_v_true"] += a
-            if not (a == b == c and d):
-                passed = False
-    counts["passed"] = passed
-    report.summary = counts
-    return report
+
+    def check(g: Graph) -> tuple[dict, bool]:
+        a = condition_v(g)[0]
+        b = condition_vi(g)[0]
+        orders = [LEX, REVLEX]
+        if a:
+            orders += _sample_weight_orders(g.n, 20, rng)
+        jf = combinatorial_ideal(flag_complex(g), EXT)
+        gins = gin_multi(orders, jf, cap=None if a else 2, trials=trials,
+                         seed=seed, field=field)
+        c = g.n < 2 or _degree2_generators(gins[0]) == \
+            _degree2_generators(gins[1])
+        if a:
+            d = all(x == gins[0] for x in gins)
+            d_kind = "order-independence"
+        else:
+            d = len(degree2_descent_witnesses(g, stop_at=2)) >= 2
+            d_kind = "shift-discrepancy"
+        return ({"condition_v": a, "condition_vi": b, "deg2_gin_equal": c,
+                 "d_check": d, "d_kind": d_kind}, a == b == c and d)
+
+    return _sweep("theorem1", n_max, seed,
+                  ("condition_v_true", "condition_v"), check)
 
 
 def sweep_theorem2(n_max: int = 5, seed: int = 0, trials: int = 3,
@@ -325,29 +337,20 @@ def sweep_theorem2(n_max: int = 5, seed: int = 0, trials: int = 3,
     """Per class on 1..n_max vertices: lex/revlex agreement of the certified
     edge-ideal gins (adaptive degree cap) against base_form(G) being
     semi-complete bipartite."""
-    _check_vertex_count(n_max)
-    report = SweepReport("theorem2", n_max, seed)
-    passed = True
-    counts = {"classes": 0, "bipartite_base": 0}
-    for n in range(1, n_max + 1):
-        for g in enumerate_graphs(n):
-            expected = base_form(g) == SEMI_BIPARTITE
-            if not g.edges:
-                agree = True
-            else:
-                ideal = combinatorial_ideal(g, POLY)
-                agree = gins_agree_adaptive(LEX, REVLEX, ideal, trials=trials,
-                                            seed=seed, field=field)
-            record = {"n": n, "edges": sorted(map(list, g.edges)),
-                      "base_bipartite": expected, "gins_agree": agree}
-            report.records.append(record)
-            counts["classes"] += 1
-            counts["bipartite_base"] += expected
-            if agree != expected:
-                passed = False
-    counts["passed"] = passed
-    report.summary = counts
-    return report
+    def check(g: Graph) -> tuple[dict, bool]:
+        expected = base_form(g) == SEMI_BIPARTITE
+        agree = not g.edges or gins_agree_adaptive(
+            LEX, REVLEX, combinatorial_ideal(g, POLY), trials=trials,
+            seed=seed, field=field)
+        return {"base_bipartite": expected, "gins_agree": agree}, \
+            agree == expected
+
+    return _sweep("theorem2", n_max, seed,
+                  ("bipartite_base", "base_bipartite"), check)
+
+
+#: the theorem sweeps by their ``ginshift sweep`` names
+SWEEPS = {"thm1": sweep_theorem1, "thm2": sweep_theorem2}
 
 
 # -- randomized property suite -----------------------------------------

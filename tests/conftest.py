@@ -1,6 +1,8 @@
 import pytest
 
+from ginshift import verifier
 from ginshift.gin import _trial_changes
+from ginshift.graphs import SEMI_BIPARTITE
 
 
 @pytest.fixture
@@ -11,3 +13,21 @@ def fresh_trial_sets():
     _trial_changes.cache_clear()
     yield
     _trial_changes.cache_clear()
+
+
+@pytest.fixture
+def misread_class(monkeypatch):
+    """``verifier.base_form`` patched to misread the first class on 4
+    vertices whose base is semi-complete bipartite; the list receives
+    that class."""
+    misread, read = [], verifier.base_form
+
+    def base_form(g):
+        form = read(g)
+        if g.n == 4 and form == SEMI_BIPARTITE and not misread:
+            misread.append(g)
+            return "misread"
+        return form
+
+    monkeypatch.setattr(verifier, "base_form", base_form)
+    return misread

@@ -200,6 +200,20 @@ def test_sweep_thm2(capsys):
     assert json.loads(out)["summary"]["passed"] is True
 
 
+def test_sweep_table_prints_the_summary_lines(capsys):
+    code, out = run(capsys, ["sweep", "thm1", "--n", "3", "--format", "table"])
+    assert code == EXIT_PASS
+    assert out.splitlines() == ["classes: 7", "condition_v_true: 7",
+                                "passed: True", "seed: 0"]
+
+
+def test_a_failed_sweep_exits_1(misread_class, capsys):
+    code, out = run(capsys, ["sweep", "thm2", "--n", "4"])
+    assert code == EXIT_CHECK_FAILED
+    assert '"passed": false' in out
+    assert json.loads(out)["summary"]["passed"] is False
+
+
 def test_properties_subcommand(capsys):
     code, out = run(capsys, ["properties", "--samples", "8"])
     assert code == EXIT_PASS
@@ -214,7 +228,7 @@ def test_invalid_input_exit_codes(tmp_path, capsys, rei_file):
     bad.write_text("ring=ext n=4\ne{1;2}\n")
     code, _ = run(capsys, ["gin", str(bad)])
     assert code == EXIT_INVALID_INPUT
-    for argv in (["sweep", "thm1", "--n", "0"], ["sweep", "thm1", "--n", "8"],
+    for argv in (["sweep", "thm1", "--n", "0"], ["sweep", "thm1", "--n", "9"],
                  ["sweep", "thm2", "--n", "-1"], ["sweep", "thm2", "--n", "0"],
                  ["gin", rei_file, "--degree-cap", "-1"],
                  ["shift", rei_file, "--pairs", "1,3", "--degree-cap", "-1"],

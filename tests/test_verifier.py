@@ -33,7 +33,7 @@ def test_enumeration_counts():
     with pytest.raises(InvalidInputError):
         enumerate_graphs(0)
     with pytest.raises(InvalidInputError):
-        enumerate_graphs(8)
+        enumerate_graphs(9)
 
 
 def _mask(g):
@@ -335,7 +335,7 @@ def test_sweep_theorem1_draws_each_trial_set_once(monkeypatch,
 
 
 def test_sweep_theorem1_small():
-    report = sweep_theorem1(4, seed=0, weight_samples=5)
+    report = sweep_theorem1(4, seed=0)
     assert report.passed
     assert report.summary["classes"] == sum(KNOWN_CLASS_COUNTS[n]
                                             for n in range(1, 5))
@@ -354,14 +354,36 @@ def test_sweep_theorem2_small():
         assert rec["base_bipartite"] == rec["gins_agree"]
 
 
+@pytest.mark.parametrize("sweep, tally, flag", [
+    (sweep_theorem1, "condition_v_true", "condition_v"),
+    (sweep_theorem2, "bipartite_base", "base_bipartite")])
+def test_sweep_summaries_are_the_sums_of_their_records(sweep, tally, flag):
+    for n_max in range(1, 6):
+        report = sweep(n_max, seed=0)
+        assert report.passed
+        assert report.summary["classes"] == len(report.records) == \
+            sum(KNOWN_CLASS_COUNTS[n] for n in range(1, n_max + 1))
+        assert report.summary[tally] == sum(r[flag] for r in report.records)
+        assert [r["n"] for r in report.records] == sorted(
+            r["n"] for r in report.records)
+
+
+def test_sweep_theorem2_fails_when_a_class_is_misread(misread_class):
+    report = sweep_theorem2(4, seed=0)
+    assert not report.passed and len(misread_class) == 1
+    edges = sorted(map(list, misread_class[0].edges))
+    assert [(r["n"], r["edges"]) for r in report.records
+            if r["base_bipartite"] != r["gins_agree"]] == [(4, edges)]
+
+
 def test_sweep_payload_excludes_run_metadata():
-    report = sweep_theorem1(3, seed=5, weight_samples=3)
+    report = sweep_theorem1(3, seed=5)
     payload = report.payload()
     assert "seed" not in payload and "elapsed" not in payload
     doc = json.loads(report.to_json())
     assert doc["seed"] == 5
     # replay with a different seed produces the identical payload
-    replay = sweep_theorem1(3, seed=99, weight_samples=3)
+    replay = sweep_theorem1(3, seed=99)
     assert replay.payload() == payload
 
 
