@@ -24,7 +24,7 @@ from .ideals import read_ideal
 from .invariants import (SQUAREFREE, STABLE_POLY, betti_stable,
                          closed_form_profiles, index_profile,
                          resolution_oracle, two_cliques_profile_from_h)
-from .orders import Inverse, parse_order
+from .orders import parse_order
 from .verifier import SWEEPS, property_suite
 
 EXIT_PASS = 0
@@ -123,27 +123,6 @@ def _load_field(spec: str):
     return field
 
 
-#: why the subcommands whose results are strongly stable refuse an inverse
-#: order, rather than report a failed certification after every trial
-_INVERSE_REFUSED = {
-    "gin": "a gin under an inverse order is in general not strongly "
-           "stable, and certification accepts only strongly stable gins",
-    "witnesses": "the witnesses are strongly stable ideals, which the "
-                 "shifts of an inverse order in general do not reach",
-}
-
-
-def _stable_order(args, n: int):
-    """The ``--order`` of ``gin`` and ``witnesses``, an inverse order
-    refused before any trial; ``shift`` takes every order."""
-    order = parse_order(args.order, n)
-    if isinstance(order, Inverse):
-        raise InvalidInputError(
-            f"{args.command} refuses the inverse order {order}: "
-            f"{_INVERSE_REFUSED[args.command]}; shift accepts it")
-    return order
-
-
 def _parse_pairs(text: str) -> list[tuple[int, int]]:
     pairs = []
     for chunk in text.split(";"):
@@ -157,7 +136,7 @@ def run(args) -> int:
 
     if args.command == "gin":
         ideal = read_ideal(Path(args.ideal_file).read_text())
-        order = _stable_order(args, ideal.n)
+        order = parse_order(args.order, ideal.n)
         if args.degree_cap is None:
             g, cert, cap = gin_adaptive(order, ideal, trials=args.trials,
                                         seed=args.seed, field=field)
@@ -181,7 +160,7 @@ def run(args) -> int:
 
     if args.command == "witnesses":
         ideal = read_ideal(Path(args.ideal_file).read_text())
-        order = _stable_order(args, ideal.n)
+        order = parse_order(args.order, ideal.n)
         found, complete = trans_search(ideal, budget=args.budget,
                                        cap=args.degree_cap, order=order,
                                        field=field)

@@ -20,7 +20,7 @@ from .fields import GFP, InvalidInputError
 from .gin import gin
 from .graphs import Graph
 from .ideals import (MonomialIdeal, family_ideal, is_strongly_stable,
-                     squarefree_family)
+                     relabel, squarefree_family)
 from .monomials import EXT, POLY, squarefree_poly
 from .orders import TermOrder
 
@@ -149,12 +149,13 @@ def shifted_complex(order: TermOrder, gamma: SimplicialComplex, seed: int = 0,
                     trials: int = 3, field=GFP) -> SimplicialComplex:
     """The complex whose face ideal is the certified gin of J_gamma.
 
-    Convention: non-faces form a strongly stable ideal, so faces are closed
-    under exchanges that increase an index.  (The mirrored convention, with
-    faces closed under decreasing exchanges, also appears in the literature.)
+    Convention: non-faces form an ideal strongly stable in the order's
+    ranking of the vertices (``ideals.relabel``). So faces are closed under
+    exchanges that increase an index, or under an inverse order under those
+    that decrease one: the mirrored convention, also in the literature.
     """
     j = face_ideal(gamma, EXT)
-    if is_strongly_stable(j)[0]:
+    if is_strongly_stable(relabel(j, order.ranking(EXT, j.n, 1)))[0]:
         return gamma
     g, _cert = gin(order, j, trials=trials, seed=seed, field=field)
     return complex_from_ideal(g)

@@ -2,8 +2,8 @@
 for transformed strongly stable ideals.
 
 A gin is accepted only when independent random trials agree, the result is
-strongly stable, and the Hilbert function matches the input at every degree
-up to the cap; anything less is reported as a certification failure.
+strongly stable in its order's ranking (``ideals.relabel``), and the Hilbert
+function matches up to the cap; anything less is a certification failure.
 
 Complement duality: the leading monomials of phi(V)_d are exactly the
 degree-d monomials that do not lead psi(W)_d under the reversed ranking,
@@ -42,7 +42,7 @@ from .changes import CoordinateChange, SingularMatrixError, peel_table
 from .families import is_stable_family, pair_shift, sized
 from .fields import GFP, InvalidInputError, SizeLimitError
 from .ideals import (MonomialIdeal, family_ideal, is_strongly_stable,
-                     squarefree_family)
+                     relabel, squarefree_family)
 from .linalg import CertificationError, Subspace
 from .monomials import (EXT, Monomial, all_monomials, basis_index,
                         basis_table)
@@ -127,6 +127,10 @@ class _Trials:
     has |V_d| monomials; for a single invertible phi both always hold. When
     V_d is 0 or all of R_d, so is every phi(V_d), and no image is needed.
 
+    ``ideal`` turns on both shortcuts below. ``gin_space`` leaves it off: its
+    span is no ideal, so nothing is forced, and ``complement_dual`` checks
+    the duality the dual route rests on, so not through that route.
+
     Forced components: with ``ideal`` the sources are the graded pieces of
     an ideal I. Then each phi's component of degree d >= 1 contains R_1
     times its certified component C_{d-1} under the same order (module
@@ -135,15 +139,13 @@ class _Trials:
     elimination, and certified as an eliminated one would be. The product
     is read off ``peel_table`` on basis positions once per distinct
     C_{d-1} (``_forced``), which the orders of a sweep class mostly share.
-    Without ``ideal`` (``gin_space``, one degree's span for every d) no
-    degree is forced.
 
-    One candidate per component sequence: a gin candidate is the sequence
-    of its certified components up to the cap, and the ideal of a sequence
-    is built and checked for strong stability once; every later order or
-    call yielding the same sequence gets that ideal back. Only candidates
-    that pass are kept, so a sequence that fails raises for every order
-    yielding it.
+    One candidate per ranking and component sequence: a gin candidate is
+    the sequence of its certified components up to the cap, and its ideal
+    is built and checked once for strong stability in the order's ranking
+    (``relabel``); every later order or call with the same ranking and
+    sequence gets it back. Only candidates that pass are kept, so one that
+    fails raises for every order of that ranking yielding it.
 
     The smaller side of a component: with r sources among N basis
     monomials and N - r < r, the stack is the images of the N - r other
@@ -151,17 +153,17 @@ class _Trials:
     the component is the complement of their leading columns under the
     reversed ranking (module docstring). That holds in the exterior ring
     over any field and in the polynomial ring over Q or GF(p) with p > d;
-    below that, or with ``dual`` off, or for a phi whose dual is refused,
+    below that, or without ``ideal``, or for a phi whose dual is refused,
     the stack is the r direct images. Both sides give each trial the same
     component, so agreement, escalations and certificates do not depend on
     the side taken. ``_duals`` holds the degrees whose stack is the dual.
     """
 
     def __init__(self, ring: str, n: int, source, phis, seed=None, salt=0,
-                 dual=True, ideal=False):
+                 ideal=False):
         self.ring, self.n, self.source = ring, n, source
         self.phis, self.seed, self.salt = phis, seed, salt
-        self.dual, self.ideal = dual, ideal
+        self.ideal = ideal
         self._sources: dict[int, list] = {}
         self._forced: dict[frozenset, frozenset | None] = {}
         self._spaces: dict[int, Subspace] = {}
@@ -171,7 +173,7 @@ class _Trials:
 
     @classmethod
     def draw(cls, ring, n, source, trials, seed, field, salt=0,
-             upper_triangular=False, dual=True, ideal=False) -> "_Trials":
+             upper_triangular=False, ideal=False) -> "_Trials":
         """The trials of (seed, trials, salt): shared changes
         (``_trial_changes``), with this call's own sources, images and
         pivots. Fewer than 2 trials would certify nothing."""
@@ -179,7 +181,7 @@ class _Trials:
             raise InvalidInputError("gin requires at least 2 trials")
         return cls(ring, n, source, _trial_changes(
             n, field, trials, seed, salt, upper_triangular), seed, salt,
-            dual, ideal)
+            ideal)
 
     def top(self, cap: int) -> int:
         """The highest degree up to ``cap`` that can be non-zero."""
@@ -244,7 +246,7 @@ class _Trials:
         otherwise."""
         field, changes = self.phis[0].field, self.phis
         p = field.characteristic
-        if (self.dual and 2 * len(sources) > len(basis)
+        if (self.ideal and 2 * len(sources) > len(basis)
                 and (self.ring == EXT or not 0 < p <= d)):
             try:
                 changes = [phi.dual for phi in self.phis]
@@ -258,23 +260,22 @@ class _Trials:
             [change.apply(u) for u in sources], basis, field)
             for change in changes])
 
-    def initial_ideal(self, order: TermOrder, cap: int,
-                      stable: bool = True) -> MonomialIdeal:
-        """in_order(phi(V)), exact up to ``cap``; with ``stable`` it must be
-        strongly stable. The candidate is keyed by its component sequence
-        up to the cap: one that passed the check before, under any order,
-        is returned as it is, and one that fails is never kept."""
-        key = tuple(self.component(order, d)
-                    for d in range(self.top(cap) + 1))
-        g = self._stable.get(key)
+    def initial_ideal(self, order: TermOrder, cap: int) -> MonomialIdeal:
+        """in_order(phi(V)), exact up to ``cap`` and strongly stable in the
+        order's ranking, keyed by that ranking and its components: one that
+        passed before, under an order of that ranking, is returned as it
+        is, and one that fails is never kept."""
+        ranking = order.ranking(self.ring, self.n, 1)
+        components = tuple(self.component(order, d)
+                           for d in range(self.top(cap) + 1))
+        g = self._stable.get((ranking, components))
         if g is None:
             g = MonomialIdeal.make(self.ring, self.n,
-                                   (u for c in key for u in c))
-            if stable:
-                if not is_strongly_stable(g)[0]:
-                    raise CertificationError(
-                        f"unstable gin candidate under {order}")
-                self._stable[key] = g
+                                   (u for c in components for u in c))
+            if not is_strongly_stable(relabel(g, ranking))[0]:
+                raise CertificationError(
+                    f"unstable gin candidate under {order}")
+            self._stable[ranking, components] = g
         return g
 
     def adaptive(self, order: TermOrder, cap: int, max_cap: int, twin=None):
@@ -405,16 +406,13 @@ def gin_space(order: TermOrder, monomials, ring: str, n: int, degree: int,
     least 2 trials.
 
     No escalation: the characteristic-2 duality check relies on the first
-    disagreement raising. No stability check either: gins under an
-    ``Inverse`` order are not strongly stable in the standard sense. Always
-    the direct route: ``complement_dual`` checks the duality the engine's
-    dual route rests on, and must not check it through that route. Never
-    forced either: the span is no ideal, so every non-trivial degree is
-    eliminated.
+    disagreement raising. No stability check either: one degree of a span
+    that is no ideal is certified by agreement and dimension alone. Always
+    the direct route, and never forced (``_Trials`` without ``ideal``).
     """
     monomials = _of_degree(monomials, ring, n, degree)
     t = _Trials.draw(ring, n, lambda d: monomials, trials, seed, field,
-                     upper_triangular=upper_triangular, dual=False)
+                     upper_triangular=upper_triangular)
     return set(t.component(order, degree))
 
 
@@ -467,8 +465,10 @@ def combinatorial_shift(order: TermOrder, ideal: MonomialIdeal,
     current = ideal
     for a, b in pairs:
         phi = CoordinateChange.elementary(a, b, n, field)
-        current = _Trials(current.ring, n, current.degree_component, [phi],
-                          ideal=True).initial_ideal(order, cap, stable=False)
+        t = _Trials(current.ring, n, current.degree_component, [phi],
+                    ideal=True)
+        current = MonomialIdeal.make(current.ring, n, (
+            u for d in range(t.top(cap) + 1) for u in t.component(order, d)))
     return current
 
 

@@ -16,9 +16,9 @@ from .families import (MAX_FAMILY_VARIABLES, check_size, family_of,
                        family_supports, is_stable_family, minimal_family,
                        support_mask, up_closure)
 from .fields import InvalidInputError
-from .monomials import (EXT, POLY, ExtMonomial, Monomial, basis_index,
-                        basis_table, ext_monomial, parse_monomial,
-                        squarefree_poly)
+from .monomials import (EXT, POLY, ExtMonomial, Monomial, PolyMonomial,
+                        basis_index, basis_table, ext_monomial,
+                        parse_monomial, squarefree_poly)
 from .orders import LEX
 
 
@@ -120,6 +120,23 @@ def family_ideal(ring: str, n: int, family: int) -> MonomialIdeal:
     monomial = ExtMonomial if ring == EXT else squarefree_poly
     return MonomialIdeal(ring, n, _canonical_sort(
         monomial(s, n) for s in family_supports(minimal_family(family, n), n)))
+
+
+def relabel(ideal: MonomialIdeal, ranking) -> MonomialIdeal:
+    """The ideal with x_{ranking[i] + 1} renamed x_{i + 1}, for a ranking of
+    the variables as ``TermOrder.ranking(ring, n, 1)`` gives it; the ideal
+    itself under the identity. A gin is Borel-fixed for its order's ranking
+    (Bayer-Stillman, Invent. Math. 87, 1987), so it is strongly stable once
+    relabelled by it: the stability rule of every order."""
+    n = ideal.n
+    if tuple(ranking) == tuple(range(n)):
+        return ideal
+    if sorted(ranking) != list(range(n)):
+        raise InvalidInputError(f"{ranking} ranks no {n} variables")
+    exponents = ([u.exponents[r] for r in ranking] for u in ideal.generators)
+    return MonomialIdeal.make(ideal.ring, n, (
+        ext_monomial([i + 1 for i, x in enumerate(e) if x], n)
+        if ideal.ring == EXT else PolyMonomial(tuple(e)) for e in exponents))
 
 
 def _exchanges(u: Monomial, squarefree: bool):

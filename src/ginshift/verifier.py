@@ -247,7 +247,7 @@ class SweepReport:
 
 
 def _sample_weight_orders(n: int, count: int, rng) -> list[WeightOrder]:
-    """Strictly decreasing random integer weights in [1, 10^6]."""
+    """Strictly decreasing random integer weights in [1, 10^6 - 1]."""
     out = []
     while len(out) < count:
         w = sorted({int(x) for x in rng.integers(1, 10 ** 6, size=n + 4)},

@@ -1,7 +1,8 @@
-"""One gin candidate per component sequence: within one trial set, the
-ideal of a sequence of certified components up to the cap is built and
-checked for strong stability once, whichever orders yield it, and a
-candidate that fails the check raises under every order yielding it."""
+"""One gin candidate per component sequence and ranking: within one trial
+set, the ideal of a sequence of certified components up to the cap is built
+and checked for strong stability in the order's ranking of the variables
+once, whichever orders of that ranking yield it, and a candidate that fails
+the check raises under every order yielding it."""
 
 import importlib
 
@@ -14,7 +15,7 @@ from ginshift.fields import GFP, QQ, PrimeField
 from ginshift.gin import (CertificationError, _Trials, gin, gin_adaptive,
                           gin_multi, gin_multi_adaptive)
 from ginshift.graphs import Graph, condition_v
-from ginshift.ideals import MonomialIdeal, is_strongly_stable
+from ginshift.ideals import MonomialIdeal, is_strongly_stable, relabel
 from ginshift.monomials import EXT, POLY, all_monomials, poly_monomial
 from ginshift.orders import LEX, REVLEX, Inverse, WeightOrder
 from ginshift.verifier import _sample_weight_orders
@@ -78,10 +79,7 @@ def test_an_unstable_candidate_raises_under_every_order(calls):
                            match=f"unstable gin candidate under {order}$"):
             t.initial_ideal(order, 2)
     assert calls == {"make": 3, "stable": 3}
-    # without the check the candidate is built, and not kept
-    assert t.initial_ideal(LEX, 2, stable=False) == ideal
-    with pytest.raises(CertificationError):
-        t.initial_ideal(REVLEX, 2)
+    assert t._stable == {}
 
 
 def test_the_candidate_follows_the_cap():
@@ -137,9 +135,45 @@ def test_gin_multi_matches_per_order_gins(ring, field):
                  for order in orders]
 
 
-def test_an_inverse_order_still_raises_in_gin_multi():
-    # gins under an inverse order are not strongly stable: the candidate
-    # raises even after lex has passed with other components
+#: x_i -> x_{5-i}: the degree-1 ranking of inv:lex and inv:revlex
+MIRROR = (3, 2, 1, 0)
+
+
+def test_gin_multi_certifies_lex_and_inverse_lex():
+    # the inv:lex gin is strongly stable once mirrored, as the revlex gin
+    # of the same ideal is in the standard ranking
     ideal = MonomialIdeal.make(EXT, 4, all_monomials(EXT, 4, 2)[:2])
-    with pytest.raises(CertificationError, match="unstable gin candidate"):
+    lex, inv_lex = gin_multi([LEX, Inverse(LEX)], ideal, seed=0)
+    assert lex == gin(LEX, ideal, seed=0)[0]
+    assert inv_lex == relabel(gin(REVLEX, ideal, seed=0)[0], MIRROR)
+    assert not is_strongly_stable(inv_lex)[0]
+    assert Inverse(LEX).ranking(EXT, 4, 1) == MIRROR
+
+
+def test_a_gin_read_in_the_standard_ranking_fails_under_an_inverse_order(
+        monkeypatch):
+    # with the relabelling made the identity, the inv:lex candidate is read
+    # with x1 first and raises, after lex has passed on the same trials
+    monkeypatch.setattr(gin_module, "relabel", lambda ideal, ranking: ideal)
+    ideal = MonomialIdeal.make(EXT, 4, all_monomials(EXT, 4, 2)[:2])
+    with pytest.raises(CertificationError,
+                       match="unstable gin candidate under inv:lex$"):
         gin_multi([LEX, Inverse(LEX)], ideal, seed=0)
+
+
+def test_a_candidate_is_checked_again_in_another_ranking(calls):
+    # with identity changes the candidate of (x1^2, x1 x2) is the ideal
+    # itself under every order: strongly stable with x1 first, not with x2
+    # first, so the lex candidate is not served to inv:lex
+    ideal = MonomialIdeal.make(POLY, 2, [poly_monomial((2, 0)),
+                                         poly_monomial((1, 1))])
+    identity = CoordinateChange.identity(2, GFP)
+    t = _Trials(POLY, 2, ideal.degree_component, [identity, identity])
+    for d in range(4):
+        assert t.component(LEX, d) == t.component(Inverse(LEX), d)
+    assert t.initial_ideal(LEX, 3) == ideal
+    with pytest.raises(CertificationError,
+                       match="unstable gin candidate under inv:lex$"):
+        t.initial_ideal(Inverse(LEX), 3)
+    assert t.initial_ideal(REVLEX, 3) is t.initial_ideal(LEX, 3)
+    assert calls == {"make": 2, "stable": 2}

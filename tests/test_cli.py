@@ -93,24 +93,62 @@ def test_shift_under_an_inverse_order_keeps_the_ideal(rei_file, capsys):
                    '"pairs": "1,3;2,4", "seed": 0}\n')
 
 
+#: the gins of rei.ideal and edges.ideal under inv:lex and inv:revlex: the
+#: revlex and lex gins under x_i -> x_{5-i}, each strongly stable with x4
+#: ranked first
+MIRRORED_GINS = {
+    ("rei", "inv:lex"): ["e{2,3}", "e{2,4}", "e{3,4}"],
+    ("rei", "inv:revlex"): ["e{1,4}", "e{2,4}", "e{3,4}", "e{1,2,3}"],
+    ("edges", "inv:lex"): ["x3*x4", "x4^2", "x3^3"],
+    ("edges", "inv:revlex"): ["x3*x4", "x4^2", "x2^2*x4", "x3^4"],
+}
+
+
 @pytest.mark.parametrize("command", ["gin", "witnesses"])
 @pytest.mark.parametrize("order", ["inv:lex", "inv:revlex"])
-def test_gin_and_witnesses_refuse_inverse_orders(command, order, rei_file,
-                                                 edges_file, capsys,
-                                                 monkeypatch):
-    # their results are strongly stable, which under inv:lex or inv:revlex
-    # they are only for a stable input: refused as input before any trial,
-    # not reported as a failed certification
+def test_gin_and_witnesses_under_inverse_orders(command, order, rei_file,
+                                                edges_file, capsys,
+                                                monkeypatch):
+    # a gin is certified in the order's ranking of the variables; the
+    # witness search keeps standard strongly stable terminals, which no
+    # shift of an inverse order reaches: it reports so, with no trial drawn
     def no_trials(*args, **kwargs):
         raise AssertionError("a trial was drawn")
 
-    monkeypatch.setattr(CoordinateChange, "random_dense", no_trials)
-    for path in (rei_file, edges_file):
+    if command == "witnesses":
+        monkeypatch.setattr(CoordinateChange, "random_dense", no_trials)
+    for name, path in (("rei", rei_file), ("edges", edges_file)):
         code = main([command, path, "--order", order])
         out, err = capsys.readouterr()
-        assert (code, out) == (EXIT_INVALID_INPUT, "")
-        assert f"{command} refuses the inverse order {order}" in err
-        assert "strongly stable" in err and "shift accepts it" in err
+        if command == "gin":
+            doc = json.loads(out)
+            assert code == EXIT_PASS
+            assert doc["generators"] == MIRRORED_GINS[name, order]
+            assert doc["certificate"]["strongly_stable"] is True
+            assert doc["certificate"]["accepted"] is True
+        else:
+            assert (code, out) == (EXIT_CERTIFICATION, "")
+            assert "no strongly stable ideal is reachable" in err
+
+
+def test_a_gin_under_an_increasing_weight_order(rei_file, capsys):
+    # weight:1,2,3,4 ranks x4 first, as inv:lex does
+    code, out = run(capsys, ["gin", rei_file, "--order",
+                             "weight:1,2,3,4:lex"])
+    assert code == EXIT_PASS
+    assert json.loads(out)["generators"] == \
+        ["e{1,4}", "e{2,4}", "e{3,4}", "e{1,2,3}"]
+
+
+def test_witnesses_under_an_inverse_unsorted_weight_order(rei_file, capsys):
+    # e2 ranks first and e1 last: only the shifts (2, 3) and (2, 4) can
+    # move a face, and (2, 4) reaches a standard strongly stable ideal
+    code, out = run(capsys, ["witnesses", rei_file, "--order",
+                             "inv:weight:4,1,3,2:lex", "--budget", "50"])
+    assert code == EXIT_PASS
+    assert out == ('{"budget": 50, "complete": true, "seed": 0, '
+                   '"witnesses": [{"generators": ["e{1,2}", "e{1,3}", '
+                   '"e{2,3}"], "sequence": [[2, 4]]}]}\n')
 
 
 def test_witnesses_under_an_unsorted_weight_order(rei_file, capsys):
@@ -184,6 +222,17 @@ def test_shifted_complex(tmp_path, capsys):
     assert sorted(map(tuple, doc["shifted"]["facets"])) == \
         [(1, 4), (2, 3), (2, 4), (3, 4)]
     assert doc["f_vector"] == [1, 4, 4]
+
+
+@pytest.mark.parametrize("order", ["inv:revlex", "weight:1,2,3,4:lex"])
+def test_shifted_complex_under_orders_ranking_the_last_vertex_first(
+        order, tmp_path, capsys):
+    path = tmp_path / "path.complex"
+    path.write_text(json.dumps({"n": 4, "facets": [[1, 2], [1, 3], [3, 4]]}))
+    code, out = run(capsys, ["shifted-complex", str(path), "--order", order])
+    assert code == EXIT_PASS
+    assert json.loads(out)["shifted"]["facets"] == \
+        [[1, 2], [1, 3], [2, 3], [4]]
 
 
 def test_sweep_thm1(capsys):

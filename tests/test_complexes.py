@@ -21,7 +21,7 @@ from ginshift.ideals import (MonomialIdeal, family_ideal, is_strongly_stable,
                              squarefree_family)
 from ginshift.monomials import (EXT, POLY, ext_monomial, poly_monomial,
                                 squarefree_poly)
-from ginshift.orders import LEX, REVLEX
+from ginshift.orders import LEX, REVLEX, Inverse
 
 import references
 
@@ -120,6 +120,18 @@ def test_shifted_complex_fixed_point():
     # non-faces already strongly stable: shifting returns gamma itself
     assert shifted_complex(LEX, gamma) is gamma
     assert _is_shifted(gamma)
+
+
+def test_a_shifted_complex_is_its_own_shift_only_in_its_ranking():
+    # the non-faces e{1,2}, e{1,3} are strongly stable with vertex 1 first,
+    # not with vertex 4 first: inv:revlex shifts to the mirrored complex
+    gamma = SimplicialComplex.make(4, [(2, 3, 4), (1, 4)])
+    assert shifted_complex(REVLEX, gamma) is gamma
+    delta = shifted_complex(Inverse(REVLEX), gamma)
+    assert delta.facets() == [(1, 2, 3), (1, 4)]
+    # and that one is inv:revlex's fixed point, not revlex's
+    assert shifted_complex(Inverse(REVLEX), delta) is delta
+    assert shifted_complex(REVLEX, delta) == gamma
 
 
 def test_shifted_complex_preserves_f_vector():

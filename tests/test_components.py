@@ -41,6 +41,14 @@ def _phis(kind, n, field, rng):
                                         n, field)]
 
 
+def _span(monomials, d):
+    """A span of degree-d monomials as an engine source: the graded pieces,
+    up to degree d, of the ideal it generates. Nothing lies below d, so the
+    degree is never forced, and the dual route applies as it does in a
+    certified gin."""
+    return lambda e: monomials if e == d else []
+
+
 def _orders(n, rng):
     w = tuple(sorted(map(int, rng.choice(10 ** 3, size=n, replace=False)
                          + 1), reverse=True))
@@ -66,7 +74,7 @@ def test_component_route_matches_the_dict_route(ring, kind, field):
         monomials = [ambient[j] for j in
                      rng.choice(len(ambient), size=size, replace=False)]
         phis = _phis(kind, n, field, rng)
-        trials = _Trials(ring, n, lambda _d: monomials, phis)
+        trials = _Trials(ring, n, _span(monomials, d), phis, ideal=True)
         for order in _orders(n, rng):
             new = _outcome(lambda: trials.component(order, d))
             old = _outcome(lambda: references.direct_component(
@@ -253,7 +261,7 @@ def test_every_component_matches_the_direct_route(ring, kind, field):
         for r in range(len(basis) + 1):
             monomials = [basis[j] for j in
                          rng.choice(len(basis), size=r, replace=False)]
-            trials = _Trials(ring, n, lambda _d: monomials, phis)
+            trials = _Trials(ring, n, _span(monomials, d), phis, ideal=True)
             for order in _orders(n, rng):
                 got = _outcome(lambda: trials.component(order, d))
                 want = _outcome(lambda: references.direct_component(
@@ -276,7 +284,7 @@ def test_polynomial_components_at_p_at_most_d_take_the_direct_route(p):
         for d in range(1, n if ring == EXT else p + 2):
             basis = basis_table(ring, n, d)
             monomials = basis[1:]
-            trials = _Trials(ring, n, lambda _d: monomials, phis)
+            trials = _Trials(ring, n, _span(monomials, d), phis, ideal=True)
             _outcome(lambda: trials.component(LEX, d))
             if ring == EXT or d < p:
                 assert d in trials._duals, (ring, d)
@@ -297,7 +305,7 @@ def test_a_disagreeing_trial_set_raises_at_the_same_degree_on_both_routes(
         ideal = MonomialIdeal.make(EXT, n, [ambient[j] for j in rng.choice(
             len(ambient), size=int(rng.integers(1, 3)))])
         phis = _phis("dense", n, field, rng)
-        routes = [_Trials(EXT, n, ideal.degree_component, phis, dual=dual)
+        routes = [_Trials(EXT, n, ideal.degree_component, phis, ideal=dual)
                   for dual in (True, False)]
         for order in (LEX, REVLEX, Inverse(LEX)):
             raised = [next((d for d in range(n + 1) if _outcome(
@@ -328,7 +336,7 @@ def test_trials_that_agree_below_the_hilbert_function_raise():
     for phi in phis:
         phi.matrix = ((1, 1, 0), (1, 1, 0), (0, 0, 1))
     sources = [poly_monomial((1, 0, 0)), poly_monomial((0, 1, 0))]
-    trials = _Trials(POLY, 3, lambda _d: sources, phis)
+    trials = _Trials(POLY, 3, _span(sources, 1), phis, ideal=True)
     with pytest.raises(CertificationError, match="Hilbert function"):
         trials.component(LEX, 1)
     # the dual of a singular matrix is refused: the direct route raised

@@ -10,10 +10,12 @@ from ginshift.gin import (CertificationError, DualityViolationError, _Trials,
                           gin_adaptive, gin_multi, gin_multi_adaptive,
                           gin_space,
                           gins_agree_adaptive, trans_witnesses)
-from ginshift.ideals import MonomialIdeal
+from ginshift.complexes import edge_ideal, face_ideal, flag_complex
+from ginshift.ideals import MonomialIdeal, relabel
 from ginshift.monomials import (EXT, POLY, all_monomials, ext_monomial,
                                 poly_monomial)
 from ginshift.orders import LEX, REVLEX, Inverse, WeightOrder
+from ginshift.verifier import enumerate_graphs
 
 
 def E(supports, n):
@@ -387,3 +389,23 @@ def test_gins_agree_adaptive_past_max_cap_is_a_size_limit():
     assert cap == 6 and g == MonomialIdeal.make(POLY, 2, [
         poly_monomial((3, 0)), poly_monomial((2, 1)), poly_monomial((1, 3)),
         poly_monomial((0, 5))])
+
+
+# -- every order up to a relabelling of the variables --------------------
+
+
+@pytest.mark.parametrize("ring", [EXT, POLY])
+def test_inverse_order_gins_are_mirrored_gins(ring):
+    # x_i -> x_{n+1-i} turns inv:lex into revlex and inv:revlex into lex,
+    # so on every graph class the full inverse-order gins are the mirrored
+    # ones: of the flag complex's face ideal, and of the edge ideal
+    for n in range(1, 6):
+        mirror = tuple(range(n - 1, -1, -1))
+        for g in enumerate_graphs(n):
+            ideal = (face_ideal(flag_complex(g), EXT) if ring == EXT
+                     else edge_ideal(g))
+            (lex, _), (revlex, _), (inv_lex, _), (inv_revlex, _) = \
+                gin_multi_adaptive([LEX, REVLEX, Inverse(LEX),
+                                    Inverse(REVLEX)], ideal)
+            assert inv_lex == relabel(revlex, mirror), (ring, g)
+            assert inv_revlex == relabel(lex, mirror), (ring, g)

@@ -10,7 +10,8 @@ from math import comb
 from ginshift.families import MAX_FAMILY_VARIABLES
 from ginshift.fields import InvalidInputError
 from ginshift.ideals import (MonomialIdeal, is_strongly_stable, minimalize,
-                             read_ideal, stable_closure, write_ideal)
+                             read_ideal, relabel, stable_closure,
+                             write_ideal)
 from ginshift.monomials import (EXT, POLY, all_monomials, basis_table,
                                 ext_monomial, poly_monomial, squarefree_poly)
 
@@ -19,6 +20,24 @@ import references
 
 def E(supports, n):
     return MonomialIdeal.make(EXT, n, [ext_monomial(s, n) for s in supports])
+
+
+def test_relabel_renames_the_variables_by_rank():
+    # x3 first, then x1, then x2: x3 -> x1, x1 -> x2, x2 -> x3
+    ranking = (2, 0, 1)
+    poly = MonomialIdeal.make(POLY, 3, [poly_monomial((2, 0, 1)),
+                                        poly_monomial((0, 1, 0))])
+    assert relabel(poly, ranking) == MonomialIdeal.make(
+        POLY, 3, [poly_monomial((1, 2, 0)), poly_monomial((0, 0, 1))])
+    assert relabel(E([[1, 2], [3]], 3), ranking) == E([[2, 3], [1]], 3)
+    # the identity keeps the ideal itself
+    assert relabel(poly, (0, 1, 2)) is poly
+
+
+def test_relabel_refuses_what_ranks_no_variables():
+    for ranking in ((0, 1), (0, 1, 1), (1, 2, 3)):
+        with pytest.raises(InvalidInputError, match="ranks no 3 variables"):
+            relabel(E([[1, 2]], 3), ranking)
 
 
 def test_minimalize_drops_multiples():
