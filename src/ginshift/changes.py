@@ -39,7 +39,9 @@ the action costs the same however many orders are certified.  A random
 change drawn by the engine is shared, with its degree tables, by every gin
 that draws the same trial set (``gin._trial_changes``), exterior and
 polynomial alike, so each table is filled once per trial set and ring, not
-once per ideal.
+once per ideal; each change is proven invertible once, as it is drawn
+(``CoordinateChange.random_set`` for a dense set, the diagonal for a
+triangular change).
 
 Complement duality.  The dual of phi is psi = phi^{-T} (``dual``).  Under
 the pairing of degree d in which the monomials are orthogonal, psi's image
@@ -62,7 +64,7 @@ from math import lcm
 import numpy as np
 
 from .fields import InvalidInputError, SizeLimitError, fits_int64, row_dtype
-from .linalg import rref, vector_rank
+from .linalg import CertificationError, rref, vector_rank
 from .monomials import (EXT, POLY, ExtMonomial, Monomial, PolyMonomial,
                         basis_index, basis_table, indicator)
 
@@ -112,6 +114,12 @@ class SingularMatrixError(ValueError):
     pass
 
 
+def _dense_draw(n: int, field, rng) -> tuple[tuple, ...]:
+    """n x n uniform entries, row by row, in one draw."""
+    x = field.random(rng, n * n)
+    return tuple(tuple(x[i * n:(i + 1) * n]) for i in range(n))
+
+
 @dataclass
 class CoordinateChange:
     """An invertible n x n matrix over an exact field, acting on monomials.
@@ -125,12 +133,16 @@ class CoordinateChange:
     kind: str = "dense"
     _minors: dict = dc_field(default_factory=dict, repr=False, compare=False)
     _tables: dict = dc_field(default_factory=dict, repr=False, compare=False)
+    #: set only by the code that has just proven the matrix invertible,
+    #: the dense set draw (``random_set``), the triangular draw and
+    #: ``dual``: the rank check is then not repeated
+    _proven: bool = dc_field(default=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.matrix)
         if any(len(row) != n for row in self.matrix):
             raise InvalidInputError("matrix not square")
-        if vector_rank(self.matrix, self.field) != n:
+        if not self._proven and vector_rank(self.matrix, self.field) != n:
             raise SingularMatrixError(f"{self.kind} matrix is singular")
 
     @property
@@ -165,30 +177,55 @@ class CoordinateChange:
 
     @classmethod
     def random_dense(cls, n: int, field, rng) -> "CoordinateChange":
-        """Uniform entries, row by row, in one draw per matrix; a singular
-        draw is drawn again."""
+        """Uniform entries, row by row, in one draw per matrix, proven
+        invertible by the constructor's rank check; a singular draw is drawn
+        again. The engine's trial sets come from ``random_set``, which gives
+        the same matrices with one elimination per set."""
         while True:
-            x = field.random(rng, n * n)
-            m = tuple(tuple(x[i * n:(i + 1) * n]) for i in range(n))
             try:
-                return cls(m, field, "random-dense")
+                return cls(_dense_draw(n, field, rng), field, "random-dense")
             except SingularMatrixError:
                 continue
 
     @classmethod
     def random_upper_triangular(cls, n: int, field, rng) -> "CoordinateChange":
         """Uniform entries on and above the diagonal, row by row, in one
-        draw per matrix; a singular draw is drawn again."""
+        draw per matrix; a draw with a 0 on the diagonal is drawn again. A
+        triangular matrix is invertible exactly when no diagonal entry is 0,
+        in every field, so the diagonal proves it and the constructor's
+        rank check is not run."""
         upper = list(zip(*np.triu_indices(n)))
         while True:
             rows = [[field.zero] * n for _ in range(n)]
             for (i, j), x in zip(upper, field.random(rng, len(upper))):
                 rows[i][j] = x
-            try:
+            if all(rows[i][i] for i in range(n)):
                 return cls(tuple(map(tuple, rows)), field,
-                           "random-upper-triangular")
+                           "random-upper-triangular", _proven=True)
+
+    @classmethod
+    def random_set(cls, n: int, field, rngs) -> tuple["CoordinateChange", ...]:
+        """One dense random change per generator of ``rngs``: bit for bit
+        the changes of one ``random_dense`` call per generator, proven
+        invertible together. The k matrices are eliminated as one (k, n, n)
+        stack, whose n shared pivots prove them all; a stack that parts or
+        falls short is proven member by member, and a singular member is
+        drawn again from its own generator."""
+        draws = [(_dense_draw(n, field, rng), rng) for rng in rngs]
+        try:
+            proven = len(rref([m for m, _ in draws], field)[1]) == n
+        except CertificationError:
+            proven = False
+        if proven:
+            return tuple(cls(m, field, "random-dense", _proven=True)
+                         for m, _ in draws)
+        changes = []
+        for m, rng in draws:
+            try:
+                changes.append(cls(m, field, "random-dense"))
             except SingularMatrixError:
-                continue
+                changes.append(cls.random_dense(n, field, rng))
+        return tuple(changes)
 
     @cached_property
     def dual(self) -> "CoordinateChange":
@@ -197,8 +234,9 @@ class CoordinateChange:
         multinomial coefficients, in the polynomial ring (module
         docstring). phi^{-1} is read off one elimination of [phi | I],
         whose pivots must be exactly its first n columns: any other phi is
-        singular and refused with SingularMatrixError. Cached, so a shared
-        trial set shares its duals and their degree tables."""
+        singular and refused with SingularMatrixError. Those pivots also
+        prove psi invertible, so psi gets no rank check of its own. Cached,
+        so a shared trial set shares its duals and their degree tables."""
         f, n = self.field, self.n
         red, pivots = rref([list(row) + [f.one if i == j else f.zero
                                          for j in range(n)]
@@ -206,7 +244,7 @@ class CoordinateChange:
         if pivots != list(range(n)):
             raise SingularMatrixError(f"{self.kind} matrix is singular")
         return CoordinateChange(tuple(map(tuple, red[:, n:].T.tolist())), f,
-                                f"dual of {self.kind}")
+                                f"dual of {self.kind}", _proven=True)
 
     # -- minors (exterior action) ---------------------------------------
 

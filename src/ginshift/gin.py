@@ -88,13 +88,17 @@ TRIAL_SETS = 8
 def _trial_changes(n: int, field, trials: int, seed: int, salt: int,
                    upper_triangular: bool) -> tuple[CoordinateChange, ...]:
     """The random changes of (seed, trials, salt) on n variables over the
-    field. They depend on nothing else, so every certified gin drawing the
-    same set shares these objects and, with them, their degree tables in
-    both rings; the key holds the field, so no change serves another."""
-    change = (CoordinateChange.random_upper_triangular if upper_triangular
-              else CoordinateChange.random_dense)
-    return tuple(change(n, field, rng)
-                 for rng in _trial_rngs(seed, trials, salt))
+    field, one per trial generator, each proven invertible once: a dense
+    set by one stacked elimination (``CoordinateChange.random_set``), a
+    triangular change by its diagonal. They depend on nothing else, so
+    every certified gin drawing the same set shares these objects and, with
+    them, their degree tables in both rings; the key holds the field, so no
+    change serves another."""
+    rngs = _trial_rngs(seed, trials, salt)
+    if upper_triangular:
+        return tuple(CoordinateChange.random_upper_triangular(n, field, rng)
+                     for rng in rngs)
+    return CoordinateChange.random_set(n, field, rngs)
 
 
 def default_degree_cap(ideal: MonomialIdeal) -> int:

@@ -3,6 +3,7 @@ import pytest
 from fractions import Fraction
 from math import factorial, prod
 
+from ginshift import changes, linalg
 from ginshift.changes import (MAX_EXT_VARIABLES, CoordinateChange,
                               SingularMatrixError, SizeLimitError, peel_table)
 from ginshift.fields import GFP, QQ, InvalidInputError, PrimeField
@@ -291,9 +292,13 @@ def _per_entry_draw(n, field, rng, upper):
             return rows
 
 
-@pytest.mark.parametrize("field", [PrimeField(p) for p in (
+DRAW_FIELDS = [PrimeField(p) for p in (
     2, 3, 101, 2 ** 31 - 19, 2 ** 40 + 15, 2 ** 61 - 1, 2 ** 63 - 25,
-    2 ** 89 - 1)] + [QQ], ids=lambda f: str(f.characteristic or "Q"))
+    2 ** 89 - 1)] + [QQ]
+
+
+@pytest.mark.parametrize("field", DRAW_FIELDS,
+                         ids=lambda f: str(f.characteristic or "Q"))
 def test_one_draw_per_matrix_gives_the_per_entry_matrices(field):
     # the same matrices from the same generator, singular redraws included,
     # and the same stream after them
@@ -305,6 +310,67 @@ def test_one_draw_per_matrix_gives_the_per_entry_matrices(field):
             assert got == _per_entry_draw(n, field, b, upper), (n, upper)
             assert all(type(x) is type(field.one) for row in got for x in row)
     assert field.random(a) == field.random(b)
+
+
+@pytest.mark.parametrize("field", DRAW_FIELDS,
+                         ids=lambda f: str(f.characteristic or "Q"))
+def test_a_drawn_set_is_one_single_draw_per_generator(field):
+    # a dense set is the changes of one random_dense call per generator, a
+    # triangular set those of one rank-checked draw per generator, singular
+    # redraws included (often over GF(2) and GF(3)); each is invertible,
+    # and the streams after them are the same
+    for n in (1, 2, 3, 5):
+        a = [np.random.default_rng(s) for s in range(4)]
+        b = [np.random.default_rng(s) for s in range(4)]
+        got = CoordinateChange.random_set(n, field, a)
+        assert got == tuple(CoordinateChange.random_dense(n, field, rng)
+                            for rng in b), n
+        tri = [CoordinateChange.random_upper_triangular(n, field, rng)
+               for rng in a]
+        assert [c.matrix for c in tri] == [_per_entry_draw(n, field, rng, True)
+                                           for rng in b], n
+        assert all(vector_rank(c.matrix, field) == n for c in got + tuple(tri))
+        assert [field.random(r) for r in a] == [field.random(r) for r in b]
+
+
+def _counted_rref(monkeypatch):
+    """Patch every binding of ``linalg.rref`` to record its calls."""
+    calls, rref = [], linalg.rref
+
+    def counting(rows, field):
+        calls.append(np.shape(rows))
+        return rref(rows, field)
+
+    monkeypatch.setattr(linalg, "rref", counting)
+    monkeypatch.setattr(changes, "rref", counting)
+    return calls
+
+
+@pytest.mark.parametrize("field", [GFP, PrimeField(2 ** 61 - 1), QQ],
+                         ids=str)
+def test_a_set_and_its_duals_are_proven_by_their_own_eliminations(
+        field, monkeypatch):
+    # k invertible dense changes: one stacked elimination for the set; k
+    # triangular draws: none; a dual: the one elimination of [phi | I], and
+    # psi^T phi = I
+    calls = _counted_rref(monkeypatch)
+    n, k = 4, 3
+    rngs = [np.random.default_rng(s) for s in range(k)]
+    phis = CoordinateChange.random_set(n, field, rngs)
+    assert calls == [(k, n, n)]
+    for rng in rngs:
+        CoordinateChange.random_upper_triangular(n, field, rng)
+    assert calls == [(k, n, n)]
+    for phi in phis:
+        del calls[:]
+        psi = phi.dual
+        assert calls == [(n, 2 * n)]
+        product = [[field(sum(psi.matrix[t][i] * phi.matrix[t][j]
+                              for t in range(n))) for j in range(n)]
+                   for i in range(n)]
+        assert product == [[int(i == j) for j in range(n)] for i in range(n)]
+    with pytest.raises(SingularMatrixError):
+        CoordinateChange(((1, 2), (2, 4)), field)
 
 
 def test_exterior_size_limit():

@@ -108,7 +108,8 @@ MIRRORED_GINS = {
 @pytest.mark.parametrize("order", ["inv:lex", "inv:revlex"])
 def test_gin_and_witnesses_under_inverse_orders(command, order, rei_file,
                                                 edges_file, capsys,
-                                                monkeypatch):
+                                                monkeypatch,
+                                                fresh_trial_sets):
     # a gin is certified in the order's ranking of the variables; the
     # witness search keeps standard strongly stable terminals, which no
     # shift of an inverse order reaches: it reports so, with no trial drawn
@@ -116,7 +117,9 @@ def test_gin_and_witnesses_under_inverse_orders(command, order, rei_file,
         raise AssertionError("a trial was drawn")
 
     if command == "witnesses":
-        monkeypatch.setattr(CoordinateChange, "random_dense", no_trials)
+        monkeypatch.setattr(CoordinateChange, "random_set", no_trials)
+        monkeypatch.setattr(CoordinateChange, "random_upper_triangular",
+                            no_trials)
     for name, path in (("rei", rei_file), ("edges", edges_file)):
         code = main([command, path, "--order", order])
         out, err = capsys.readouterr()

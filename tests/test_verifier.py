@@ -300,13 +300,13 @@ def test_sweep_theorem1_degree2_check_matches_gin_space(monkeypatch):
 def test_sweep_theorem1_draws_one_trial_set_per_class(monkeypatch,
                                                       fresh_trial_sets):
     draws = []
-    draw = CoordinateChange.random_dense
+    draw = CoordinateChange.random_set
 
-    def counting(cls, n, field, rng):
-        draws.append(n)
-        return draw(n, field, rng)
+    def counting(cls, n, field, rngs):
+        draws.extend([n] * len(rngs))
+        return draw(n, field, rngs)
 
-    monkeypatch.setattr(CoordinateChange, "random_dense",
+    monkeypatch.setattr(CoordinateChange, "random_set",
                         classmethod(counting))
     report = sweep_theorem1(5, seed=0, trials=3)
     assert report.passed
@@ -317,13 +317,13 @@ def test_sweep_theorem1_draws_each_trial_set_once(monkeypatch,
                                                   fresh_trial_sets):
     # every class on n vertices shares the trial set of (seed, trials, n)
     draws = []
-    draw = CoordinateChange.random_dense
+    draw = CoordinateChange.random_set
 
-    def counting(cls, n, field, rng):
-        draws.append(n)
-        return draw(n, field, rng)
+    def counting(cls, n, field, rngs):
+        draws.extend([n] * len(rngs))
+        return draw(n, field, rngs)
 
-    monkeypatch.setattr(CoordinateChange, "random_dense",
+    monkeypatch.setattr(CoordinateChange, "random_set",
                         classmethod(counting))
     cold = sweep_theorem1(5, seed=0, trials=3)
     assert cold.passed
