@@ -123,12 +123,18 @@ def _load_field(spec: str):
     return field
 
 
+def _int_pair(chunk: str) -> tuple[int, int]:
+    """The integers a and b of the text "a,b"."""
+    try:
+        a, b = map(int, chunk.split(","))
+    except ValueError:
+        raise InvalidInputError(
+            f"expected two integers 'a,b', not {chunk!r}") from None
+    return a, b
+
+
 def _parse_pairs(text: str) -> list[tuple[int, int]]:
-    pairs = []
-    for chunk in text.split(";"):
-        a, b = chunk.split(",")
-        pairs.append((int(a), int(b)))
-    return pairs
+    return [_int_pair(chunk) for chunk in text.split(";")]
 
 
 def run(args) -> int:
@@ -186,7 +192,7 @@ def run(args) -> int:
     if args.command == "profile":
         doc: dict = {"seed": args.seed}
         if args.closed_form:
-            a, b = (int(x) for x in args.closed_form.split(","))
+            a, b = _int_pair(args.closed_form)
             bip, two = closed_form_profiles(a, b)
             doc["bipartite_profile"] = bip
             doc["two_cliques_profile"] = two

@@ -299,18 +299,24 @@ def regularity_from_gin(ideal: MonomialIdeal, seed: int = 0, trials: int = 3,
 # -- closed-form shifted-graph profiles --------------------------------
 
 
+def _part_sizes(a: int, b: int) -> tuple[int, int]:
+    """The part sizes a and b, smaller first; a negative size is refused."""
+    if min(a, b) < 0:
+        raise InvalidInputError(
+            f"part sizes must be non-negative, not {a} and {b}")
+    return min(a, b), max(a, b)
+
+
 def bipartite_profile(a: int, b: int) -> list[int]:
     """max_{>= n+1-k} of the shifted complete bipartite graph, k = 1..n."""
-    if a > b:
-        a, b = b, a
+    a, b = _part_sizes(a, b)
     n = a + b
     return [k * n - k * k if k <= a else a * b for k in range(1, n + 1)]
 
 
 def two_cliques_profile(a: int, b: int) -> list[int]:
     """min_{>= n+1-k} of the shifted disjoint union of two cliques, k = 1..n."""
-    if a > b:
-        a, b = b, a
+    a, b = _part_sizes(a, b)
     n = a + b
     f1 = comb(a, 2) + comb(b, 2)
     return [comb(k, 2) if k <= b else f1 - comb(n - k, 2)
@@ -319,8 +325,7 @@ def two_cliques_profile(a: int, b: int) -> list[int]:
 
 def h_values(a: int, b: int) -> list[int]:
     """Stratum counts h_k of the shifted two-clique graph, k = 1..n."""
-    if a > b:
-        a, b = b, a
+    a, b = _part_sizes(a, b)
     n = a + b
     out = []
     for k in range(1, n + 1):

@@ -88,6 +88,12 @@ class WeightOrder(TermOrder):
     weights: tuple[int, ...]
     tiebreak: str = "lex"  # "lex" | "revlex"
 
+    def __post_init__(self):
+        if self.tiebreak not in ("lex", "revlex"):
+            raise InvalidInputError(
+                f"weight order tie-break must be lex or revlex, not "
+                f"{self.tiebreak!r}")
+
     def key(self, u):
         if len(self.weights) != u.n:
             raise InvalidInputError(
@@ -134,7 +140,7 @@ def parse_order(spec: str, n: int) -> TermOrder:
         return Inverse(parse_order(spec[4:], n))
     if spec.startswith("weight:"):
         parts = spec.split(":")
-        if len(parts) != 3 or parts[2] not in ("lex", "revlex"):
+        if len(parts) != 3:
             raise InvalidInputError(f"bad weight order spec {spec!r}")
         weights = tuple(int(w) for w in parts[1].split(","))
         if len(weights) != n:

@@ -1,9 +1,11 @@
 """Exhaustive small-graph sweeps and randomized property suites.
 
-The sweeps instantiate the two classification theorems class by class; the
-property suite spot-checks the supporting lemmas on random instances.  All
-randomness flows from one master seed, and report payloads contain only
-seed-independent facts so replays compare byte for byte.
+The sweeps instantiate the two classification theorems class by class,
+both through one driver (``_sweep``); the property suite spot-checks the
+supporting lemmas on random instances, one named check per entry of
+``PROPERTY_CHECKS``, all run by one loop.  All randomness flows from one
+master seed, and report payloads contain only seed-independent facts so
+replays compare byte for byte.
 """
 
 from __future__ import annotations
@@ -362,151 +364,130 @@ def _random_monomial_subset(rng, ring: str, n: int) -> set:
     return {m for m, flag in zip(ambient, keep) if flag}
 
 
-def _random_graph(rng, n: int) -> Graph:
-    edges = [(i, j) for i, j in itertools.combinations(range(1, n + 1), 2)
-             if rng.random() < 0.5]
-    return Graph.make(n, edges)
-
-
-def _random_complex(rng, n: int) -> SimplicialComplex:
-    faces = [c for d in (2, 3)
-             for c in itertools.combinations(range(1, n + 1), d)
-             if rng.random() < 0.4]
-    return SimplicialComplex.make(n, faces)
-
-
-def property_suite(seed: int = 0, samples: int = 200) -> dict:
-    """Randomized checks of the supporting lemmas; returns a report whose
-    payload is seed-independent when every property holds."""
-    if samples < 1:
-        raise InvalidInputError(
-            f"property suite needs samples >= 1, not {samples}")
-    root = np.random.SeedSequence([seed, 777])
-    rngs = [np.random.default_rng(s) for s in root.spawn(8)]
-    results: dict[str, dict] = {}
-
-    # exterior complement duality
-    violations = 0
-    for k in range(samples):
-        rng = rngs[0]
-        n = int(rng.integers(2, 9))
-        w = _random_monomial_subset(rng, EXT, n)
+def _complement_duality(ring: str, sizes: range, field=GFP):
+    """The check that a random degree-2 set W on n variables, n drawn from
+    ``sizes``, has complement duality in ``ring`` over ``field``: lex on
+    even samples, revlex on odd ones."""
+    def check(rng, seed: int, k: int) -> int:
+        n = int(rng.integers(sizes.start, sizes.stop))
+        w = _random_monomial_subset(rng, ring, n)
         try:
-            complement_dual(LEX if k % 2 == 0 else REVLEX, w, EXT, n,
-                            seed=seed + k)
+            complement_dual(LEX if k % 2 == 0 else REVLEX, w, ring, n,
+                            seed=seed + k, field=field)
         except DualityViolationError:
-            violations += 1
-    results["complement-duality-exterior"] = {"samples": samples,
-                                              "violations": violations}
+            return 1
+        return 0
+    return check
 
-    # polynomial complement duality over the rationals (characteristic zero)
+
+def _sandwich_and_mcount(rng, seed: int, k: int) -> int:
+    """Each shifting witness of a random graph ideal lies between its lex
+    and revlex gins in index profile and below each in m-counts."""
+    n = int(rng.integers(3, 6))
+    g = Graph.make(n, [e for e in itertools.combinations(range(1, n + 1), 2)
+                       if rng.random() < 0.5])
+    if not g.complement().edges:
+        return 0
+    jg = combinatorial_ideal(g, EXT)
+    gins = [(order, MonomialIdeal.make(EXT, n, gin_space(
+        order, jg.degree_component(2), EXT, n, 2, seed=seed)))
+        for order in (LEX, REVLEX)]
+    lo, hi = (index_profile(gin, 2)[1] for _, gin in gins)
     violations = 0
-    poly_samples = max(40, samples // 5)
-    for k in range(poly_samples):
-        rng = rngs[1]
-        n = int(rng.integers(2, 6))
-        w = _random_monomial_subset(rng, POLY, n)
-        try:
-            complement_dual(LEX if k % 2 == 0 else REVLEX, w, POLY, n,
-                            seed=seed + k, field=QQ)
-        except DualityViolationError:
-            violations += 1
-    results["complement-duality-polynomial-char0"] = {"samples": poly_samples,
-                                                      "violations": violations}
+    for witness in trans_witnesses(jg, budget=4000):
+        mid = index_profile(witness, 2)[1]
+        violations += not all(x <= y <= z for x, y, z in zip(lo, mid, hi))
+        violations += sum(m_count(order, gin, u) < m_count(order, witness, u)
+                          for order, gin in gins
+                          for u in all_monomials(EXT, n, 2))
+    return violations
 
-    # deliberate characteristic-2 failure: duality must break
-    broke = False
+
+def _cone_commutation(rng, seed: int, k: int) -> int:
+    """Shifting a random complex commutes with coning."""
+    n = int(rng.integers(2, 6))
+    gamma = SimplicialComplex.make(n, [
+        c for d in (2, 3) for c in itertools.combinations(range(1, n + 1), d)
+        if rng.random() < 0.4])
+    left = shifted_complex(REVLEX, cone(gamma), seed=seed + k)
+    right = cone(shifted_complex(REVLEX, gamma, seed=seed + 2 * k + 1))
+    return int(left != right)
+
+
+def _hyperplane_rank_oracle(rng, seed: int, k: int) -> int:
+    """The hyperplane-restriction ranks of a random W under a random change
+    against the engine's revlex gin profile, one count per k = 1..n."""
+    n = int(rng.integers(3, 9))
+    w = _random_monomial_subset(rng, EXT, n)
+    phi = CoordinateChange.random_dense(n, GFP, rng)
+    ambient = set(all_monomials(EXT, n, 2))
+    ginw = gin_space(REVLEX, w, EXT, n, 2, seed=seed + k) if w else set()
+    oracle = hyperplane_rank_profile(w, n, phi)
+    outside = [u.max_index() for u in ambient - ginw]
+    return sum(sum(i >= kk for i in outside) != oracle[kk - 1]
+               for kk in range(1, n + 1))
+
+
+def _absent_corner(rng, seed: int, k: int) -> int:
+    """Absent-corner lemma: if no x_s x_t in W has s >= p and t >= q, then
+    x_p x_q stays out of the lex and revlex gins (upper-triangular
+    coordinate changes)."""
+    n = int(rng.integers(3, 7))
+    p = int(rng.integers(1, n + 1))
+    q = int(rng.integers(p, n + 1))
+    w = {u for u in _random_monomial_subset(rng, POLY, n)
+         if not (u.min_index() >= p and u.max_index() >= q)}
+    if not w:
+        return 0
+    target = poly_monomial(tuple(
+        (2 if i == p == q else (1 if i in (p, q) else 0))
+        for i in range(1, n + 1)))
+    return sum(target in gin_space(order, w, POLY, n, 2, seed=seed + k,
+                                   upper_triangular=True)
+               for order in (LEX, REVLEX))
+
+
+def _char2_duality_negative(rng, seed: int, k: int) -> int:
+    """The deliberate characteristic-2 instance: duality must break."""
     try:
         complement_dual(LEX, {poly_monomial((2, 0)), poly_monomial((0, 2))},
                         POLY, 2, field=PrimeField(2))
     except (DualityViolationError, CertificationError):
-        broke = True
-    results["char2-duality-negative"] = {"samples": 1,
-                                         "violations": 0 if broke else 1}
+        return 0
+    return 1
 
-    # sandwich inequality and m-count domination over shifting witnesses
-    violations = 0
-    graph_samples = max(30, samples // 5)
-    for k in range(graph_samples):
-        rng = rngs[2]
-        n = int(rng.integers(3, 6))
-        g = _random_graph(rng, n)
-        if not g.complement().edges:
-            continue
-        jg = combinatorial_ideal(g, EXT)
-        lex2 = gin_space(LEX, jg.degree_component(2), EXT, n, 2, seed=seed)
-        rev2 = gin_space(REVLEX, jg.degree_component(2), EXT, n, 2, seed=seed)
-        glex = MonomialIdeal.make(EXT, n, lex2)
-        grev = MonomialIdeal.make(EXT, n, rev2)
-        lo, hi = index_profile(glex, 2)[1], index_profile(grev, 2)[1]
-        for witness in trans_witnesses(jg, budget=4000):
-            mid = index_profile(witness, 2)[1]
-            if not all(x <= y <= z for x, y, z in zip(lo, mid, hi)):
-                violations += 1
-            for u in all_monomials(EXT, n, 2):
-                if m_count(LEX, glex, u) < m_count(LEX, witness, u):
-                    violations += 1
-                if m_count(REVLEX, grev, u) < m_count(REVLEX, witness, u):
-                    violations += 1
-    results["sandwich-and-mcount"] = {"samples": graph_samples,
-                                      "violations": violations}
 
-    # shifting commutes with coning
-    violations = 0
-    cone_samples = max(25, samples // 8)
-    for k in range(cone_samples):
-        rng = rngs[3]
-        n = int(rng.integers(2, 6))
-        gamma = _random_complex(rng, n)
-        left = shifted_complex(REVLEX, cone(gamma), seed=seed + k)
-        right = cone(shifted_complex(REVLEX, gamma, seed=seed + 2 * k + 1))
-        if left != right:
-            violations += 1
-    results["cone-commutation"] = {"samples": cone_samples,
-                                   "violations": violations}
+#: the property suite: (payload name, sample count for a suite of s
+#: samples, check). ``check(rng, seed, k)`` returns the violations of
+#: sample k, drawing its inputs from ``rng``, which entry i takes from
+#: child i of ``SeedSequence([seed, 777])``.
+PROPERTY_CHECKS = (
+    ("complement-duality-exterior", lambda s: s,
+     _complement_duality(EXT, range(2, 9))),
+    ("complement-duality-polynomial-char0", lambda s: max(40, s // 5),
+     _complement_duality(POLY, range(2, 6), QQ)),
+    ("sandwich-and-mcount", lambda s: max(30, s // 5), _sandwich_and_mcount),
+    ("cone-commutation", lambda s: max(25, s // 8), _cone_commutation),
+    ("hyperplane-rank-oracle", lambda s: 100, _hyperplane_rank_oracle),
+    ("absent-corner", lambda s: 100, _absent_corner),
+    ("char2-duality-negative", lambda s: 1, _char2_duality_negative),
+)
 
-    # hyperplane restriction rank oracle vs the engine profile
-    violations = 0
-    oracle_samples = 100
-    for k in range(oracle_samples):
-        rng = rngs[4]
-        n = int(rng.integers(3, 9))
-        w = _random_monomial_subset(rng, EXT, n)
-        phi = CoordinateChange.random_dense(n, GFP, rng)
-        ambient = set(all_monomials(EXT, n, 2))
-        ginw = gin_space(REVLEX, w, EXT, n, 2, seed=seed + k) if w else set()
-        oracle = hyperplane_rank_profile(w, n, phi)
-        for kk in range(1, n + 1):
-            engine = sum(1 for u in ambient - ginw if u.max_index() >= kk)
-            if engine != oracle[kk - 1]:
-                violations += 1
-    results["hyperplane-rank-oracle"] = {"samples": oracle_samples,
-                                         "violations": violations}
 
-    # absent-corner lemma: if no x_s x_t in W with s >= p, t >= q, then
-    # x_p x_q stays out of the gin (upper-triangular coordinate changes)
-    violations = 0
-    corner_samples = 100
-    for k in range(corner_samples):
-        rng = rngs[5]
-        n = int(rng.integers(3, 7))
-        p = int(rng.integers(1, n + 1))
-        q = int(rng.integers(p, n + 1))
-        w = {u for u in _random_monomial_subset(rng, POLY, n)
-             if not (u.min_index() >= p and u.max_index() >= q)}
-        if not w:
-            continue
-        target = poly_monomial(tuple(
-            (2 if i == p == q else (1 if i in (p, q) else 0))
-            for i in range(1, n + 1)))
-        for order in (LEX, REVLEX):
-            ginw = gin_space(order, w, POLY, n, 2, seed=seed + k,
-                             upper_triangular=True)
-            if target in ginw:
-                violations += 1
-    results["absent-corner"] = {"samples": corner_samples,
-                                "violations": violations}
-
-    results["passed"] = all(
-        v["violations"] == 0 for v in results.values() if isinstance(v, dict))
+def property_suite(seed: int = 0, samples: int = 200) -> dict:
+    """Randomized checks of the supporting lemmas, one entry of
+    ``PROPERTY_CHECKS`` each; returns a report whose payload is
+    seed-independent when every property holds."""
+    if samples < 1:
+        raise InvalidInputError(
+            f"property suite needs samples >= 1, not {samples}")
+    root = np.random.SeedSequence([seed, 777])
+    results: dict = {}
+    for (name, count, check), child in zip(
+            PROPERTY_CHECKS, root.spawn(len(PROPERTY_CHECKS))):
+        rng = np.random.default_rng(child)
+        total = count(samples)
+        results[name] = {"samples": total, "violations": sum(
+            check(rng, seed, k) for k in range(total))}
+    results["passed"] = all(v["violations"] == 0 for v in results.values())
     return results

@@ -200,6 +200,22 @@ def test_profile_closed_form(capsys):
     assert doc["two_cliques_profile"] == doc["two_cliques_profile_h_sum"]
 
 
+@pytest.mark.parametrize("argv,chunk", [
+    (["shift", "{rei}", "--pairs", "1;2"], "'1'"),
+    (["shift", "{rei}", "--pairs", "1,3;1,2,3"], "'1,2,3'"),
+    (["shift", "{rei}", "--pairs", "a,b"], "'a,b'"),
+    (["profile", "--closed-form=2,3,4"], "'2,3,4'"),
+    (["profile", "--closed-form=-1,3"], "-1 and 3"),
+])
+def test_unreadable_pairs_are_named(rei_file, capsys, argv, chunk):
+    # Python's unpacking errors ("too many values to unpack") named no input
+    code = main([arg.format(rei=rei_file) for arg in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_INVALID_INPUT, "")
+    assert chunk in captured.err
+    assert "unpack" not in captured.err
+
+
 def test_profile_requires_input(capsys):
     code, _ = run(capsys, ["profile"])
     assert code == EXIT_INVALID_INPUT

@@ -417,3 +417,17 @@ def test_hyperplane_rank_profile_matches_the_per_width_elimination(field):
                 references.hyperplane_rank_oracle(w, n, k, phi)
                 for k in range(1, n + 1)]
     assert hyperplane_rank_profile(set(ambient), n, phi) == [0] * n
+
+
+@pytest.mark.parametrize("profile", [bipartite_profile, two_cliques_profile,
+                                     h_values, two_cliques_profile_from_h,
+                                     closed_form_profiles])
+def test_profiles_refuse_a_negative_part(profile):
+    # bipartite_profile(-1, 3) returned [-3, -3]; the two-clique profiles
+    # failed inside math.comb
+    for a, b in ((-1, 3), (3, -1), (-2, -2)):
+        with pytest.raises(InvalidInputError, match="non-negative"):
+            profile(a, b)
+    # the parts are read in either order, and an empty part is allowed
+    assert profile(3, 2) == profile(2, 3)
+    assert profile(0, 2) == profile(2, 0)

@@ -53,6 +53,18 @@ def test_weight_order_needs_tiebreak():
     assert lex_tb.compare(e([1, 2, 3]), e([4, 5, 6])) == GREATER
 
 
+def test_weight_order_refuses_an_unknown_tiebreak():
+    # any tie-break but lex was read as revlex, and the order printed as a
+    # spec that parse_order refuses
+    with pytest.raises(InvalidInputError, match="'foo'"):
+        WeightOrder((1, 2, 3), "foo")
+    with pytest.raises(InvalidInputError, match="'foo'"):
+        parse_order("weight:1,2,3:foo", 3)
+    for tiebreak in ("lex", "revlex"):
+        order = WeightOrder((1, 2, 3), tiebreak)
+        assert parse_order(str(order), 3) == order
+
+
 def test_inverse_flips_within_degree_only():
     u, v = e([1, 2]), e([1, 3])
     inv = Inverse(LEX)

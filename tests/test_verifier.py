@@ -420,6 +420,22 @@ def test_complement_duality_samples_take_no_dual_route(monkeypatch):
     assert reads
 
 
+@pytest.mark.parametrize("name", [entry[0]
+                                  for entry in verifier.PROPERTY_CHECKS])
+def test_a_violation_fails_the_property_suite(monkeypatch, name):
+    # one entry's check reports a violation per sample: only its count
+    # moves, and the suite fails
+    table = [(entry_name, count, (lambda rng, seed, k: 1)
+              if entry_name == name else check)
+             for entry_name, count, check in verifier.PROPERTY_CHECKS]
+    monkeypatch.setattr(verifier, "PROPERTY_CHECKS", tuple(table))
+    report = property_suite(seed=0, samples=1)
+    assert report[name]["violations"] == report[name]["samples"] >= 1
+    assert all(stats["violations"] == 0 for key, stats in report.items()
+               if key not in (name, "passed"))
+    assert report["passed"] is False
+
+
 def test_property_suite_smoke():
     report = property_suite(seed=0, samples=12)
     assert report["passed"]
